@@ -17,7 +17,10 @@ Asserted floors:
 * both modes produce byte-identical fuzzing outcomes (findings,
   coverage, crash counts) — throughput must not buy divergence;
 * doubling DRAM leaves the per-restore cost for identical dirty work
-  within noise (the restore is O(dirty pages), not O(RAM)).
+  within noise (the restore is O(dirty pages), not O(RAM));
+* doubling DRAM leaves the golden-capture cost within the same noise
+  bound, and the golden bytes the fork server holds exactly equal (the
+  capture copies pages on first write, not RAM up front).
 
 Run as a script to (re)generate the committed artifact::
 
@@ -87,7 +90,7 @@ def _run_mode(firmware: str, budget: int, mode: str) -> dict:
 
 
 def profile_scaling() -> dict:
-    """Per-restore cost for identical dirty work as DRAM doubles."""
+    """Golden-capture and per-restore cost as DRAM doubles."""
     from repro.emulator.arch import arch_by_name
     from repro.emulator.machine import Machine
     from repro.emulator.snapshot import ForkServer
@@ -104,7 +107,12 @@ def profile_scaling() -> dict:
         ))
         machine = Machine(arch, name=f"scaling-{scale}x")
         dram = next(r for r in machine.bus.regions if r.kind == "dram")
-        fork = ForkServer(machine)
+        capture = None
+        for _ in range(SCALING_SAMPLES):
+            start = time.perf_counter()
+            fork = ForkServer(machine)
+            us = (time.perf_counter() - start) * 1e6
+            capture = us if capture is None else min(capture, us)
         fork.restore()  # warm-up
         best = None
         for _ in range(SCALING_SAMPLES):
@@ -116,7 +124,9 @@ def profile_scaling() -> dict:
         out[str(scale)] = {
             "dram_mib": dram.size // (1024 * 1024),
             "dirty_pages": SCALING_PAGES,
+            "capture_us": round(capture, 1),
             "restore_us": round(best, 1),
+            "golden_bytes": fork.ram_bytes(),
         }
     return out
 
@@ -145,12 +155,18 @@ def check(results: dict) -> None:
     assert large["speedup"] >= MIN_SPEEDUP_LARGE, (
         f"fork-server speedup {large['speedup']}x on "
         f"{large['firmware']} below the {MIN_SPEEDUP_LARGE}x floor")
-    base = results["scaling"]["1"]["restore_us"]
-    doubled = results["scaling"]["2"]["restore_us"]
-    # identical dirty work, twice the RAM: flat within (generous) noise;
-    # an O(RAM) full-copy regression would be ~1000x off this bound
-    assert doubled < base * 10 + 200, (
-        f"restore cost grew with RAM size: {base}us -> {doubled}us")
+    scaling = results["scaling"]
+    for metric in ("capture_us", "restore_us"):
+        base = scaling["1"][metric]
+        doubled = scaling["2"][metric]
+        # identical work, twice the RAM: flat within (generous) noise;
+        # an O(RAM) full copy would be ~1000x off this bound at restore
+        assert doubled < base * 10 + 200, (
+            f"{metric} grew with RAM size: {base}us -> {doubled}us")
+    # the exact guard: a capture that copied RAM up front would hold
+    # twice the golden bytes on twice the RAM
+    assert scaling["1"]["golden_bytes"] == scaling["2"]["golden_bytes"], (
+        "golden bytes held grew with RAM size")
 
 
 def main(argv=None) -> int:
@@ -168,6 +184,9 @@ def main(argv=None) -> int:
               f"speedup {case['speedup']:.2f}x  "
               f"identical={case['identical']}")
     scaling = results["scaling"]
+    print(f"capture: "
+          f"{scaling['1']['dram_mib']} MiB -> {scaling['1']['capture_us']}us, "
+          f"{scaling['2']['dram_mib']} MiB -> {scaling['2']['capture_us']}us")
     print(f"restore @ {SCALING_PAGES} dirty pages: "
           f"{scaling['1']['dram_mib']} MiB -> {scaling['1']['restore_us']}us, "
           f"{scaling['2']['dram_mib']} MiB -> {scaling['2']['restore_us']}us")

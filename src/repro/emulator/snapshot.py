@@ -7,22 +7,24 @@ Three restore strategies over one dirty-set abstraction
   region both ways; cost is O(machine size).  Used by the Prober's
   multi-pass dry runs, where restores are rare and simplicity wins.
   When a :class:`~repro.mem.dirty.DirtySet` is attached to the bus, a
-  full restore conservatively marks everything it rewrote dirty so a
-  later delta restore stays sound.
+  full restore conservatively marks everything dirty *before* it
+  rewrites it, so a later delta restore stays sound.
 * :class:`Checkpoint` — journal-backed rollback point.  Arms the bus
   write journal and rewinds only the bytes an input actually wrote;
   cost is O(bytes written).  The journal's pre-image log *is* its dirty
-  record, byte-exact, so rollback re-dirties nothing new.  Used for
-  per-input crash isolation in the journaled execution mode.
+  record, byte-exact; rollback marks the pages it rewinds like any
+  other bus write.  Used for per-input crash isolation in the
+  journaled execution mode.
 * :class:`ForkServer` — golden snapshot + dirty-page delta restore.
-  Captures the ready-to-run state once (guest memory, engine and
-  machine state, device models, provider state, and the host-side
-  Python object graph of the rehosted kernel), then restores between
-  programs by copying back only the pages the session dirtied,
-  invalidating only translations built from dirty code pages, and
-  reloading only state providers whose epoch actually moved.  Cost is
-  O(pages touched) — the AFL fork-server idea applied to a rehosted
-  machine.
+  Captures the ready-to-run state once (engine and machine state,
+  device models, provider state, and the host-side Python object graph
+  of the rehosted kernel) without copying RAM: the DirtySet keeps each
+  page's golden bytes the first time the page is written after
+  capture.  Restores between programs copy back only the pages the
+  session dirtied, invalidate only translations built from dirty code
+  pages, and reload only state providers whose epoch actually moved.
+  Capture and restore both cost O(pages touched) — the AFL fork-server
+  idea applied to a rehosted machine.
 
 Device and host-side observer state (hooks, tracers, metric registries)
 is deliberately *not* captured by any strategy: observers persist
@@ -42,7 +44,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.emulator.machine import Machine
 from repro.errors import SnapshotError
-from repro.mem.dirty import PAGE_SHIFT, PAGE_SIZE, DirtySet
+from repro.mem.dirty import PAGE_SHIFT, DirtySet
 from repro.mem.regions import MmioRegion
 
 
@@ -117,10 +119,11 @@ class Snapshot:
                     f"is now {region.size} bytes",
                     region=region.name,
                 )
-            region.data[:] = saved
             if dirty is not None:
-                # full rewrite bypassed the bus: keep delta accounting sound
+                # full rewrite bypasses the bus: mark first, so pages a
+                # fork server has not yet kept save their golden bytes
                 dirty.mark_all(region.name, region.size)
+            region.data[:] = saved
         for engine, saved in zip(machine.engines, self._engines):
             _restore_engine(engine, saved)
             # Region restores above bypassed the bus, so cached translation
@@ -225,7 +228,11 @@ class ForkServer:
     Capture once at the point the fuzz target is ready to accept
     programs; :meth:`restore` then rewinds the machine to that exact
     state in time proportional to the pages the session dirtied, not to
-    RAM size.  The restored state is byte-identical to what a fresh
+    RAM size.  Capture copies no RAM: golden pages are kept copy-on-
+    first-write by the bus-attached :class:`~repro.mem.dirty.DirtySet`,
+    and state providers offering ``save_golden``/``load_golden`` (the
+    sanitizer runtime's shadow table) do the same for their own state.
+    The restored state is byte-identical to what a fresh
     rebuild-and-boot produces (boot is deterministic), which is the
     contract the census byte-identity tests enforce.
 
@@ -238,20 +245,21 @@ class ForkServer:
 
     def __init__(self, machine: Machine, host_roots: Tuple = ()):
         self.machine = machine
-        self.dirty = DirtySet()
         self.restores = 0
         bus = machine.bus
-        self._ram: Dict[str, bytes] = {}
+        #: captured RAM region name -> its backing buffer; the golden
+        #: bytes themselves are kept lazily by ``self.dirty``
+        self._ram: Dict[str, object] = {}
         self._device_ram: Dict[str, bytes] = {}
         for region in bus.regions:
-            golden = bytes(region.data)
             if isinstance(region, MmioRegion) or region.kind == "device":
                 # device apertures are tiny and their backing store must
                 # stay coherent with restored device-model attributes, so
                 # they restore in full every time
-                self._device_ram[region.name] = golden
+                self._device_ram[region.name] = bytes(region.data)
             else:
-                self._ram[region.name] = golden
+                self._ram[region.name] = region.data
+        self.dirty = DirtySet(self._ram)
         self._engines = [
             (
                 _capture_engine(engine),
@@ -292,10 +300,11 @@ class ForkServer:
         for provider in machine.state_providers:
             epoch_fn = getattr(provider, "state_epoch", None)
             telemetry_fn = getattr(provider, "save_telemetry", None)
+            save = getattr(provider, "save_golden", None)
             self._providers.append(
                 (
                     provider,
-                    provider.save_state(),
+                    save() if save is not None else provider.save_state(),
                     epoch_fn() if epoch_fn is not None else None,
                     telemetry_fn() if telemetry_fn is not None else None,
                 )
@@ -319,26 +328,31 @@ class ForkServer:
                 if golden is not None and len(golden) == region.size:
                     region.data[:] = golden
                 continue
-            golden = self._ram.get(name)
-            if golden is None:
+            data = self._ram.get(name)
+            if data is None:
                 raise SnapshotError(
                     "mapped after the golden capture; delta restore "
                     "cannot reconstruct it",
                     region=name,
                 )
-            if len(golden) != region.size:
+            if region.data is not data:
                 raise SnapshotError(
-                    f"golden image holds {len(golden)} bytes but the "
-                    f"region is now {region.size} bytes",
+                    "remapped since the golden capture; its golden pages "
+                    "belong to the old backing buffer",
                     region=name,
                 )
-            for lo, hi in dirty.spans(name):
-                if lo >= region.size:
-                    continue
-                hi = min(hi, region.size)
-                region.data[lo:hi] = golden[lo:hi]
-                pages += (hi - lo + PAGE_SIZE - 1) >> PAGE_SHIFT
-                code_spans.append((region.base + lo, region.base + hi))
+            spans = dirty.spans(name)
+            if not spans:
+                continue
+            golden = dirty.golden(name)
+            for lo, hi in spans:
+                for page in range(lo >> PAGE_SHIFT, hi >> PAGE_SHIFT):
+                    image = golden[page]
+                    offset = page << PAGE_SHIFT
+                    data[offset:offset + len(image)] = image
+                pages += (hi - lo) >> PAGE_SHIFT
+                code_spans.append(
+                    (region.base + lo, region.base + min(hi, region.size)))
         tb_dropped = 0
         for engine, (saved, counters) in zip(machine.engines, self._engines):
             _restore_engine(engine, saved)
@@ -384,9 +398,9 @@ class ForkServer:
         for provider, saved, epoch, telemetry in self._providers:
             epoch_fn = getattr(provider, "state_epoch", None)
             if epoch_fn is None or epoch is None or epoch_fn() != epoch:
-                load_delta = getattr(provider, "load_state_delta", None)
-                if load_delta is not None:
-                    load_delta(saved)
+                load = getattr(provider, "load_golden", None)
+                if load is not None:
+                    load(saved)
                 else:
                     provider.load_state(saved)
                 reloaded += 1
@@ -403,8 +417,13 @@ class ForkServer:
             self.machine.bus.detach_dirty()
 
     def ram_bytes(self) -> int:
-        """Total golden bytes captured (diagnostic)."""
-        return sum(len(data) for data in self._ram.values()) + sum(
+        """Golden guest bytes held (diagnostic).
+
+        The device apertures' full copies plus the RAM pages kept so
+        far: it grows with the pages written since capture, not with
+        RAM size.
+        """
+        return self.dirty.golden_bytes() + sum(
             len(data) for data in self._device_ram.values()
         )
 

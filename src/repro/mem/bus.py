@@ -178,6 +178,12 @@ class MemoryBus:
         if journal is None:
             raise BusError("no write journal active")
         self._journal = None
+        dirty = self._dirty
+        if dirty is not None:
+            # mark before rewinding, like every other write path: a page
+            # the rewind dirties first keeps its current bytes as golden
+            for region, off, old in journal:
+                dirty.mark(region.name, off, len(old))
         for region, off, old in reversed(journal):
             region.data[off : off + len(old)] = old
         return len(journal)
@@ -216,8 +222,10 @@ class MemoryBus:
         """Attach a :class:`~repro.mem.dirty.DirtySet` to all write paths.
 
         While attached, every store into a non-device region marks the
-        covered pages dirty — scalar stores, silent stores, and the bulk
-        ``write_bytes``/``fill``/``copy``/DMA family alike.  Unlike the
+        covered pages dirty — scalar stores, silent stores, the bulk
+        ``write_bytes``/``fill``/``copy``/DMA family and journal
+        rollbacks alike — always *before* the bytes land, so the set can
+        keep each page's pre-image on first write.  Unlike the
         journal this is a persistent accounting channel, not a scoped
         one: it stays attached across programs and is consumed (and
         cleared) by whoever owns the delta-restore strategy.

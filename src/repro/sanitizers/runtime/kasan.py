@@ -167,7 +167,7 @@ class KasanEngine:
             SanitizerReport(
                 self.tool, bug, bad_addr, access.size, access.is_write,
                 access.pc, access.task, alloc_pc=alloc_pc, free_pc=free_pc,
-                shadow_dump=self.shadow.dump_around(bad_addr),
+                shadow_window=self.shadow.window_around(bad_addr),
             )
         )
 

@@ -47,7 +47,14 @@ class BugType(enum.Enum):
 
 
 class SanitizerReport:
-    """One sanitizer finding."""
+    """One sanitizer finding.
+
+    ``shadow_window`` is an alternative to a rendered ``shadow_dump``:
+    any object whose ``render()`` returns the dump text (a
+    :class:`~repro.sanitizers.runtime.shadow.ShadowWindow`).  The text
+    is rendered the first time :attr:`shadow_dump` is read, so reports
+    nobody prints never pay for formatting.
+    """
 
     def __init__(
         self,
@@ -64,6 +71,7 @@ class SanitizerReport:
         free_pc: int = 0,
         second_pc: int = 0,
         shadow_dump: str = "",
+        shadow_window=None,
     ):
         self.tool = tool
         self.bug_type = bug_type
@@ -77,7 +85,17 @@ class SanitizerReport:
         self.alloc_pc = alloc_pc
         self.free_pc = free_pc
         self.second_pc = second_pc
-        self.shadow_dump = shadow_dump
+        self._shadow_dump = shadow_dump
+        self._shadow_window = shadow_window
+
+    @property
+    def shadow_dump(self) -> str:
+        """The dmesg-style shadow dump, rendered on first read."""
+        window = self._shadow_window
+        if window is not None:
+            self._shadow_dump = window.render()
+            self._shadow_window = None
+        return self._shadow_dump
 
     def dedup_key(self) -> tuple:
         """Reports with the same key are one bug (syzkaller-style dedup).

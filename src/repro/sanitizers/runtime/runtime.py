@@ -261,9 +261,24 @@ class CommonSanitizerRuntime:
         deliberately excluded: they are monotonic telemetry, not guest
         state, and restoring them would hide work the machine really did.
         """
+        state = self._save_semantic()
+        state["shadow"] = self.shadow.save_state()
+        return state
+
+    def save_golden(self) -> dict:
+        """Capture the fork server's golden state without copying shadow.
+
+        :meth:`save_state` minus the shadow table: from here on the
+        table keeps each shadow page's golden bytes the first time the
+        page is poisoned or unpoisoned, so capture costs nothing per
+        shadow byte.
+        """
+        self.shadow.begin_golden()
+        return self._save_semantic()
+
+    def _save_semantic(self) -> dict:
         state = {
             "enabled": self.enabled,
-            "shadow": self.shadow.save_state(),
             "suppress": self._suppress,
             "pending": {task: list(stack) for task, stack in self._pending.items()},
             "console_tail": self._console_tail,
@@ -286,16 +301,15 @@ class CommonSanitizerRuntime:
         self.shadow.load_state(state["shadow"])
         self._load_semantic(state)
 
-    def load_state_delta(self, state: dict) -> None:
-        """Restore :meth:`save_state` output copying only dirty shadow pages.
+    def load_golden(self, state: dict) -> None:
+        """Rewind to the state :meth:`save_golden` captured.
 
-        The fork server's fast path: shadow pages untouched since the
-        golden capture already hold the golden bytes, so only the pages
-        the session poisoned copy back.  Everything else save_state
-        carries (allocator maps, pending stacks, watchpoints) is small
-        and restores in full.
+        Shadow pages untouched since the golden capture already hold the
+        golden bytes, so only the pages the session poisoned copy back.
+        Everything else (allocator maps, pending stacks, watchpoints) is
+        small and restores in full.
         """
-        self.shadow.load_state_delta(state["shadow"])
+        self.shadow.restore_golden()
         self._load_semantic(state)
 
     def _load_semantic(self, state: dict) -> None:
@@ -323,7 +337,9 @@ class CommonSanitizerRuntime:
         Every mutation of that state moves at least one component:
         shadow/allocator transitions bump ``shadow.poison_ops`` (each
         live-map or quarantine change is paired with a poison or
-        unpoison), KCSAN watchpoint recording bumps ``_seq``, and
+        unpoison), any shadow write since the golden capture — a full
+        :meth:`load_state` included — leaves shadow pages dirty,
+        KCSAN watchpoint recording bumps ``_seq``, and
         in-flight allocator bookkeeping shows up in the suppress depth
         and pending stacks.  Equal epochs therefore mean the semantic
         state is byte-identical, letting a delta restore skip the reload
@@ -341,6 +357,7 @@ class CommonSanitizerRuntime:
             pending,
             self._console_tail,
             self.shadow.poison_ops,
+            self.shadow.dirty_pages(),
         )
         if self.kasan is not None:
             epoch += (

@@ -16,7 +16,7 @@ firmware whose platform could not host shadow memory at all.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.mem.bus import MemoryBus
 from repro.mem.regions import MmioRegion
@@ -42,11 +42,14 @@ class ShadowCode(enum.IntEnum):
 _SHADOW_PAGE_SHIFT = 12
 _SHADOW_PAGE_SIZE = 1 << _SHADOW_PAGE_SHIFT
 
+#: shadow bytes per row of a rendered shadow dump
+_DUMP_ROW = 16
+
 
 class _RegionShadow:
     """Shadow bytes for one guest memory region."""
 
-    __slots__ = ("base", "size", "bytes", "dirty")
+    __slots__ = ("base", "size", "bytes", "dirty", "golden")
 
     def __init__(self, base: int, size: int, fill: int):
         self.base = base
@@ -55,17 +58,67 @@ class _RegionShadow:
         # calloc-backed zero fill avoids touching every page up front
         self.bytes = (bytearray(granules) if fill == 0
                       else bytearray([fill]) * granules)
-        #: shadow pages written since the last clear (delta restore)
+        #: shadow pages written since the last golden restore
         self.dirty: set = set()
+        #: page index -> golden pre-image, kept on the page's first
+        #: write after :meth:`ShadowMemory.begin_golden`; None while no
+        #: golden capture is live (then nothing is tracked at all)
+        self.golden: Optional[Dict[int, bytes]] = None
 
     def mark_dirty(self, first_granule: int, last_granule: int) -> None:
-        """Record the shadow pages covering ``[first, last]`` granules."""
+        """Record the shadow pages covering ``[first, last]`` granules.
+
+        Must run before those granules are written: a page's first mark
+        keeps its current bytes as the golden pre-image.
+        """
+        golden = self.golden
+        if golden is None:
+            return
+        dirty = self.dirty
         first_page = first_granule >> _SHADOW_PAGE_SHIFT
         last_page = last_granule >> _SHADOW_PAGE_SHIFT
-        if first_page == last_page:
-            self.dirty.add(first_page)
-        else:
-            self.dirty.update(range(first_page, last_page + 1))
+        for page in range(first_page, last_page + 1):
+            if page in dirty:
+                continue
+            dirty.add(page)
+            if page not in golden:
+                lo = page << _SHADOW_PAGE_SHIFT
+                golden[page] = bytes(self.bytes[lo:lo + _SHADOW_PAGE_SIZE])
+
+
+class ShadowWindow(NamedTuple):
+    """The shadow rows a KASAN report shows, copied at report time.
+
+    Rendering is deferred until the report text is read — during a fuzz
+    campaign most reports are duplicates nobody prints — while the
+    copied rows keep the text exactly what it was when reported, even
+    if the shadow changes afterwards.
+    """
+
+    base: int  #: guest address of the region's first granule
+    granule: int  #: granule index of the buggy address
+    first_row: int  #: index of the first row held in ``cells``
+    cells: bytes  #: the rows' shadow bytes, clipped at the table ends
+
+    def render(self) -> str:
+        """The dmesg-KASAN text of :meth:`ShadowMemory.dump_around`."""
+        row_of = self.granule // _DUMP_ROW
+        lines = ["Memory state around the buggy address:"]
+        cells = self.cells
+        for offset in range(0, len(cells), _DUMP_ROW):
+            row = self.first_row + offset // _DUMP_ROW
+            first = row * _DUMP_ROW
+            rendered = " ".join(
+                f"{value:02x}" for value in cells[offset:offset + _DUMP_ROW]
+            )
+            marker = ">" if row == row_of else " "
+            lines.append(
+                f"{marker}{self.base + first * GRANULE:#010x}: {rendered}"
+            )
+            if row == row_of:
+                column = self.granule - first
+                lines.append(" " * 12 + "   " * column + " ^^")
+        return "\n".join(lines)
 
 
 class ShadowMemory:
@@ -102,35 +155,36 @@ class ShadowMemory:
     def load_state(self, saved: List[bytes]) -> None:
         """Restore shadow bytes captured by :meth:`save_state` in place."""
         for shadow, data in zip(self._shadows, saved):
+            # mark first: a live golden capture keeps what this overwrites
+            shadow.mark_dirty(0, len(shadow.bytes) - 1)
             shadow.bytes[:] = data
-            shadow.dirty.clear()
 
-    def load_state_delta(self, saved: List[bytes]) -> int:
-        """Restore only the shadow pages poisoned since the capture.
+    def begin_golden(self) -> None:
+        """Make the current shadow image the golden one, copying nothing.
 
-        ``saved`` must be the blob :meth:`save_state` returned for the
-        state being restored to (the fork server's golden state): dirty
-        page tracking began at that same point, so copying back just the
-        dirty pages reproduces the full image.  Returns pages copied.
+        From here on every shadow page keeps its pre-image the first
+        time it is written, so :meth:`restore_golden` can rewind the
+        table in O(pages poisoned since), and the capture itself costs
+        nothing per shadow byte.
         """
-        pages = 0
-        for shadow, data in zip(self._shadows, saved):
-            table = shadow.bytes
-            limit = len(table)
-            for page in shadow.dirty:
-                lo = page << _SHADOW_PAGE_SHIFT
-                if lo >= limit:
-                    continue
-                hi = min(lo + _SHADOW_PAGE_SIZE, limit)
-                table[lo:hi] = data[lo:hi]
-                pages += 1
-            shadow.dirty.clear()
-        return pages
-
-    def clear_dirty(self) -> None:
-        """Reset dirty-page accounting (at golden capture time)."""
         for shadow in self._shadows:
             shadow.dirty.clear()
+            shadow.golden = {}
+
+    def restore_golden(self) -> None:
+        """Rewind the shadow pages written since :meth:`begin_golden`."""
+        for shadow in self._shadows:
+            table = shadow.bytes
+            golden = shadow.golden
+            for page in shadow.dirty:
+                image = golden[page]
+                lo = page << _SHADOW_PAGE_SHIFT
+                table[lo:lo + len(image)] = image
+            shadow.dirty.clear()
+
+    def dirty_pages(self) -> int:
+        """Shadow pages written since the golden capture or restore."""
+        return sum(len(shadow.dirty) for shadow in self._shadows)
 
     # ------------------------------------------------------------------
     def _find(self, addr: int) -> Optional[_RegionShadow]:
@@ -159,15 +213,15 @@ class ShadowMemory:
         self.poison_ops += 1
         end = min(start + size, shadow.base + shadow.size)
         first = (start - shadow.base) // GRANULE
+        last = (end - shadow.base + GRANULE - 1) // GRANULE
+        shadow.mark_dirty(first, max(last - 1, first))
         valid_prefix = start % GRANULE
         if valid_prefix:
             # the object sharing this granule keeps its first bytes
             shadow.bytes[first] = valid_prefix
             first += 1
-        last = (end - shadow.base + GRANULE - 1) // GRANULE
         for idx in range(first, last):
             shadow.bytes[idx] = int(code)
-        shadow.mark_dirty(first - (1 if valid_prefix else 0), max(last - 1, first))
 
     def unpoison(self, start: int, size: int) -> None:
         """Mark ``[start, start+size)`` addressable (partial tail encoded)."""
@@ -180,12 +234,12 @@ class ShadowMemory:
         end = min(start + size, shadow.base + shadow.size)
         first = (start - shadow.base) // GRANULE
         full_last = (end - shadow.base) // GRANULE
+        shadow.mark_dirty(first, max(full_last, first))
         for idx in range(first, full_last):
             shadow.bytes[idx] = 0
         tail = end % GRANULE
         if tail and full_last < len(shadow.bytes):
             shadow.bytes[full_last] = tail
-        shadow.mark_dirty(first, max(full_last, first))
 
     # ------------------------------------------------------------------
     # checking
@@ -290,29 +344,29 @@ class ShadowMemory:
             "fastpath_hits": self.fastpath_hits,
         }
 
+    def window_around(self, addr: int, rows: int = 2) -> Optional[ShadowWindow]:
+        """Copy the shadow rows :meth:`dump_around` would render.
+
+        ``rows`` rows either side of the one holding ``addr`` (16 shadow
+        bytes, 128 guest bytes each), clipped at the table ends; None
+        when ``addr`` is unshadowed.
+        """
+        shadow = self._find(addr)
+        if shadow is None:
+            return None
+        granule = (addr - shadow.base) // GRANULE
+        row_of = granule // _DUMP_ROW
+        first_row = max(row_of - rows, 0)
+        cells = bytes(
+            shadow.bytes[first_row * _DUMP_ROW:(row_of + rows + 1) * _DUMP_ROW]
+        )
+        return ShadowWindow(shadow.base, granule, first_row, cells)
+
     def dump_around(self, addr: int, rows: int = 2) -> str:
         """Render the shadow bytes around ``addr``, dmesg-KASAN style.
 
         16 shadow bytes (128 guest bytes) per row, the row holding
         ``addr`` marked with ``^`` under the offending granule.
         """
-        shadow = self._find(addr)
-        if shadow is None:
-            return ""
-        granule = (addr - shadow.base) // GRANULE
-        row_of = granule // 16
-        lines = ["Memory state around the buggy address:"]
-        for row in range(row_of - rows, row_of + rows + 1):
-            first = row * 16
-            if first < 0 or first >= len(shadow.bytes):
-                continue
-            cells = shadow.bytes[first:first + 16]
-            rendered = " ".join(f"{value:02x}" for value in cells)
-            marker = ">" if row == row_of else " "
-            lines.append(
-                f"{marker}{shadow.base + first * GRANULE:#010x}: {rendered}"
-            )
-            if row == row_of:
-                column = granule - first
-                lines.append(" " * 12 + "   " * column + " ^^")
-        return "\n".join(lines)
+        window = self.window_around(addr, rows)
+        return window.render() if window is not None else ""

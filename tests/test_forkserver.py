@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.emulator.arch import arch_by_name
+from repro.emulator.devices import DMA_CTRL, DMA_DST, DMA_LEN, DMA_SRC
 from repro.emulator.machine import Machine
 from repro.emulator.snapshot import Checkpoint, ForkServer, take
-from repro.errors import FuzzerError, SnapshotError
+from repro.errors import DmaFault, FuzzerError, SnapshotError
 from repro.fuzz.campaign import run_campaign
 from repro.fuzz.checkpoint import (
     load_checkpoint,
@@ -27,10 +29,28 @@ from repro.fuzz.engine import EXEC_MODES, FuzzTarget
 from repro.isa.tcg import TcgEngine
 from repro.mem.dirty import PAGE_SIZE, DirtySet
 from repro.mem.regions import MemoryRegion
+from repro.sanitizers.runtime.runtime import (
+    CommonSanitizerRuntime,
+    RuntimeConfig,
+)
+from repro.sanitizers.runtime.shadow import ShadowCode
 
 
 def _canon(result) -> str:
     return json.dumps(result_to_json(result), sort_keys=True)
+
+
+_MiB = 1 << 20
+
+
+def _arm_machine(**sizes):
+    """An ARM machine with the named regions resized (sizes in bytes)."""
+    arch = arch_by_name("arm")
+    arch = arch._replace(memory_map=tuple(
+        spec._replace(size=sizes.get(spec.name, spec.size))
+        for spec in arch.memory_map
+    ))
+    return Machine(arch, name="resized-arm")
 
 
 # ----------------------------------------------------------------------
@@ -204,21 +224,87 @@ class TestForkServerRestore:
         with pytest.raises(SnapshotError, match="late-ram"):
             fork.restore()
 
+    def test_region_remapped_after_capture_raises(self, machine):
+        sram = machine.bus.region_named("sram")
+        machine.bus.write_bytes(sram.base, b"golden!!")
+        fork = ForkServer(machine)
+        # same name, same size, fresh (zeroed) backing buffer
+        machine.bus.unmap("sram")
+        machine.bus.map(MemoryRegion(
+            "sram", sram.base, sram.size, sram.perm, kind=sram.kind))
+        with pytest.raises(SnapshotError, match="sram"):
+            fork.restore()
+
+    def test_capture_copies_no_ram(self, machine):
+        fork = ForkServer(machine)
+        device = sum(
+            region.size for region in machine.bus.regions
+            if region.kind == "device"
+        )
+        assert fork.ram_bytes() == device
+
+    def test_golden_bytes_track_pages_written_not_ram_size(self):
+        held = {}
+        for scale in (1, 2):
+            machine = _arm_machine(dram=scale * 64 * _MiB)
+            dram = machine.bus.region_named("dram")
+            fork = ForkServer(machine)
+            captured = fork.ram_bytes()
+            for page in range(8):
+                machine.bus.store(dram.base + page * PAGE_SIZE, 4, 0xAB)
+            written = fork.ram_bytes()
+            fork.restore()
+            # a page kept once serves every later session
+            for page in range(8):
+                machine.bus.store(dram.base + page * PAGE_SIZE, 4, 0xCD)
+            held[scale] = (captured, written, fork.ram_bytes())
+        assert held[2] == held[1]
+        captured, written, rewritten = held[1]
+        assert written == captured + 8 * PAGE_SIZE
+        assert rewritten == written
+
+    def test_snapshot_restore_marks_before_writing(self, machine):
+        dram = machine.bus.region_named("dram")
+        machine.bus.write_bytes(dram.base, b"snapshot")
+        snap = take(machine)  # holds bytes the golden does not
+        machine.bus.write_bytes(dram.base, b"golden!!")
+        fork = ForkServer(machine)
+        snap.restore(machine)
+        assert machine.bus.read_bytes(dram.base, 8) == b"snapshot"
+        fork.restore()
+        assert machine.bus.read_bytes(dram.base, 8) == b"golden!!"
+
+    def test_snapshot_of_scribbled_state_then_fork_restore(self, machine):
+        dram = machine.bus.region_named("dram")
+        machine.bus.write_bytes(dram.base, b"golden!!")
+        fork = ForkServer(machine)
+        machine.bus.write_bytes(dram.base, b"scribble")
+        machine.bus.store(dram.base + 9 * PAGE_SIZE, 4, 0xDEAD)
+        snap = take(machine)
+        fork.restore()
+        snap.restore(machine)
+        assert machine.bus.load(dram.base + 9 * PAGE_SIZE, 4) == 0xDEAD
+        fork.restore()
+        assert machine.bus.read_bytes(dram.base, 8) == b"golden!!"
+        assert machine.bus.load(dram.base + 9 * PAGE_SIZE, 4) == 0
+
+    def test_checkpoint_rollback_across_capture_restores_golden(self, machine):
+        # the journal armed before capture: its rewind is a write the
+        # fork server has not seen yet
+        dram = machine.bus.region_named("dram")
+        checkpoint = Checkpoint(machine)
+        machine.bus.write_bytes(dram.base, b"golden!!")
+        fork = ForkServer(machine)
+        checkpoint.rollback()
+        assert machine.bus.read_bytes(dram.base, 8) == b"\x00" * 8
+        fork.restore()
+        assert machine.bus.read_bytes(dram.base, 8) == b"golden!!"
+
     def test_restore_cost_tracks_dirty_pages_not_ram_size(self):
         """Doubling RAM must not change the per-restore cost profile."""
-
-        def build(scale):
-            arch = arch_by_name("arm")
-            arch = arch._replace(memory_map=tuple(
-                spec._replace(size=spec.size * scale)
-                if spec.name == "dram" else spec
-                for spec in arch.memory_map
-            ))
-            return Machine(arch, name=f"scale-{scale}")
-
         timings = {}
         for scale in (1, 2):
-            machine = build(scale)
+            machine = _arm_machine(dram=scale * 64 * _MiB)
             dram = next(r for r in machine.bus.regions if r.kind == "dram")
             fork = ForkServer(machine)
             fork.restore()  # warm-up: page in the restore path itself
@@ -236,6 +322,105 @@ class TestForkServerRestore:
         # microseconds, but a full-copy regression (O(RAM)) would blow
         # past it by orders of magnitude.
         assert timings[2] < timings[1] * 10 + 200
+
+
+# ----------------------------------------------------------------------
+# differential restore: every RAM write path against a full snapshot
+# ----------------------------------------------------------------------
+#: small regions keep a full take() cheap; >= 1 MiB keeps the mmap path
+_DIFF_SIZES = dict(dram=2 * _MiB, sram=_MiB, flash=64 << 10)
+#: writes land around the first few page boundaries of a region
+_offsets = st.builds(
+    lambda page, delta: max(page * PAGE_SIZE + delta, 0),
+    st.integers(0, 6), st.integers(-24, 24),
+)
+_region_names = st.sampled_from(["dram", "sram"])
+_bulk = st.integers(1, 2 * PAGE_SIZE + 40)
+_write_op = st.one_of(
+    st.tuples(st.just("store"), _region_names, _offsets,
+              st.sampled_from([1, 2, 4, 8]), st.integers(0, 2**64 - 1)),
+    st.tuples(st.just("store_silent"), _region_names, _offsets,
+              st.sampled_from([1, 2, 4]), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("write_bytes"), _region_names, _offsets,
+              st.binary(min_size=1, max_size=96)),
+    st.tuples(st.just("fill"), _region_names, _offsets, _bulk,
+              st.integers(0, 255)),
+    st.tuples(st.just("copy"), _region_names, _offsets, _region_names,
+              _offsets, _bulk),
+    st.tuples(st.just("dma"), _region_names, _offsets, _region_names,
+              _offsets, _bulk),
+    st.tuples(st.just("poison"), _region_names, _offsets, _bulk,
+              st.sampled_from(list(ShadowCode)[1:])),
+    st.tuples(st.just("unpoison"), _region_names, _offsets, _bulk),
+)
+_op = st.one_of(
+    _write_op,
+    st.tuples(st.just("rollback"), st.lists(_write_op, max_size=4)),
+)
+
+
+def _apply(machine, runtime, op) -> None:
+    bus = machine.bus
+    kind = op[0]
+    if kind == "rollback":
+        checkpoint = Checkpoint(machine)
+        for inner in op[1]:
+            _apply(machine, runtime, inner)
+        checkpoint.rollback()
+        return
+    region = bus.region_named(op[1])
+    addr = region.base + op[2]
+    if kind == "store":
+        bus.store(addr, op[3], op[4])
+    elif kind == "store_silent":
+        bus.store_silent(addr, op[3], op[4])
+    elif kind == "write_bytes":
+        bus.write_bytes(addr, op[3])
+    elif kind == "fill":
+        bus.fill(addr, op[3], op[4])
+    elif kind == "copy":
+        bus.copy(bus.region_named(op[3]).base + op[4], addr, op[5])
+    elif kind == "dma":
+        dma = machine.dma.base
+        bus.store(dma + DMA_SRC, 4, addr)
+        bus.store(dma + DMA_DST, 4, bus.region_named(op[3]).base + op[4])
+        bus.store(dma + DMA_LEN, 4, op[5])
+        try:
+            bus.store(dma + DMA_CTRL, 4, 1)
+        except DmaFault:
+            pass  # overlapping windows: refused before any byte moves
+    elif kind == "poison":
+        runtime.shadow.poison(addr, op[3], op[4])
+    else:
+        runtime.shadow.unpoison(addr, op[3])
+
+
+class TestDifferentialRestore:
+    """Delta restore ≡ full snapshot, over every RAM write path."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.lists(_op, max_size=10), min_size=1, max_size=4))
+    def test_restore_matches_full_snapshot(self, sessions):
+        machine = _arm_machine(**_DIFF_SIZES)
+        runtime = CommonSanitizerRuntime(
+            machine, RuntimeConfig(mode="d")).attach()
+        # golden content worth restoring: data in RAM, poison in shadow
+        dram = machine.bus.region_named("dram")
+        machine.bus.fill(dram.base + PAGE_SIZE - 64, 128, 0x5A)
+        runtime.shadow.poison(dram.base + 16, 48, ShadowCode.REDZONE_HEAP)
+        snap = take(machine)
+        shadow = dict(snap._provider_states)[runtime]["shadow"]
+        fork = ForkServer(machine)
+        for session in sessions:
+            for op in session:
+                _apply(machine, runtime, op)
+            fork.restore()
+            for region in machine.bus.regions:
+                if region.name in snap._regions:
+                    assert bytes(region.data) == snap._regions[region.name], \
+                        region.name
+            assert runtime.shadow.save_state() == shadow
 
 
 # ----------------------------------------------------------------------

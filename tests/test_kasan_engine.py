@@ -1,13 +1,15 @@
 """Unit tests: the KASAN-functionality engine."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.fuzz.checkpoint import _report_to_json
 from repro.mem.access import Access, AccessKind
 from repro.mem.bus import MemoryBus
 from repro.mem.regions import MemoryRegion, Perm
 from repro.sanitizers.runtime.kasan import KasanEngine
 from repro.sanitizers.runtime.reports import BugType, ReportSink
-from repro.sanitizers.runtime.shadow import ShadowMemory
+from repro.sanitizers.runtime.shadow import GRANULE, ShadowCode, ShadowMemory
 
 BASE = 0x10000
 
@@ -139,3 +141,78 @@ class TestSuppression:
         engine.on_free(0)
         assert engine.sink.count() == 0
         assert engine.live_count() == 0
+
+
+# ----------------------------------------------------------------------
+# lazy shadow dump: rendered on read, frozen at report time
+# ----------------------------------------------------------------------
+def eager_dump(shadow: ShadowMemory, addr: int, rows: int = 2) -> str:
+    """Reference renderer: the shadow dump formatted at report time."""
+    region = shadow._find(addr)
+    if region is None:
+        return ""
+    granule = (addr - region.base) // GRANULE
+    row_of = granule // 16
+    lines = ["Memory state around the buggy address:"]
+    for row in range(row_of - rows, row_of + rows + 1):
+        first = row * 16
+        if first < 0 or first >= len(region.bytes):
+            continue
+        cells = region.bytes[first:first + 16]
+        rendered = " ".join(f"{value:02x}" for value in cells)
+        marker = ">" if row == row_of else " "
+        lines.append(f"{marker}{region.base + first * GRANULE:#010x}: {rendered}")
+        if row == row_of:
+            column = granule - first
+            lines.append(" " * 12 + "   " * column + " ^^")
+    return "\n".join(lines)
+
+
+#: a region whose shadow ends in a partial 16-byte row
+ODD_SIZE = 0x1010
+
+
+def odd_engine() -> KasanEngine:
+    bus = MemoryBus()
+    bus.map(MemoryRegion("ram", BASE, ODD_SIZE, Perm.RW, "ram"))
+    return KasanEngine(ShadowMemory(bus), ReportSink())
+
+
+class TestLazyShadowDump:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, ODD_SIZE - 1), st.integers(1, 96),
+                           st.sampled_from(list(ShadowCode)[1:])),
+                 min_size=1, max_size=6),
+        st.integers(0, ODD_SIZE - 1),
+        st.integers(1, 8),
+    )
+    def test_render_matches_eager_dump_after_shadow_changes(
+            self, poisons, probe, size):
+        engine = odd_engine()
+        for offset, length, code in poisons:
+            engine.shadow.poison(BASE + offset, length, code)
+        report = engine.check(read(BASE + probe, size))
+        if report is None:
+            return
+        expected = eager_dump(engine.shadow, report.addr)
+        # the shadow moves on before anyone reads the report
+        engine.shadow.unpoison(BASE, ODD_SIZE)
+        engine.shadow.poison(BASE, ODD_SIZE, ShadowCode.FREED)
+        assert report.shadow_dump == expected
+        assert str(report).endswith(expected)
+        assert _report_to_json(report)["shadow_dump"] == expected
+
+    @pytest.mark.parametrize("offset", [0, 8, 0x80, ODD_SIZE - 8])
+    def test_window_clipped_at_table_ends(self, offset):
+        engine = odd_engine()
+        engine.shadow.poison(BASE, ODD_SIZE, ShadowCode.REDZONE_HEAP)
+        report = engine.check(read(BASE + offset))
+        assert report.shadow_dump == eager_dump(engine.shadow, BASE + offset)
+
+    def test_dump_around_unchanged(self):
+        engine = odd_engine()
+        engine.shadow.poison(BASE + 0x800, 24, ShadowCode.FREED)
+        for addr in (BASE, BASE + 0x800, BASE + ODD_SIZE - 1, BASE - 8):
+            assert engine.shadow.dump_around(addr) == eager_dump(
+                engine.shadow, addr)
