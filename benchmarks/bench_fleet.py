@@ -51,6 +51,7 @@ def _result_bytes(result) -> str:
 
 def profile_fleet() -> dict:
     from repro.fuzz.campaign import run_campaign
+    from repro.fuzz.spec import CampaignSpec
     from repro.fuzz.supervisor import CampaignJob, run_fleet
 
     start = time.perf_counter()
@@ -59,7 +60,8 @@ def profile_fleet() -> dict:
     t_seq = time.perf_counter() - start
     reference = [_result_bytes(r) for r in sequential]
 
-    jobs = [CampaignJob(job_id=fw, firmware=fw, budget=BUDGET, seed=SEED)
+    jobs = [CampaignJob(job_id=fw,
+                        spec=CampaignSpec(fw, budget=BUDGET, seed=SEED))
             for fw in FIRMWARE]
     results = {
         "cpus": os.cpu_count(),

@@ -11,14 +11,16 @@ The driver must be a real file: spawn-context workers re-import
 import json
 
 from repro.fuzz.checkpoint import result_to_json
+from repro.fuzz.spec import CampaignSpec
 from repro.fuzz.supervisor import run_sharded_fleet
 
 
 def main():
     runs = {}
     for mode in ("journal", "forkserver"):
-        fleet = run_sharded_fleet("InfiniTime", budget=400, shards=2,
-                                  seed=1, exec_mode=mode)
+        fleet = run_sharded_fleet(
+            CampaignSpec("InfiniTime", budget=400, seed=1, exec_mode=mode),
+            shards=2)
         runs[mode] = json.dumps(result_to_json(fleet.result),
                                 sort_keys=True)
     assert runs["journal"] == runs["forkserver"], \

@@ -101,38 +101,42 @@ def _write_observer(observer, args) -> None:
         print(f"trace written to {args.trace}")
 
 
+def _spec_from_args(args, firmware: str):
+    """The CampaignSpec named by the shared spec flags (``fuzz``,
+    ``fuzz-all`` and ``submit`` all build theirs here)."""
+    from dataclasses import fields
+
+    from repro.errors import FuzzerError
+    from repro.fuzz.spec import CampaignSpec
+
+    values = {
+        field.name: getattr(args, field.name)
+        for field in fields(CampaignSpec)
+        if field.name != "firmware" and hasattr(args, field.name)
+    }
+    try:
+        return CampaignSpec(firmware=firmware, **values)
+    except FuzzerError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _cmd_fuzz(args) -> int:
     import json
 
     from repro.emulator.faults import plan_for
-    from repro.fuzz.campaign import run_campaign
+    from repro.fuzz.campaign import run_spec
     from repro.obs.observer import ensure_parent
 
-    fault_plan = plan_for(args.faults, seed=args.seed) if args.faults else None
+    spec = _spec_from_args(args, args.firmware)
     observer = _make_observer(args)
-    result = run_campaign(
-        args.firmware,
-        budget=args.budget,
-        seed=args.seed,
-        fault_plan=fault_plan,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        crash_budget=args.crash_budget,
-        watchdog_insns=args.watchdog_insns,
-        watchdog_cycles=args.watchdog_cycles,
-        observer=observer,
-        corpus_dir=args.corpus_dir,
-        seed_schedule=args.seed_schedule,
-        exec_mode=args.exec_mode,
-        engine=args.engine,
-        jit_threshold=args.jit_threshold,
-        surface=args.surface,
-    )
+    result = run_spec(spec, checkpoint_path=args.checkpoint,
+                      corpus_dir=args.corpus_dir, observer=observer)
     print(f"fuzzer: {result.fuzzer}, seed: {result.seed}, "
           f"budget: {result.budget}, execs: {result.execs}, "
           f"coverage: {result.coverage}, crashes: {result.crashes}")
-    if fault_plan is not None:
-        print(f"fault plan: {fault_plan.describe()}")
+    if spec.faults:
+        print(f"fault plan: {plan_for(spec.faults).describe()}")
     reproducible = [f for f in result.findings if f.reproducible]
     print(f"{len(reproducible)} reproducible unique finding(s):")
     for finding in reproducible:
@@ -209,6 +213,7 @@ def _cmd_fuzz_all(args) -> int:
     import json
 
     from repro.fuzz.checkpoint import result_to_json
+    from repro.fuzz.spec import CATALOG
     from repro.fuzz.supervisor import FleetSupervisor, make_jobs
     from repro.obs.observer import ensure_parent
 
@@ -216,16 +221,9 @@ def _cmd_fuzz_all(args) -> int:
     if args.shard:
         return _fuzz_sharded(args, observer)
     jobs = make_jobs(
-        budget=args.budget,
-        seed=args.seed,
+        template=_spec_from_args(args, CATALOG),
         firmware=args.firmware or None,
         checkpoint_dir=args.checkpoint_dir,
-        faults=args.faults,
-        crash_budget=args.crash_budget,
-        exec_mode=args.exec_mode,
-        engine=args.engine,
-        jit_threshold=args.jit_threshold,
-        surface=args.surface,
     )
     fleet = None
     interrupted = False
@@ -237,31 +235,12 @@ def _cmd_fuzz_all(args) -> int:
             # sequential reference path: same jobs, no worker processes —
             # the fleet's determinism contract is that --workers N output
             # is byte-identical to this
-            from repro.emulator.faults import plan_for
-            from repro.fuzz.campaign import run_campaign
+            from repro.fuzz.campaign import run_job
 
             results = []
             try:
                 for job in jobs:
-                    kwargs = {}
-                    if job.faults:
-                        kwargs["fault_plan"] = plan_for(job.faults,
-                                                        seed=job.seed)
-                    if job.crash_budget is not None:
-                        kwargs["crash_budget"] = job.crash_budget
-                    if job.exec_mode != "journal":
-                        kwargs["exec_mode"] = job.exec_mode
-                    if job.engine != "tcg":
-                        kwargs["engine"] = job.engine
-                    if job.jit_threshold is not None:
-                        kwargs["jit_threshold"] = job.jit_threshold
-                    if job.surface != "syscall":
-                        kwargs["surface"] = job.surface
-                    results.append(run_campaign(
-                        job.firmware, budget=job.budget, seed=job.seed,
-                        checkpoint_path=job.checkpoint_path,
-                        checkpoint_every=job.checkpoint_every,
-                        observer=observer, **kwargs))
+                    results.append(run_job(job, observer=observer))
             except KeyboardInterrupt:
                 # the drain contract: the last full checkpoint of the
                 # in-flight campaign is already on disk; a rerun with
@@ -319,11 +298,11 @@ def _cmd_fuzz_all(args) -> int:
     for job, result in zip(jobs, results):
         if result is None:
             if interrupted and job.job_id in unfinished:
-                print(f"{job.firmware:24s} {'-':>6s} {'-':>8s} {'-':>6s}  "
+                print(f"{job.spec.firmware:24s} {'-':>6s} {'-':>8s} {'-':>6s}  "
                       f"INTERRUPTED (checkpoint resumes it)")
                 continue
             degraded = True
-            print(f"{job.firmware:24s} {'-':>6s} {'-':>8s} {'-':>6s}  "
+            print(f"{job.spec.firmware:24s} {'-':>6s} {'-':>8s} {'-':>6s}  "
                   f"DEGRADED (abandoned after retries)")
             continue
         total = result.found_count() + len(result.missed)
@@ -372,20 +351,12 @@ def _fuzz_sharded(args, observer) -> int:
               "pass exactly one --firmware NAME", file=sys.stderr)
         return 2
     sharded = run_sharded_fleet(
-        args.firmware[0],
-        budget=args.budget,
+        _spec_from_args(args, args.firmware[0]),
         shards=args.shard,
         workers=args.workers,
-        seed=args.seed,
         sync_every=args.sync_every,
         corpus_dir=args.corpus_dir,
         checkpoint_dir=args.checkpoint_dir,
-        faults=args.faults,
-        crash_budget=args.crash_budget,
-        exec_mode=args.exec_mode,
-        engine=args.engine,
-        jit_threshold=args.jit_threshold,
-        surface=args.surface,
         observer=observer,
         events_path=args.events_log,
         fleet_options=dict(
@@ -530,23 +501,7 @@ def _cmd_submit(args) -> int:
     from repro.errors import FuzzerError, TransportError
     from repro.obs.observer import ensure_parent
 
-    spec = {"firmware": args.firmware, "budget": args.budget,
-            "seed": args.seed}
-    for key in ("faults", "crash_budget", "watchdog_insns",
-                "watchdog_cycles"):
-        value = getattr(args, key)
-        if value is not None:
-            spec[key] = value
-    if args.exec_mode != "journal":
-        spec["exec_mode"] = args.exec_mode
-    if args.engine != "tcg":
-        spec["engine"] = args.engine
-    if args.jit_threshold is not None:
-        spec["jit_threshold"] = args.jit_threshold
-    if args.surface != "syscall":
-        spec["surface"] = args.surface
-    if args.checkpoint_every:
-        spec["checkpoint_every"] = args.checkpoint_every
+    spec = _spec_from_args(args, args.firmware).to_json()
     try:
         with _serve_client(args) as client:
             reply = client.submit(spec, dedup_key=args.dedup_key)
@@ -745,6 +700,53 @@ def _cmd_table2(_args) -> int:
     return 0
 
 
+def _add_spec_args(parser) -> None:
+    """The campaign-spec flags ``fuzz``, ``fuzz-all`` and ``submit``
+    share; :func:`_spec_from_args` turns them into a CampaignSpec."""
+    from repro.fuzz.spec import ENGINES, EXEC_MODES, SEED_SCHEDULES, SURFACES
+
+    parser.add_argument("--budget", type=int, default=2000)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--faults", default=None, metavar="SPEC",
+                        help="fault plan DSL, e.g. "
+                             "'alloc:every=50;bitflip:0x20000000-0x20001000:"
+                             "p=0.001;irq:drop=0.05' (compiled per campaign)")
+    parser.add_argument("--checkpoint-every", type=int, default=0,
+                        help="execs between checkpoints (0 = default "
+                             "cadence); results are deterministic per "
+                             "(seed, cadence) pair")
+    parser.add_argument("--crash-budget", type=int, default=None,
+                        help="host crashes tolerated before degradation")
+    parser.add_argument("--watchdog-insns", type=int, default=None,
+                        help="per-program instruction budget before "
+                             "GuestHang")
+    parser.add_argument("--watchdog-cycles", type=float, default=None,
+                        help="per-program cycle budget before GuestHang")
+    parser.add_argument("--engine", default="tcg", choices=ENGINES,
+                        help="ISA execution tier: specialized TCG "
+                             "(default), the reference interpreter, or "
+                             "the tiered JIT (see docs/jit.md)")
+    parser.add_argument("--jit-threshold", type=int, default=None,
+                        metavar="N",
+                        help="block executions before a hot trace is "
+                             "compiled (engine=jit only)")
+    parser.add_argument("--exec-mode", default="journal", choices=EXEC_MODES,
+                        help="target reset strategy: per-program journal + "
+                             "rebuild-per-refresh, or a golden fork-server "
+                             "snapshot with dirty-page delta restores "
+                             "(same census, higher execs/s)")
+    parser.add_argument("--seed-schedule", default="uniform",
+                        choices=SEED_SCHEDULES,
+                        help="corpus seed selection; 'rarity' weights "
+                             "programs by how rare their coverage is")
+    parser.add_argument("--surface", default="syscall", choices=SURFACES,
+                        help="fuzz surface: the syscall/task API (default) "
+                             "or the driver-op surface of a build with "
+                             "modeled peripherals (docs/peripherals.md); "
+                             "fuzz-all sweeps only firmware modeling "
+                             "peripherals")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -767,49 +769,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="run a fuzzing campaign")
     fuzz.add_argument("firmware")
-    fuzz.add_argument("--budget", type=int, default=2000)
-    fuzz.add_argument("--seed", type=int, default=1)
-    fuzz.add_argument("--faults", default=None, metavar="SPEC",
-                      help="fault plan DSL, e.g. "
-                           "'alloc:every=50;bitflip:0x20000000-0x20001000:"
-                           "p=0.001;irq:drop=0.05'")
+    _add_spec_args(fuzz)
     fuzz.add_argument("--checkpoint", default=None, metavar="PATH",
                       help="checkpoint file; resumes if it exists")
-    fuzz.add_argument("--checkpoint-every", type=int, default=0,
-                      help="execs between checkpoints (0 = default cadence)")
-    fuzz.add_argument("--crash-budget", type=int, default=None,
-                      help="host crashes tolerated before degradation")
-    fuzz.add_argument("--watchdog-insns", type=int, default=None,
-                      help="per-program instruction budget before GuestHang")
-    fuzz.add_argument("--watchdog-cycles", type=float, default=None,
-                      help="per-program cycle budget before GuestHang")
     fuzz.add_argument("--corpus-dir", default=None, metavar="DIR",
                       help="persistent corpus store: existing entries seed "
                            "the campaign, discoveries persist back")
-    fuzz.add_argument("--engine", default="tcg",
-                      choices=["tcg", "tcg-interp", "jit"],
-                      help="ISA execution tier: specialized TCG "
-                           "(default), the reference interpreter, or "
-                           "the tiered JIT (see docs/jit.md)")
-    fuzz.add_argument("--jit-threshold", type=int, default=None,
-                      metavar="N",
-                      help="block executions before a hot trace is "
-                           "compiled (engine=jit only)")
-    fuzz.add_argument("--exec-mode", default="journal",
-                      choices=["journal", "forkserver"],
-                      help="target reset strategy: per-program journal + "
-                           "rebuild-per-refresh, or a golden fork-server "
-                           "snapshot with dirty-page delta restores "
-                           "(same census, higher execs/s)")
-    fuzz.add_argument("--seed-schedule", default="uniform",
-                      choices=["uniform", "rarity"],
-                      help="corpus seed selection; 'rarity' weights "
-                           "programs by how rare their coverage is")
-    fuzz.add_argument("--surface", default="syscall",
-                      choices=["syscall", "driver"],
-                      help="fuzz surface: the syscall/task API (default) "
-                           "or the driver-op surface of a build with "
-                           "modeled peripherals (docs/peripherals.md)")
     fuzz.add_argument("--diagnostics", default=None, metavar="PATH",
                       help="write campaign diagnostics JSON here")
     fuzz.add_argument("--results", default=None, metavar="PATH",
@@ -826,33 +791,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_all.add_argument("--workers", type=int, default=1,
                           help="worker processes (1 = in-process sequential)")
-    fuzz_all.add_argument("--budget", type=int, default=2000)
-    fuzz_all.add_argument("--seed", type=int, default=1)
+    _add_spec_args(fuzz_all)
     fuzz_all.add_argument("--firmware", action="append", default=None,
                           metavar="NAME",
                           help="restrict the sweep (repeatable); "
                                "default is the whole Table-1 catalog")
-    fuzz_all.add_argument("--faults", default=None, metavar="SPEC",
-                          help="fault plan DSL, compiled per-firmware")
     fuzz_all.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                           help="per-firmware checkpoint files; fleet "
                                "workers resume from these after a crash")
-    fuzz_all.add_argument("--engine", default="tcg",
-                          choices=["tcg", "tcg-interp", "jit"],
-                          help="ISA execution tier (see `fuzz`)")
-    fuzz_all.add_argument("--jit-threshold", type=int, default=None,
-                          metavar="N",
-                          help="hot-trace compile threshold "
-                               "(engine=jit only)")
-    fuzz_all.add_argument("--exec-mode", default="journal",
-                          choices=["journal", "forkserver"],
-                          help="target reset strategy (see `fuzz`)")
-    fuzz_all.add_argument("--surface", default="syscall",
-                          choices=["syscall", "driver"],
-                          help="fuzz surface (see `fuzz`); 'driver' "
-                               "sweeps only firmware modeling peripherals")
-    fuzz_all.add_argument("--crash-budget", type=int, default=None,
-                          help="host crashes tolerated before degradation")
     fuzz_all.add_argument("--shard", type=int, default=0, metavar="N",
                           help="fuzz ONE firmware (exactly one --firmware) "
                                "with N cooperating shards syncing through "
@@ -971,24 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("firmware")
     submit.add_argument("--connect", required=True, metavar="HOST:PORT")
     submit.add_argument("--token", default=None)
-    submit.add_argument("--budget", type=int, default=2000)
-    submit.add_argument("--seed", type=int, default=1)
-    submit.add_argument("--faults", default=None, metavar="SPEC")
-    submit.add_argument("--crash-budget", type=int, default=None)
-    submit.add_argument("--watchdog-insns", type=int, default=None)
-    submit.add_argument("--watchdog-cycles", type=float, default=None)
-    submit.add_argument("--exec-mode", default="journal",
-                        choices=["journal", "forkserver"])
-    submit.add_argument("--engine", default="tcg",
-                        choices=["tcg", "tcg-interp", "jit"])
-    submit.add_argument("--jit-threshold", type=int, default=None,
-                        metavar="N")
-    submit.add_argument("--surface", default="syscall",
-                        choices=["syscall", "driver"])
-    submit.add_argument("--checkpoint-every", type=int, default=0,
-                        help="execs between checkpoints (0 = default "
-                             "cadence); results are deterministic per "
-                             "(seed, cadence) pair")
+    _add_spec_args(submit)
     submit.add_argument("--dedup-key", default=None,
                         help="idempotency key: resubmitting the same key "
                              "returns the original job, never a duplicate")

@@ -7,6 +7,8 @@
   programs over the OS task API and *OS-agnostic* coverage collected at
   the emulator level (function-entry events), so closed-source targets
   fuzz exactly like open ones.
+* :mod:`repro.fuzz.spec` — :class:`CampaignSpec`, the one validated,
+  versioned description of a campaign that every layer consumes.
 * :mod:`repro.fuzz.campaign` — campaign orchestration: run a fuzzer
   against a Table-1 firmware with EMBSAN attached, dedup and reproduce
   findings, map them back to the bug catalog.
@@ -20,12 +22,14 @@ from repro.fuzz.campaign import (
     run_campaign,
     run_campaign_repeated,
 )
+from repro.fuzz.spec import CampaignSpec
 from repro.fuzz.syzkaller import SyzkallerFuzzer
 from repro.fuzz.tardis import TardisFuzzer
 
 __all__ = [
     "Call",
     "CampaignResult",
+    "CampaignSpec",
     "CoverageMap",
     "EmulatorCoverage",
     "KcovCoverage",

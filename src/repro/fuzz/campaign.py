@@ -8,7 +8,7 @@ each to the bug catalog so the census can be compared row by row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bugs.catalog import (
@@ -25,16 +25,19 @@ from repro.fuzz.checkpoint import (
     save_checkpoint,
 )
 from repro.fuzz.diagnostics import CampaignDiagnostics
-from repro.fuzz.engine import DEFAULT_CRASH_BUDGET, Finding
+from repro.fuzz.engine import Finding
+from repro.fuzz.spec import CATALOG, DEFAULT_BUDGET, CampaignSpec
 from repro.fuzz.syzkaller import SyzkallerFuzzer
 from repro.fuzz.tardis import TardisFuzzer
 
-#: default per-firmware execution budget for a scaled-down campaign
-DEFAULT_BUDGET = 1500
 #: default checkpoint cadence when a checkpoint path is configured;
 #: matches the engine's refresh interval so checkpoint boundaries align
 #: with refreshes the campaign performs anyway
 DEFAULT_CHECKPOINT_EVERY = 500
+#: :func:`run_campaign` options that place or observe a run rather than
+#: describe the campaign (everything else is a CampaignSpec field)
+RUNTIME_OPTIONS = ("fault_plan", "checkpoint_path", "corpus_dir", "shard",
+                   "observer", "on_checkpoint_saved")
 
 
 @dataclass
@@ -89,33 +92,22 @@ def _match_findings(records: Sequence[BugRecord],
 
 
 def run_campaign(
-    firmware: str,
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
-    sanitizers: Optional[Sequence[str]] = None,
-    fault_plan=None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 0,
-    crash_budget: Optional[int] = None,
-    watchdog_insns: Optional[int] = None,
-    watchdog_cycles: Optional[float] = None,
-    observer=None,
-    corpus_dir: Optional[str] = None,
-    seed_schedule: str = "uniform",
-    shard: Optional[Tuple[int, int]] = None,
-    exec_mode: str = "journal",
-    engine: str = "tcg",
-    jit_threshold: Optional[int] = None,
-    surface: str = "syscall",
-    on_checkpoint_saved: Optional[Callable[[str], None]] = None,
+    firmware: str, budget: int = DEFAULT_BUDGET, seed: int = 0, **options
 ) -> CampaignResult:
     """Fuzz one Table-1 firmware with its designated fuzzer + EMBSAN.
+
+    The keyword ``options`` are the :class:`~repro.fuzz.spec.CampaignSpec`
+    fields (validated there; a bad value raises :class:`FuzzerError`
+    before anything is built) plus the placement and runtime hooks of
+    :func:`run_spec`.
 
     When ``checkpoint_path`` is set, campaign state is serialized there
     every ``checkpoint_every`` execs (default
     :data:`DEFAULT_CHECKPOINT_EVERY`) and an existing checkpoint at that
     path resumes the campaign mid-budget; the resumed run produces the
-    same census and findings as an uninterrupted one.
+    same census and findings as an uninterrupted one.  A checkpoint
+    taken under a different spec identity (see
+    :mod:`repro.fuzz.checkpoint`) refuses to resume.
 
     ``corpus_dir`` attaches a persistent :class:`repro.corpus.CorpusStore`:
     existing entries seed the campaign (with an unmutated triage pass),
@@ -141,9 +133,9 @@ def run_campaign(
     byte-identical either way; only throughput differs.
 
     ``engine`` selects the ISA execution tier (``"tcg"``, ``"tcg-interp"``
-    or ``"jit"`` — see ``docs/jit.md``) and ``jit_threshold`` overrides
-    the hot-trace compile threshold; census output is engine-invariant,
-    only throughput differs.
+    or ``"jit"`` — see ``docs/jit.md``), with its hot-trace compile
+    threshold; census output is engine-invariant, only throughput
+    differs.
 
     ``surface="driver"`` fuzzes the firmware's driver-op surface instead
     of its syscall/task API: the build attaches the modeled peripherals
@@ -152,9 +144,70 @@ def run_campaign(
     driver-surface rows of the bug catalog (``driver_bugs_for``) — see
     ``docs/peripherals.md``.
     """
+    runtime = {name: options.pop(name)
+               for name in RUNTIME_OPTIONS if name in options}
+    spec = CampaignSpec(firmware=firmware, budget=budget, seed=seed, **options)
+    return run_spec(spec, **runtime)
+
+
+def run_job(job, observer=None, on_checkpoint_saved=None) -> CampaignResult:
+    """Run one :class:`~repro.fuzz.supervisor.CampaignJob` in this process.
+
+    The one execution path of a job: fleet workers (spawn and TCP), the
+    sequential ``fuzz-all`` sweep and :func:`run_all_campaigns` all call
+    it, which is what keeps their results byte-identical.
+    """
+    return run_spec(job.spec, checkpoint_path=job.checkpoint_path,
+                    corpus_dir=job.corpus_dir, shard=job.shard,
+                    observer=observer, on_checkpoint_saved=on_checkpoint_saved)
+
+
+def run_spec(spec: CampaignSpec, fault_plan=None,
+             checkpoint_path: Optional[str] = None,
+             corpus_dir: Optional[str] = None,
+             shard: Optional[Tuple[int, int]] = None, observer=None,
+             on_checkpoint_saved: Optional[Callable[[str], None]] = None,
+             ) -> CampaignResult:
+    """Run the campaign ``spec`` describes (see :func:`run_campaign`).
+
+    A spec with ``seeds`` runs as :func:`run_campaign_repeated`.
+    ``spec.faults`` compiles to one fault plan for the whole call;
+    ``fault_plan`` passes a live plan instead.  ``on_checkpoint_saved``
+    is called with the path after every checkpoint write (the TCP fleet
+    worker ships checkpoints home from there).
+    """
+    runtime = dict(fault_plan=_compile_faults(spec, fault_plan),
+                   checkpoint_path=checkpoint_path, corpus_dir=corpus_dir,
+                   shard=shard, observer=observer,
+                   on_checkpoint_saved=on_checkpoint_saved)
+    if spec.seeds:
+        return _run_repeated(spec, False, runtime)
+    return _run_single(spec, **runtime)
+
+
+def _compile_faults(spec: CampaignSpec, fault_plan):
+    """The live fault plan for a run: ``fault_plan``, or ``spec.faults``
+    compiled once with the spec's fault seed."""
+    if not spec.faults:
+        return fault_plan
+    if fault_plan is not None:
+        raise FuzzerError("pass either faults= (DSL) or fault_plan=, not both")
+    from repro.emulator.faults import plan_for
+
+    # per-job fault plan: each job owns its RNG stream, so a fleet
+    # member's faults never depend on sibling scheduling
+    return plan_for(
+        spec.faults,
+        seed=spec.seed if spec.fault_seed is None else spec.fault_seed,
+    )
+
+
+def _run_single(spec, fault_plan=None, checkpoint_path=None, corpus_dir=None,
+                shard=None, observer=None,
+                on_checkpoint_saved=None) -> CampaignResult:
     import time
 
-    spec = firmware_spec(firmware)
+    firmware, budget = spec.firmware, spec.budget
     phase_timings = None if observer is None else {}
     phase_started = time.perf_counter() if observer is not None else 0.0
 
@@ -172,29 +225,23 @@ def run_campaign(
                                "seconds": round(elapsed, 6)})
         phase_started = now
 
-    if surface == "driver":
+    if spec.surface == "driver":
         records = driver_bugs_for(firmware)
     else:
         records = table4_bugs_for(firmware)
+    sanitizers = spec.sanitizers
     if sanitizers is None:
         needed = {r.tool for r in records}
         sanitizers = tuple(
             ["kasan"] + [t for t in ("kcsan", "kmsan") if t in needed]
         )
-    fuzzer_cls = SyzkallerFuzzer if spec.fuzzer == "syzkaller" else TardisFuzzer
-    kwargs = dict(
-        sanitizers=sanitizers,
-        seed=seed,
-        fault_plan=fault_plan,
-        crash_budget=(DEFAULT_CRASH_BUDGET if crash_budget is None
-                      else crash_budget),
-    )
-    if watchdog_insns is not None:
-        kwargs["watchdog_insns"] = watchdog_insns
-    if watchdog_cycles is not None:
-        kwargs["watchdog_cycles"] = watchdog_cycles
-    if observer is not None:
-        kwargs["observer"] = observer
+    checkpoint_every = spec.checkpoint_every
+    identity = None
+    if checkpoint_path is not None:
+        checkpoint_every = checkpoint_every or DEFAULT_CHECKPOINT_EVERY
+        # recorded in every checkpoint; a resume must match it
+        identity = replace(spec, sanitizers=sanitizers,
+                           checkpoint_every=checkpoint_every).identity()
     corpus_store = None
     if corpus_dir is not None:
         from repro.corpus import CorpusStore
@@ -203,26 +250,25 @@ def run_campaign(
         corpus_store = CorpusStore(
             corpus_dir, firmware=firmware, writer=writer
         )
-        kwargs["corpus_store"] = corpus_store
-    if seed_schedule != "uniform":
-        kwargs["seed_schedule"] = seed_schedule
-    if shard is not None:
-        kwargs["shard"] = (shard[0], shard[1])
-    if exec_mode != "journal":
-        kwargs["exec_mode"] = exec_mode
-    if engine != "tcg":
-        kwargs["engine"] = engine
-    if jit_threshold is not None:
-        kwargs["jit_threshold"] = jit_threshold
-    if surface != "syscall":
-        kwargs["surface"] = surface
-    fuzzer = fuzzer_cls(firmware, **kwargs)
+    fuzzer_cls = (SyzkallerFuzzer
+                  if firmware_spec(firmware).fuzzer == "syzkaller"
+                  else TardisFuzzer)
+
+    def build():
+        fuzzer = fuzzer_cls(
+            firmware, sanitizers=sanitizers, fault_plan=fault_plan,
+            observer=observer, corpus_store=corpus_store, shard=shard,
+            **spec.fuzzer_options(),
+        )
+        fuzzer.campaign_identity = identity
+        return fuzzer
+
+    fuzzer = build()
     _phase_done("build")
 
     on_checkpoint = None
     checkpoint_discarded = None
     if checkpoint_path is not None:
-        checkpoint_every = checkpoint_every or DEFAULT_CHECKPOINT_EVERY
         try:
             state = load_checkpoint(checkpoint_path)
             if state is not None:
@@ -241,8 +287,7 @@ def run_campaign(
                 from repro.emulator.faults import FaultPlan
 
                 fault_plan = FaultPlan.parse(fault_plan.describe())
-                kwargs["fault_plan"] = fault_plan
-            fuzzer = fuzzer_cls(firmware, **kwargs)
+            fuzzer = build()
 
         def on_checkpoint(engine):
             if observer is not None:
@@ -307,7 +352,7 @@ def run_campaign(
         observer.harvest_target(fuzzer.target)
     diagnostics = CampaignDiagnostics(
         firmware=firmware,
-        seed=seed,
+        seed=spec.seed,
         budget=budget,
         quarantined=list(fuzzer.quarantined),
         host_crashes=fuzzer.host_crashes,
@@ -327,7 +372,7 @@ def run_campaign(
         findings=findings,
         matched=matched,
         missed=missed,
-        seed=seed,
+        seed=spec.seed,
         budget=budget,
         diagnostics=diagnostics,
     )
@@ -345,8 +390,9 @@ def run_campaign_repeated(
     The paper repeats every quantitative experiment 10 times per
     accepted fuzzing-evaluation practice; findings merge across
     repetitions.  Stops early once every seeded defect is matched.
-    Extra keyword arguments (fault plans, watchdog budgets, ...) are
-    forwarded to :func:`run_campaign`.
+    Extra keyword arguments are :class:`~repro.fuzz.spec.CampaignSpec`
+    fields or :func:`run_spec` runtime options, as for
+    :func:`run_campaign`.
 
     With ``carry_corpus=True`` every repetition fuzzes through the same
     persistent corpus store, so seed *n+1* starts from everything seeds
@@ -361,23 +407,28 @@ def run_campaign_repeated(
     crash records are preserved — a crash in repetition 3 is triagable
     from the merged result, not silently dropped.
     """
+    runtime = {name: kwargs.pop(name)
+               for name in RUNTIME_OPTIONS if name in kwargs}
+    spec = CampaignSpec(firmware=firmware, budget=budget, seeds=seeds,
+                        **kwargs)
+    runtime["fault_plan"] = _compile_faults(spec, runtime.get("fault_plan"))
     tmp_corpus = None
-    if carry_corpus and not kwargs.get("corpus_dir"):
+    if carry_corpus and not runtime.get("corpus_dir"):
         import tempfile
 
         tmp_corpus = tempfile.TemporaryDirectory(prefix="repro-corpus-")
-        kwargs = dict(kwargs, corpus_dir=tmp_corpus.name)
+        runtime["corpus_dir"] = tmp_corpus.name
     try:
-        return _run_repeated(firmware, budget, seeds, carry_corpus, kwargs)
+        return _run_repeated(spec, carry_corpus, runtime)
     finally:
         if tmp_corpus is not None:
             tmp_corpus.cleanup()
 
 
-def _run_repeated(firmware, budget, seeds, carry_corpus, kwargs):
+def _run_repeated(spec, carry_corpus, runtime):
     merged: Optional[CampaignResult] = None
-    for seed in seeds:
-        result = run_campaign(firmware, budget=budget, seed=seed, **kwargs)
+    for seed in spec.seeds:
+        result = _run_single(replace(spec, seed=seed, seeds=None), **runtime)
         if carry_corpus and result.diagnostics is not None:
             stats = result.diagnostics.corpus or {}
             result.diagnostics.inherited_corpus = [
@@ -413,9 +464,12 @@ def run_all_campaigns(
     faults: Optional[str] = None,
     fleet_options: Optional[dict] = None,
     observer=None,
-    **kwargs,
+    **options,
 ) -> List[CampaignResult]:
     """Run every Table-1 firmware's campaign (the full Table-3 sweep).
+
+    ``options`` are further :class:`~repro.fuzz.spec.CampaignSpec`
+    fields, applied to every firmware's campaign.
 
     With ``checkpoint_dir``, each firmware checkpoints into its own file
     (``campaign_<firmware>.json``), making a multi-firmware sweep
@@ -434,68 +488,17 @@ def run_all_campaigns(
     changes which faults fire; ``fleet_options`` passes supervisor
     knobs (``heartbeat_timeout``, ``max_retries``, ``events_path``...).
     """
-    import os
+    from repro.fuzz.supervisor import make_jobs, run_fleet
 
-    from repro.emulator.faults import plan_for
-    from repro.firmware.registry import all_firmware
-
-    if faults and kwargs.get("fault_plan") is not None:
-        raise FuzzerError("pass either faults= (DSL) or fault_plan=, not both")
-
-    if workers > 1:
-        if kwargs.pop("fault_plan", None) is not None:
-            raise FuzzerError(
-                "a live fault_plan cannot cross process boundaries; "
-                "pass faults=<DSL spec> so each worker builds its own plan"
-            )
-        from repro.fuzz.supervisor import make_jobs, run_fleet
-
-        jobs = make_jobs(
-            budget=budget, seed=seed, seeds=seeds,
-            checkpoint_dir=checkpoint_dir, faults=faults,
-            crash_budget=kwargs.pop("crash_budget", None),
-            watchdog_insns=kwargs.pop("watchdog_insns", None),
-            watchdog_cycles=kwargs.pop("watchdog_cycles", None),
-            exec_mode=kwargs.pop("exec_mode", "journal"),
-            surface=kwargs.pop("surface", "syscall"),
+    if options.pop("fault_plan", None) is not None:
+        raise FuzzerError(
+            "a live fault_plan cannot be shared across a sweep; pass "
+            "faults=<DSL spec> so each campaign builds its own plan"
         )
-        if kwargs:
-            raise FuzzerError(
-                f"options not supported with workers>1: {sorted(kwargs)}"
-            )
+    template = CampaignSpec(firmware=CATALOG, budget=budget, seed=seed,
+                            seeds=seeds, faults=faults, **options)
+    jobs = make_jobs(template, checkpoint_dir=checkpoint_dir)
+    if workers > 1:
         return run_fleet(jobs, workers=workers, observer=observer,
                          **(fleet_options or {})).results
-
-    def _path(name: str) -> Optional[str]:
-        if checkpoint_dir is None:
-            return None
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        safe = name.replace("/", "_")
-        return os.path.join(checkpoint_dir, f"campaign_{safe}.json")
-
-    def _kwargs() -> dict:
-        # per-firmware fault plan, rebuilt from the spec exactly as a
-        # fleet worker would, so sequential and fleet sweeps match
-        if not faults:
-            return kwargs
-        return dict(kwargs, fault_plan=plan_for(faults, seed=seed))
-
-    # a driver-surface sweep covers only the firmware that model
-    # peripherals, matching supervisor.make_jobs' default job list
-    specs = [
-        spec for spec in all_firmware()
-        if kwargs.get("surface", "syscall") != "driver"
-        or spec.driver_factory is not None
-    ]
-    if seeds is not None:
-        return [
-            run_campaign_repeated(spec.name, budget=budget, seeds=seeds,
-                                  observer=observer, **_kwargs())
-            for spec in specs
-        ]
-    return [
-        run_campaign(spec.name, budget=budget, seed=seed,
-                     checkpoint_path=_path(spec.name), observer=observer,
-                     **_kwargs())
-        for spec in specs
-    ]
+    return [run_job(job, observer=observer) for job in jobs]

@@ -15,13 +15,28 @@ recipe exactly as the uninterrupted run refreshes it.
 
 File format (``version`` 1): one JSON object with
 ``firmware``/``fuzzer``/``seed``/``budget`` identity fields (validated
-on resume), counters, ``rng_state``/``fault_rng_state``, ``corpus`` and
-``triage`` as program lists, ``findings`` as full report records, and
+on resume), the campaign spec's ``identity`` (see below), counters,
+``rng_state``/``fault_rng_state``, ``corpus`` and ``triage`` as
+program lists, ``findings`` as full report records, and
 ``quarantined`` diagnostics records.  When the engine has a persistent
 corpus store attached, the inline ``corpus`` list is replaced by
 ``corpus_digests`` — an ordered list of content addresses resolved
 against the store on resume (see ``docs/corpus.md``).
 See ``docs/robustness.md``.
+
+Spec identity: a checkpoint written by ``run_campaign`` records every
+:class:`~repro.fuzz.spec.CampaignSpec` field that changes the
+campaign's trajectory — ``firmware``, ``seed``, ``seeds``,
+``sanitizers`` (resolved to the set actually attached), ``faults``,
+``fault_seed``, ``crash_budget``, ``watchdog_insns``,
+``watchdog_cycles``, ``seed_schedule``, ``checkpoint_every`` (the
+effective cadence: checkpoint cadence is part of the identity) and
+``surface``.  A resume under a different value is refused with
+:class:`FuzzerError`, as a seed mismatch is.  ``budget`` is exempt
+(sharded rounds extend it), and so are the engine tier, the exec mode
+and the JIT threshold, under which the census is invariant by contract
+(:data:`~repro.fuzz.spec.RESUMABLE_FIELDS`).
+Checkpoints without an ``identity`` (older files) resume as before.
 """
 
 from __future__ import annotations
@@ -182,6 +197,8 @@ def engine_state(
         "findings": [_finding_to_json(f) for f in fuzzer.findings.values()],
         "quarantined": [r.to_json() for r in fuzzer.quarantined],
     }
+    if fuzzer.campaign_identity is not None:
+        state["identity"] = fuzzer.campaign_identity
     store = getattr(fuzzer, "corpus_store", None)
     if store is not None:
         # corpus-by-reference: every corpus program lives in the store
@@ -203,9 +220,10 @@ def engine_state(
 def restore_engine(fuzzer: FuzzerEngine, state: dict, firmware: str) -> None:
     """Load a checkpoint into a freshly constructed fuzzer.
 
-    The fuzzer must have been built with the same firmware and seed the
-    checkpoint was taken from; mismatches raise :class:`FuzzerError`
-    rather than silently producing a different campaign.
+    The fuzzer must have been built with the same firmware, seed and
+    spec identity the checkpoint was taken from; mismatches raise
+    :class:`FuzzerError` rather than silently producing a different
+    campaign.
     """
     if state.get("version") != FORMAT_VERSION:
         raise CheckpointError(
@@ -223,6 +241,16 @@ def restore_engine(fuzzer: FuzzerEngine, state: dict, firmware: str) -> None:
         raise FuzzerError(
             f"checkpoint was taken with seed {state['seed']}, "
             f"engine has seed {fuzzer.seed}"
+        )
+    saved, current = state.get("identity"), fuzzer.campaign_identity
+    if saved is not None and current is not None and saved != current:
+        changed = sorted(
+            name for name in set(saved) | set(current)
+            if saved.get(name) != current.get(name)
+        )
+        raise FuzzerError(
+            f"checkpoint was taken under different campaign settings "
+            f"({', '.join(changed)}); refusing to resume"
         )
     try:
         fuzzer.execs = state["execs"]

@@ -22,6 +22,7 @@ from repro.fuzz.program import (
     ResourcePool,
     resolve_args,
 )
+from repro.fuzz.spec import EXEC_MODES, SEED_SCHEDULES
 from repro.sanitizers.runtime.reports import BugType, SanitizerReport
 
 #: host-level crashes tolerated before a campaign degrades to skip mode
@@ -32,13 +33,6 @@ DEFAULT_CRASH_BUDGET = 25
 DEFAULT_WATCHDOG_INSNS = 2_000_000
 DEFAULT_WATCHDOG_CYCLES = 5_000_000
 
-#: target reset strategies: per-program journal + rebuild-per-refresh,
-#: or a golden fork-server snapshot with dirty-page delta restores
-EXEC_MODES = ("journal", "forkserver")
-
-#: fuzz surfaces a frontend can target: the default syscall/task API,
-#: or the driver-op surface of a driver=True build (modeled peripherals)
-SURFACES = ("syscall", "driver")
 
 
 class Finding:
@@ -202,6 +196,11 @@ class FuzzTarget:
 class FuzzerEngine:
     """Corpus management + mutation + triage."""
 
+    #: the campaign spec's identity (:meth:`CampaignSpec.identity`),
+    #: set by the campaign runner; checkpoints record it and refuse to
+    #: resume under a different one
+    campaign_identity: Optional[dict] = None
+
     def __init__(
         self,
         target: FuzzTarget,
@@ -231,10 +230,10 @@ class FuzzerEngine:
         self._known_digests: set = set()
         #: store entries adopted from other sessions/shards
         self.corpus_imported = 0
-        if seed_schedule not in ("uniform", "rarity"):
+        if seed_schedule not in SEED_SCHEDULES:
             raise FuzzerError(
                 f"unknown seed schedule {seed_schedule!r} "
-                f"(expected 'uniform' or 'rarity')"
+                f"(expected one of {', '.join(SEED_SCHEDULES)})"
             )
         self.seed_schedule = seed_schedule
         self.scheduler = None

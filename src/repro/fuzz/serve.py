@@ -61,42 +61,13 @@ from repro.fuzz.supervisor import (
     DEFAULT_MAX_RETRIES,
     FleetSupervisor,
 )
-from repro.fuzz.transport import PROTOCOL_VERSION, FrameStream
+from repro.fuzz.spec import CampaignSpec
+from repro.fuzz.transport import FrameStream
 
-#: spec keys a submission may carry; everything else is rejected so a
-#: typo'd knob fails loudly at admission instead of silently defaulting
-SPEC_FIELDS = frozenset({
-    "firmware", "budget", "seed", "seeds", "faults", "fault_seed",
-    "crash_budget", "watchdog_insns", "watchdog_cycles", "sanitizers",
-    "seed_schedule", "exec_mode", "checkpoint_every",
-    "engine", "jit_threshold", "surface",
-})
-
-
-def validate_spec(spec) -> dict:
-    """Shape-check a job spec at admission time.
-
-    Deliberately *syntactic*: an unknown firmware name passes admission
-    and fails in the runner, where it consumes the job's crash budget
-    and lands in quarantine.  Admission control guards the queue, the
-    crash budget guards the compute — a submitter cannot learn the
-    firmware catalog by probing rejections, and a catalog drift between
-    client and server degrades one job instead of the ingest path.
-    """
-    if not isinstance(spec, dict):
-        raise FuzzerError(f"spec must be an object, got "
-                          f"{type(spec).__name__}")
-    unknown = sorted(set(spec) - SPEC_FIELDS)
-    if unknown:
-        raise FuzzerError(f"unknown spec fields: {', '.join(unknown)}")
-    firmware = spec.get("firmware")
-    if not isinstance(firmware, str) or not firmware:
-        raise FuzzerError("spec.firmware must be a non-empty string")
-    budget = spec.get("budget")
-    if not isinstance(budget, int) or isinstance(budget, bool) \
-            or budget < 1:
-        raise FuzzerError("spec.budget must be a positive integer")
-    return dict(spec)
+#: control-API revision spoken in the ``hello`` handshake; independent
+#: of the worker transport's ``PROTOCOL_VERSION``, so a worker job-frame
+#: change never locks out existing ``repro submit`` clients
+API_VERSION = 1
 
 
 def build_campaign_job(job: QueueJob, checkpoint_dir: str) -> CampaignJob:
@@ -106,34 +77,15 @@ def build_campaign_job(job: QueueJob, checkpoint_dir: str) -> CampaignJob:
     firmware: two jobs fuzzing the same firmware are distinct tenants
     with distinct resume state.
     """
-    spec = job.spec
+    spec = CampaignSpec.from_json(job.spec)
     os.makedirs(checkpoint_dir, exist_ok=True)
-    seeds = spec.get("seeds")
     return CampaignJob(
         job_id=job.job_id,
-        firmware=spec["firmware"],
-        budget=spec["budget"],
-        seed=spec.get("seed", 0),
-        seeds=None if seeds is None else tuple(seeds),
+        spec=spec,
         checkpoint_path=(
-            None if seeds is not None
+            None if spec.seeds is not None
             else os.path.join(checkpoint_dir, f"{job.job_id}.json")
         ),
-        checkpoint_every=spec.get("checkpoint_every", 0),
-        faults=spec.get("faults"),
-        fault_seed=spec.get("fault_seed"),
-        crash_budget=spec.get("crash_budget"),
-        watchdog_insns=spec.get("watchdog_insns"),
-        watchdog_cycles=spec.get("watchdog_cycles"),
-        sanitizers=(
-            None if spec.get("sanitizers") is None
-            else tuple(spec["sanitizers"])
-        ),
-        seed_schedule=spec.get("seed_schedule", "uniform"),
-        exec_mode=spec.get("exec_mode", "journal"),
-        engine=spec.get("engine", "tcg"),
-        jit_threshold=spec.get("jit_threshold"),
-        surface=spec.get("surface", "syscall"),
     )
 
 
@@ -532,16 +484,16 @@ class FuzzService:
         if hello is None or hello.get("type") != "hello":
             stream.close()
             return False
-        if hello.get("version") != PROTOCOL_VERSION:
+        if hello.get("version") != API_VERSION:
             stream.send({"type": "error", "reason": "version-mismatch",
-                         "server_version": PROTOCOL_VERSION})
+                         "server_version": API_VERSION})
             stream.close()
             return False
         if self.token is not None and hello.get("token") != self.token:
             stream.send({"type": "error", "reason": "auth-failed"})
             stream.close()
             return False
-        stream.send({"type": "welcome", "version": PROTOCOL_VERSION,
+        stream.send({"type": "welcome", "version": API_VERSION,
                      "service": "repro-serve"})
         return True
 
@@ -576,7 +528,9 @@ class FuzzService:
             return {"type": "rejected", "reason": "draining",
                     "retry_after": self.queue.retry_after}
         try:
-            spec = validate_spec(frame.get("spec"))
+            # admission checks every field's type and value domain; the
+            # queue stores the canonical versioned form
+            spec = CampaignSpec.from_json(frame.get("spec")).to_json()
             job, deduped = self.queue.submit(
                 spec, dedup_key=frame.get("dedup_key")
             )
@@ -704,7 +658,7 @@ class ServeClient:
         sock = socket.create_connection((host, port), timeout=timeout)
         sock.settimeout(None)
         self.stream = FrameStream(sock)
-        self.stream.send({"type": "hello", "version": PROTOCOL_VERSION,
+        self.stream.send({"type": "hello", "version": API_VERSION,
                           "token": token, "role": "control"})
         reply = self._recv()
         if reply.get("type") != "welcome":

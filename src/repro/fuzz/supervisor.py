@@ -33,11 +33,12 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import CheckpointError, CorpusError, FuzzerError
 from repro.fuzz.diagnostics import FleetDiagnostics, JobDiagnostics
+from repro.fuzz.spec import CampaignSpec
 from repro.fuzz.transport import (
     SpawnTransport,
     WorkerTransport,
@@ -62,42 +63,21 @@ _DRAIN_GRACE = 1.0
 
 @dataclass(frozen=True)
 class CampaignJob:
-    """One unit of fleet work: a single firmware campaign.
+    """One unit of fleet work: a campaign spec and where it runs.
 
-    ``seeds`` switches the job to a repeated (multi-seed, merged)
-    campaign; otherwise ``seed`` runs a single campaign that
-    checkpoints into ``checkpoint_path`` and resumes from it after a
-    worker death.  ``faults`` is the fault-plan DSL string (plans are
-    rebuilt per job from ``fault_seed`` so RNG streams never cross job
-    boundaries).
+    ``checkpoint_path`` is where the campaign checkpoints, and what it
+    resumes from after a worker death.  ``corpus_dir`` is a persistent
+    corpus store (shared with sibling shards in sharded mode), and
+    ``shard=(index, count)`` makes the job one shard of an
+    intra-firmware fleet.  A spec with ``seeds`` runs a repeated
+    campaign, which restarts from scratch on retry.
     """
 
     job_id: str
-    firmware: str
-    budget: int
-    seed: int = 0
-    seeds: Optional[Tuple[int, ...]] = None
+    spec: CampaignSpec
     checkpoint_path: Optional[str] = None
-    checkpoint_every: int = 0
-    faults: Optional[str] = None
-    fault_seed: Optional[int] = None
-    crash_budget: Optional[int] = None
-    watchdog_insns: Optional[int] = None
-    watchdog_cycles: Optional[float] = None
-    sanitizers: Optional[Tuple[str, ...]] = None
-    #: persistent corpus store shared with sibling jobs (sharded mode)
     corpus_dir: Optional[str] = None
-    seed_schedule: str = "uniform"
-    #: set both to make this job one shard of an intra-firmware fleet
-    shard_index: Optional[int] = None
-    shard_count: Optional[int] = None
-    #: target reset strategy ("journal" | "forkserver")
-    exec_mode: str = "journal"
-    #: ISA execution tier ("tcg" | "tcg-interp" | "jit")
-    engine: str = "tcg"
-    jit_threshold: Optional[int] = None
-    #: fuzz surface ("syscall" | "driver")
-    surface: str = "syscall"
+    shard: Optional[Tuple[int, int]] = None
 
     def payload(self, attempt: int, heartbeat_interval: float,
                 observe: bool = False) -> dict:
@@ -107,29 +87,23 @@ class CampaignJob:
             "attempt": attempt,
             "heartbeat_interval": heartbeat_interval,
             "observe": observe,
-            "firmware": self.firmware,
-            "budget": self.budget,
-            "seed": self.seed,
-            "seeds": None if self.seeds is None else list(self.seeds),
+            "spec": self.spec.to_json(),
             "checkpoint_path": self.checkpoint_path,
-            "checkpoint_every": self.checkpoint_every,
-            "faults": self.faults,
-            "fault_seed": (self.seed if self.fault_seed is None
-                           else self.fault_seed),
-            "crash_budget": self.crash_budget,
-            "watchdog_insns": self.watchdog_insns,
-            "watchdog_cycles": self.watchdog_cycles,
-            "sanitizers": (None if self.sanitizers is None
-                           else list(self.sanitizers)),
             "corpus_dir": self.corpus_dir,
-            "seed_schedule": self.seed_schedule,
-            "shard_index": self.shard_index,
-            "shard_count": self.shard_count,
-            "exec_mode": self.exec_mode,
-            "engine": self.engine,
-            "jit_threshold": self.jit_threshold,
-            "surface": self.surface,
+            "shard": None if self.shard is None else list(self.shard),
         }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "CampaignJob":
+        """Rebuild the job a :meth:`payload` dict describes."""
+        shard = payload.get("shard")
+        return cls(
+            job_id=payload["job_id"],
+            spec=CampaignSpec.from_json(payload["spec"]),
+            checkpoint_path=payload.get("checkpoint_path"),
+            corpus_dir=payload.get("corpus_dir"),
+            shard=None if shard is None else tuple(shard),
+        )
 
 
 @dataclass
@@ -193,7 +167,7 @@ class _JobState:
         self.dead_since = None  # first time the worker was seen dead
         self.death_cause = None
         self.diag = JobDiagnostics(
-            job_id=job.job_id, firmware=job.firmware, seed=job.seed,
+            job_id=job.job_id, firmware=job.spec.firmware, seed=job.spec.seed,
         )
         self.result = None
         self.discard_logged = False
@@ -400,9 +374,10 @@ class FleetSupervisor:
                 state.span_start = observer.tracer.now()
         path = state.job.checkpoint_path
         if state.attempt == 1:
+            spec = state.job.spec
             self._emit("job_started", job=state.job.job_id,
-                       firmware=state.job.firmware, seed=state.job.seed,
-                       budget=state.job.budget, pid=handle.pid,
+                       firmware=spec.firmware, seed=spec.seed,
+                       budget=spec.budget, pid=handle.pid,
                        where=handle.where)
         else:
             self._emit("job_resumed", job=state.job.job_id,
@@ -557,7 +532,7 @@ class FleetSupervisor:
         from repro.corpus import CorpusStore
 
         store = CorpusStore(state.job.corpus_dir,
-                            firmware=state.job.firmware)
+                            firmware=state.job.spec.firmware)
         added = store.import_bundle_obj(bundle, source=f"worker:{job_id}")
         if self.observer is not None and added:
             self.observer.counter(
@@ -673,23 +648,14 @@ _exit_cause = exit_cause_of
 # catalog-level conveniences
 # ----------------------------------------------------------------------
 def make_jobs(
-    budget: int,
-    seed: int = 0,
-    seeds: Optional[Sequence[int]] = None,
+    template: CampaignSpec,
     firmware: Optional[Sequence[str]] = None,
     checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 0,
-    faults: Optional[str] = None,
-    crash_budget: Optional[int] = None,
-    watchdog_insns: Optional[int] = None,
-    watchdog_cycles: Optional[float] = None,
-    exec_mode: str = "journal",
-    engine: str = "tcg",
-    jit_threshold: Optional[int] = None,
-    surface: str = "syscall",
 ) -> List[CampaignJob]:
     """One job per Table-1 firmware (or per ``firmware`` subset).
 
+    Each job runs ``template`` with its own firmware (the template's
+    firmware, typically :data:`~repro.fuzz.spec.CATALOG`, is replaced).
     With ``surface="driver"`` the default firmware set shrinks to the
     entries that model peripherals (have a ``driver_factory``); an
     explicit ``firmware`` list is taken as-is and a member without a
@@ -700,36 +666,21 @@ def make_jobs(
     if firmware is None:
         names = [
             spec.name for spec in all_firmware()
-            if surface != "driver" or spec.driver_factory is not None
+            if template.surface != "driver" or spec.driver_factory is not None
         ]
     else:
         names = [firmware_spec(name).name for name in firmware]
 
     def _path(name: str) -> Optional[str]:
-        if checkpoint_dir is None:
+        if checkpoint_dir is None or template.seeds is not None:
             return None
         os.makedirs(checkpoint_dir, exist_ok=True)
         safe = name.replace("/", "_")
         return os.path.join(checkpoint_dir, f"campaign_{safe}.json")
 
     return [
-        CampaignJob(
-            job_id=name,
-            firmware=name,
-            budget=budget,
-            seed=seed,
-            seeds=None if seeds is None else tuple(seeds),
-            checkpoint_path=None if seeds is not None else _path(name),
-            checkpoint_every=checkpoint_every,
-            faults=faults,
-            crash_budget=crash_budget,
-            watchdog_insns=watchdog_insns,
-            watchdog_cycles=watchdog_cycles,
-            exec_mode=exec_mode,
-            engine=engine,
-            jit_threshold=jit_threshold,
-            surface=surface,
-        )
+        CampaignJob(job_id=name, spec=replace(template, firmware=name),
+                    checkpoint_path=_path(name))
         for name in names
     ]
 
@@ -768,24 +719,12 @@ class ShardedFleetResult:
 
 
 def make_shard_jobs(
-    firmware: str,
-    budget: int,
+    template: CampaignSpec,
     shards: int,
-    seed: int = 0,
     corpus_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 0,
-    seed_schedule: str = "uniform",
-    faults: Optional[str] = None,
-    crash_budget: Optional[int] = None,
-    watchdog_insns: Optional[int] = None,
-    watchdog_cycles: Optional[float] = None,
-    exec_mode: str = "journal",
-    engine: str = "tcg",
-    jit_threshold: Optional[int] = None,
-    surface: str = "syscall",
 ) -> List[CampaignJob]:
-    """One job per shard of a single firmware; ``budget`` is per shard.
+    """One job per shard of ``template``'s firmware; its budget is per shard.
 
     Shard ``i`` of ``n`` seeds its RNG with ``seed + i``, starts from
     its disjoint slice of the spec seed corpus, checkpoints into its
@@ -795,7 +734,7 @@ def make_shard_jobs(
     """
     from repro.firmware.registry import firmware_spec
 
-    name = firmware_spec(firmware).name
+    name = firmware_spec(template.firmware).name
     if shards < 1:
         raise FuzzerError(f"need >= 1 shard, got {shards}")
     if corpus_dir is None or checkpoint_dir is None:
@@ -808,25 +747,12 @@ def make_shard_jobs(
     return [
         CampaignJob(
             job_id=f"{name}#s{index}",
-            firmware=name,
-            budget=budget,
-            seed=seed + index,
+            spec=replace(template, firmware=name, seed=template.seed + index),
             checkpoint_path=os.path.join(
                 checkpoint_dir, f"shard_{safe}_{index:02d}.json"
             ),
-            checkpoint_every=checkpoint_every,
-            faults=faults,
-            crash_budget=crash_budget,
-            watchdog_insns=watchdog_insns,
-            watchdog_cycles=watchdog_cycles,
             corpus_dir=corpus_dir,
-            seed_schedule=seed_schedule,
-            shard_index=index,
-            shard_count=shards,
-            exec_mode=exec_mode,
-            engine=engine,
-            jit_threshold=jit_threshold,
-            surface=surface,
+            shard=(index, shards),
         )
         for index in range(shards)
     ]
@@ -869,30 +795,19 @@ def merge_shard_results(results: Sequence[Optional[object]]):
 
 
 def run_sharded_fleet(
-    firmware: str,
-    budget: int,
+    spec: CampaignSpec,
     shards: int = 2,
     workers: Optional[int] = None,
-    seed: int = 0,
     sync_every: int = 0,
     corpus_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
-    seed_schedule: str = "uniform",
-    faults: Optional[str] = None,
-    crash_budget: Optional[int] = None,
-    watchdog_insns: Optional[int] = None,
-    watchdog_cycles: Optional[float] = None,
-    exec_mode: str = "journal",
-    engine: str = "tcg",
-    jit_threshold: Optional[int] = None,
-    surface: str = "syscall",
     observer=None,
     events_path: Optional[str] = None,
     fleet_options: Optional[dict] = None,
 ) -> ShardedFleetResult:
-    """Fuzz ONE firmware with ``shards`` cooperating workers.
+    """Fuzz ``spec``'s firmware with ``shards`` cooperating workers.
 
-    ``budget`` is the *total* execution budget, split evenly across
+    ``spec.budget`` is the *total* execution budget, split evenly across
     shards — a 2-shard fleet at budget 1500 spends the same 1500 execs
     a single campaign would, so censuses are comparable.
 
@@ -905,8 +820,9 @@ def run_sharded_fleet(
     them — so for a fixed ``(seed, shards, sync_every)`` schedule the
     merged result is deterministic regardless of worker count, OS
     scheduling, or how many times workers were killed and resumed.
-    ``sync_every=0`` means a single round (shards sync only through
-    their disjoint seed slices and the final merge).
+    The rounds set the checkpoint cadence, so ``spec.checkpoint_every``
+    is replaced.  ``sync_every=0`` means a single round (shards sync
+    only through their disjoint seed slices and the final merge).
 
     ``workers`` caps concurrent shard processes (default: one per
     shard); ``fleet_options`` passes supervisor knobs
@@ -922,14 +838,14 @@ def run_sharded_fleet(
         # per run(); route the stream through the combined writer below
         events_path = events_path or fleet_options.pop("events_path")
         fleet_options.pop("events_path", None)
-    name = firmware_spec(firmware).name
+    name = firmware_spec(spec.firmware).name
     if shards < 1:
         raise FuzzerError(f"need >= 1 shard, got {shards}")
-    if budget < shards:
+    if spec.budget < shards:
         raise FuzzerError(
-            f"budget {budget} cannot be split across {shards} shards"
+            f"budget {spec.budget} cannot be split across {shards} shards"
         )
-    per_shard = budget // shards
+    per_shard = spec.budget // shards
     if sync_every < 0:
         raise FuzzerError(f"sync_every must be >= 0, got {sync_every}")
     if sync_every and sync_every < per_shard:
@@ -958,21 +874,13 @@ def run_sharded_fleet(
                 per_shard, (round_index + 1) * sync_every
             )
             jobs = make_shard_jobs(
-                name, round_budget, shards, seed=seed,
-                corpus_dir=corpus_dir, checkpoint_dir=checkpoint_dir,
                 # checkpoints only at sync boundaries: a mid-round kill
                 # resumes from the round start (or a fresh start in
                 # single-round mode), where the import watermark sees
                 # the same store every uninterrupted run saw
-                checkpoint_every=sync_every or per_shard,
-                seed_schedule=seed_schedule, faults=faults,
-                crash_budget=crash_budget,
-                watchdog_insns=watchdog_insns,
-                watchdog_cycles=watchdog_cycles,
-                exec_mode=exec_mode,
-                engine=engine,
-                jit_threshold=jit_threshold,
-                surface=surface,
+                replace(spec, firmware=name, budget=round_budget,
+                        checkpoint_every=sync_every or per_shard),
+                shards, corpus_dir=corpus_dir, checkpoint_dir=checkpoint_dir,
             )
             fleet = run_fleet(
                 jobs, workers=workers or shards, observer=observer,

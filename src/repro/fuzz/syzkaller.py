@@ -12,11 +12,11 @@ from repro.fuzz.engine import (
     DEFAULT_CRASH_BUDGET,
     DEFAULT_WATCHDOG_CYCLES,
     DEFAULT_WATCHDOG_INSNS,
-    SURFACES,
     FuzzerEngine,
     FuzzTarget,
 )
 from repro.fuzz.ifspec import driver_interface, linux_interface
+from repro.fuzz.spec import SURFACES
 
 
 class SyzkallerFuzzer(FuzzerEngine):

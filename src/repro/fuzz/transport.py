@@ -68,8 +68,9 @@ from typing import Callable, List, Optional
 
 from repro.errors import TransportError
 
-#: wire protocol revision; mismatches are rejected at hello time
-PROTOCOL_VERSION = 1
+#: wire protocol revision; mismatches are rejected at hello time.
+#: Version 2: the job frame carries a versioned ``CampaignSpec`` object
+PROTOCOL_VERSION = 2
 #: frame header: b"RJ1 " + 8-hex length + b" " + 8-hex crc32 + b"\n"
 MAGIC = b"RJ1 "
 HEADER_LEN = 22
@@ -713,12 +714,11 @@ class TcpJsonlTransport(WorkerTransport):
             job["checkpoint_remote"] = True
             job["checkpoint_state"] = state
             job["checkpoint_corrupt_upstream"] = corrupt
-        if job.get("corpus_dir") is not None \
-                and job.get("shard_count") is None:
+        if job.get("corpus_dir") is not None and job.get("shard") is None:
             from repro.corpus import CorpusStore
 
             store = CorpusStore(job["corpus_dir"],
-                                firmware=job["firmware"])
+                                firmware=job["spec"]["firmware"])
             job["corpus_remote"] = True
             job["corpus_bundle"] = store.export_bundle_obj()
             job["corpus_dir"] = None
@@ -878,7 +878,7 @@ def _stage_job(job: dict, scratch: str) -> dict:
         from repro.corpus import CorpusStore
 
         local = os.path.join(scratch, "corpus")
-        store = CorpusStore(local, firmware=job["firmware"])
+        store = CorpusStore(local, firmware=job["spec"]["firmware"])
         bundle = job.get("corpus_bundle")
         if bundle:
             store.import_bundle_obj(bundle, source="fleet-job")
@@ -995,7 +995,7 @@ class _JobSession:
             from repro.corpus import CorpusStore
 
             bundle = CorpusStore(
-                corpus_dir, firmware=self.job["firmware"]
+                corpus_dir, firmware=self.job["spec"]["firmware"]
             ).export_bundle_obj()
         if self._send("checkpoint_sync",
                       {"state": state, "corpus": bundle}):
@@ -1005,7 +1005,7 @@ class _JobSession:
         from repro.corpus import CorpusStore
 
         bundle = CorpusStore(
-            corpus_dir, firmware=self.job["firmware"]
+            corpus_dir, firmware=self.job["spec"]["firmware"]
         ).export_bundle_obj()
         self._send("corpus_sync", {"bundle": bundle})
 

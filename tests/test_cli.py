@@ -59,6 +59,72 @@ class TestParser:
             build_parser().parse_args([])
 
 
+class TestSpecFlags:
+    """``fuzz``, ``fuzz-all`` and ``submit`` share one spec flag group;
+    the same flags must yield the same CampaignSpec on all three."""
+
+    SHARED = ["--budget", "77", "--seed", "5", "--faults", "alloc:every=9",
+              "--checkpoint-every", "25", "--crash-budget", "4",
+              "--watchdog-insns", "9000", "--watchdog-cycles", "1e6",
+              "--engine", "jit", "--jit-threshold", "8",
+              "--exec-mode", "forkserver", "--seed-schedule", "rarity",
+              "--surface", "driver"]
+
+    @pytest.mark.parametrize("flags", [[], SHARED])
+    def test_subcommands_build_equal_specs(self, monkeypatch, flags):
+        from dataclasses import replace
+
+        from repro.fuzz.spec import CampaignSpec
+
+        class Built(Exception):
+            pass
+
+        seen = {}
+
+        def fake_run_spec(spec, **_placement):
+            seen["fuzz"] = spec
+            raise Built
+
+        def fake_make_jobs(template, **_placement):
+            seen["fuzz-all"] = replace(template, firmware="InfiniTime")
+            raise Built
+
+        class FakeClient:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *_exc):
+                return False
+
+            def submit(self, spec, dedup_key=None):
+                seen["submit"] = CampaignSpec.from_json(spec)
+                raise Built
+
+        monkeypatch.setattr("repro.fuzz.campaign.run_spec", fake_run_spec)
+        monkeypatch.setattr("repro.fuzz.supervisor.make_jobs", fake_make_jobs)
+        monkeypatch.setattr("repro.cli._serve_client",
+                            lambda _args: FakeClient())
+        for argv in (["fuzz", "InfiniTime"],
+                     ["fuzz-all", "--firmware", "InfiniTime"],
+                     ["submit", "InfiniTime", "--connect", "127.0.0.1:9"]):
+            with pytest.raises(Built):
+                main(argv + flags)
+        assert seen["fuzz"] == seen["fuzz-all"] == seen["submit"]
+        if flags:
+            assert seen["fuzz"] == CampaignSpec(
+                "InfiniTime", budget=77, seed=5, faults="alloc:every=9",
+                checkpoint_every=25, crash_budget=4, watchdog_insns=9000,
+                watchdog_cycles=1e6, engine="jit", jit_threshold=8,
+                exec_mode="forkserver", seed_schedule="rarity",
+                surface="driver")
+
+    def test_bad_value_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["fuzz", "InfiniTime", "--jit-threshold", "-5"])
+        assert info.value.code == 2
+        assert "jit_threshold" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -156,15 +222,17 @@ class TestExitCodes:
         # jobs built directly (bypassing catalog validation) can name a
         # firmware the worker cannot build: every attempt fails, the
         # retry budget runs out, and the fleet reports exit code 3
+        from repro.fuzz.spec import CampaignSpec
         from repro.fuzz.supervisor import CampaignJob
 
         monkeypatch.setattr(
             "repro.fuzz.supervisor.make_jobs",
             lambda **kw: [
-                CampaignJob(job_id="ok", firmware="InfiniTime",
-                            budget=50, seed=1),
-                CampaignJob(job_id="doomed", firmware="NoSuchFirmware",
-                            budget=50, seed=1),
+                CampaignJob(job_id="ok",
+                            spec=CampaignSpec("InfiniTime", budget=50, seed=1)),
+                CampaignJob(job_id="doomed",
+                            spec=CampaignSpec("NoSuchFirmware", budget=50,
+                                              seed=1)),
             ],
         )
         assert main(["fuzz-all", "--workers", "2", "--budget", "50",

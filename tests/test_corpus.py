@@ -34,6 +34,7 @@ from repro.corpus import (
 from repro.corpus.store import CorpusEntry
 from repro.errors import CorpusError, FuzzerError
 from repro.fuzz.program import Call, Program
+from repro.fuzz.spec import CampaignSpec
 
 #: fastest-booting firmware; seed 1 matches all three catalog rows
 FW = "InfiniTime"
@@ -346,7 +347,7 @@ class TestShardedFleet:
         from repro.fuzz.supervisor import run_sharded_fleet
 
         return run_sharded_fleet(
-            FW, self.BUDGET, shards=2, workers=workers, seed=1,
+            CampaignSpec(FW, self.BUDGET, seed=1), shards=2, workers=workers,
             sync_every=self.SYNC, corpus_dir=str(tmp_path / tag),
         )
 
@@ -379,6 +380,6 @@ class TestShardedFleet:
         from repro.fuzz.supervisor import run_sharded_fleet
 
         with pytest.raises(FuzzerError, match="shard"):
-            run_sharded_fleet(FW, 100, shards=0)
+            run_sharded_fleet(CampaignSpec(FW, 100), shards=0)
         with pytest.raises(FuzzerError, match="split"):
-            run_sharded_fleet(FW, 1, shards=2)
+            run_sharded_fleet(CampaignSpec(FW, 1), shards=2)

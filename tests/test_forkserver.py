@@ -518,11 +518,13 @@ class TestExecModeIdentity:
         assert _canon(resumed) == _canon(reference)
 
     def test_sharded_identity(self):
+        from repro.fuzz.spec import CampaignSpec
         from repro.fuzz.supervisor import run_sharded_fleet
 
         runs = {}
         for mode in ("journal", "forkserver"):
-            sharded = run_sharded_fleet("InfiniTime", budget=160, shards=2,
-                                        seed=3, exec_mode=mode)
+            sharded = run_sharded_fleet(
+                CampaignSpec("InfiniTime", budget=160, seed=3, exec_mode=mode),
+                shards=2)
             runs[mode] = _canon(sharded.result)
         assert runs["forkserver"] == runs["journal"]

@@ -403,6 +403,50 @@ class TestCheckpointResume:
             run_campaign("InfiniTime", budget=100, seed=2,
                          checkpoint_path=path)
 
+    def test_spec_change_refuses_resume(self, tmp_path):
+        # the checkpoint records the spec's identity: a resume that
+        # changes the sanitizer set (or the seed schedule) would silently
+        # continue a different campaign, so it is refused like a seed
+        # mismatch
+        path = str(tmp_path / "cp.json")
+        run_campaign("InfiniTime", budget=30, seed=1, checkpoint_path=path,
+                     checkpoint_every=10)
+        for changed in ({"sanitizers": ("kasan", "kcsan")},
+                        {"seed_schedule": "rarity"},
+                        {"checkpoint_every": 20}):
+            options = {"checkpoint_every": 10, **changed}
+            with pytest.raises(FuzzerError, match="campaign settings"):
+                run_campaign("InfiniTime", budget=60, seed=1,
+                             checkpoint_path=path, **options)
+
+    def test_journal_checkpoint_resumes_under_forkserver(self, tmp_path):
+        # budget, exec mode and engine are outside the identity: the
+        # census is invariant under them, and resuming extends budget
+        reference = run_campaign("InfiniTime", budget=60, seed=1,
+                                 checkpoint_path=str(tmp_path / "ref.json"),
+                                 checkpoint_every=10)
+        path = str(tmp_path / "cp.json")
+        run_campaign("InfiniTime", budget=30, seed=1, checkpoint_path=path,
+                     checkpoint_every=10)
+        resumed = run_campaign("InfiniTime", budget=60, seed=1,
+                               checkpoint_path=path, checkpoint_every=10,
+                               exec_mode="forkserver", engine="jit")
+        assert resumed.execs == reference.execs == 60
+        assert resumed.census() == reference.census()
+        assert sorted(resumed.matched) == sorted(reference.matched)
+
+    def test_bad_knob_rejected_before_any_exec(self, monkeypatch):
+        import repro.fuzz.campaign as campaign_mod
+
+        def no_build(*_args, **_kwargs):
+            raise AssertionError("fuzzer built despite a bad spec")
+
+        monkeypatch.setattr(campaign_mod, "TardisFuzzer", no_build)
+        for bad in ({"engine": "bogus"}, {"jit_threshold": -5},
+                    {"watchdog_insns": -1}):
+            with pytest.raises(FuzzerError):
+                run_campaign("InfiniTime", budget=20, seed=1, **bad)
+
     def test_firmware_mismatch_refuses_resume(self, tmp_path):
         path = str(tmp_path / "cp.json")
         fuzzer = TardisFuzzer("InfiniTime", seed=1)

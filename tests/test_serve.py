@@ -32,8 +32,8 @@ from repro.fuzz.serve import (
     ServeClient,
     normalized_findings,
     parse_address,
-    validate_spec,
 )
+from repro.fuzz.spec import CampaignSpec
 
 FW = "InfiniTime"
 FW2 = "OpenHarmony-stm32f407"
@@ -242,15 +242,37 @@ class TestJobQueue:
 # ----------------------------------------------------------------------
 class TestContracts:
     def test_validate_spec_shape(self):
-        assert validate_spec(_spec())["firmware"] == FW
-        with pytest.raises(FuzzerError):
-            validate_spec("nope")
-        with pytest.raises(FuzzerError):
-            validate_spec({"budget": 10})
-        with pytest.raises(FuzzerError):
-            validate_spec(_spec(budget=0))
-        with pytest.raises(FuzzerError):
-            validate_spec(_spec(bogus_knob=1))
+        # admission is CampaignSpec.from_json: types and value domains
+        # are checked, the firmware name only syntactically
+        assert CampaignSpec.from_json(_spec()).firmware == FW
+        assert CampaignSpec.from_json(_spec(firmware="no-such-fw"))
+        for bad in (
+            "nope",
+            {"budget": 10},
+            _spec(budget=0),
+            _spec(bogus_knob=1),
+            _spec(engine="bogus"),
+            _spec(exec_mode="nope"),
+            _spec(seed="x"),
+            _spec(sanitizers="kasan"),
+            _spec(sanitizers=["kasan", "ubsan"]),
+            _spec(jit_threshold=-5),
+            _spec(watchdog_insns=-1),
+            _spec(faults="nonsense:every=1"),
+            _spec(firmware=""),
+            _spec(budget=True),
+            _spec(seed=1.5),
+            _spec(seeds=[]),
+            _spec(seeds=["1"]),
+            _spec(crash_budget=-1),
+            _spec(watchdog_cycles=-0.5),
+            _spec(checkpoint_every=-10),
+            _spec(faults=""),
+            _spec(seed_schedule="lifo"),
+            _spec(jit_threshold=0),
+        ):
+            with pytest.raises(FuzzerError):
+                CampaignSpec.from_json(bad)
 
     def test_parse_address(self):
         assert parse_address("127.0.0.1:7400") == ("127.0.0.1", 7400)

@@ -1,0 +1,109 @@
+"""CampaignSpec: construction-time validation and the versioned codec.
+
+The spec's JSON form is the contract between every producer (CLI,
+``run_campaign``, ``repro submit``) and consumer (fleet worker, serve
+daemon, checkpoint identity), so it must round-trip exactly, accept the
+version-less dicts serve WALs already hold, and reject anything it does
+not understand.
+"""
+
+import json
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import FuzzerError
+from repro.fuzz.spec import (
+    ENGINES,
+    EXEC_MODES,
+    RESUMABLE_FIELDS,
+    SANITIZERS,
+    SEED_SCHEDULES,
+    SPEC_VERSION,
+    SURFACES,
+    CampaignSpec,
+)
+
+
+def _optional(strategy):
+    return st.none() | strategy
+
+
+specs = st.builds(
+    CampaignSpec,
+    firmware=st.text(min_size=1, max_size=20),
+    budget=st.integers(1, 10**6),
+    seed=st.integers(-(2**31), 2**31),
+    seeds=_optional(st.lists(st.integers(0, 99), min_size=1, max_size=4)),
+    sanitizers=_optional(
+        st.lists(st.sampled_from(SANITIZERS), min_size=1, max_size=3)
+    ),
+    faults=_optional(st.sampled_from(["alloc:every=25", "irq:drop=0.05"])),
+    fault_seed=_optional(st.integers(0, 2**16)),
+    crash_budget=_optional(st.integers(0, 100)),
+    watchdog_insns=_optional(st.integers(0, 10**7)),
+    watchdog_cycles=_optional(
+        st.floats(0, 1e9, allow_nan=False) | st.integers(0, 10**9)
+    ),
+    seed_schedule=st.sampled_from(SEED_SCHEDULES),
+    checkpoint_every=st.integers(0, 5000),
+    exec_mode=st.sampled_from(EXEC_MODES),
+    engine=st.sampled_from(ENGINES),
+    jit_threshold=_optional(st.integers(1, 1000)),
+    surface=st.sampled_from(SURFACES),
+)
+
+
+class TestCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(specs)
+    def test_json_round_trip(self, spec):
+        wire = json.loads(json.dumps(spec.to_json()))
+        assert CampaignSpec.from_json(wire) == spec
+
+    def test_version_less_serve_spec_decodes_as_v1(self):
+        # the shape `repro submit` sent before specs carried a version
+        legacy = {"firmware": "InfiniTime", "budget": 1200, "seed": 1,
+                  "checkpoint_every": 200, "exec_mode": "forkserver"}
+        spec = CampaignSpec.from_json(legacy)
+        assert spec == CampaignSpec("InfiniTime", budget=1200, seed=1,
+                                    checkpoint_every=200,
+                                    exec_mode="forkserver")
+        assert spec.to_json()["version"] == SPEC_VERSION == 1
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(FuzzerError, match="unknown spec fields"):
+            CampaignSpec.from_json({"firmware": "InfiniTime", "turbo": 1})
+
+    def test_future_version_rejected(self):
+        data = CampaignSpec("InfiniTime").to_json()
+        data["version"] = SPEC_VERSION + 1
+        with pytest.raises(FuzzerError, match="version"):
+            CampaignSpec.from_json(data)
+
+
+class TestValidation:
+    def test_lists_freeze_to_tuples(self):
+        spec = CampaignSpec("InfiniTime", seeds=[1, 2], sanitizers=["kasan"])
+        assert spec.seeds == (1, 2) and spec.sanitizers == ("kasan",)
+        hash(spec)  # deeply immutable, so hashable
+
+    def test_replace_revalidates(self):
+        with pytest.raises(FuzzerError):
+            replace(CampaignSpec("InfiniTime"), exec_mode="fork")
+
+    def test_identity_leaves_out_resumable_fields(self):
+        spec = CampaignSpec("InfiniTime", seed=3, sanitizers=("kasan",))
+        identity = spec.identity()
+        assert not set(RESUMABLE_FIELDS) & set(identity)
+        assert identity["seed"] == 3 and identity["sanitizers"] == ["kasan"]
+        changed = replace(spec, budget=9, engine="jit", exec_mode="forkserver",
+                          jit_threshold=4)
+        assert changed.identity() == identity
+
+    def test_fuzzer_options_leave_unset_knobs_to_the_frontend(self):
+        options = CampaignSpec("InfiniTime", seed=2).fuzzer_options()
+        assert options == {"seed": 2, "seed_schedule": "uniform",
+                           "exec_mode": "journal", "engine": "tcg",
+                           "surface": "syscall"}

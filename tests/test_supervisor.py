@@ -26,6 +26,7 @@ from repro.errors import CheckpointError, FuzzerError
 from repro.fuzz.campaign import run_all_campaigns, run_campaign
 from repro.fuzz.checkpoint import result_to_json
 from repro.fuzz.diagnostics import FleetDiagnostics
+from repro.fuzz.spec import CampaignSpec
 from repro.fuzz.supervisor import CampaignJob, FleetSupervisor, run_fleet
 
 #: small, fast firmware for fleet tests (tardis targets boot quickest)
@@ -36,10 +37,9 @@ def _result_bytes(result) -> str:
     return json.dumps(result_to_json(result), sort_keys=True)
 
 
-def _jobs(budget=200, seed=1, **overrides):
+def _jobs(budget=200, seed=1):
     return [
-        CampaignJob(job_id=fw, firmware=fw, budget=budget, seed=seed,
-                    **overrides)
+        CampaignJob(job_id=fw, spec=CampaignSpec(fw, budget=budget, seed=seed))
         for fw in FAST_FW
     ]
 
@@ -74,15 +74,17 @@ class TestFleetDeterminism:
         jobs = list(reversed(_jobs()))
         fleet = run_fleet(jobs, workers=2, heartbeat_interval=0.2)
         assert [r.firmware for r in fleet.results] == [
-            job.firmware for job in jobs
+            job.spec.firmware for job in jobs
         ]
 
     def test_run_all_campaigns_delegates_to_fleet(self):
-        seq = run_all_campaigns(budget=60, seed=1)
-        par = run_all_campaigns(budget=60, seed=1, workers=2)
-        assert [_result_bytes(r) for r in par] == [
-            _result_bytes(r) for r in seq
-        ]
+        # every spec option the sequential sweep takes, the fleet takes
+        for options in ({}, {"seed_schedule": "rarity"}):
+            seq = run_all_campaigns(budget=60, seed=1, **options)
+            par = run_all_campaigns(budget=60, seed=1, workers=2, **options)
+            assert [_result_bytes(r) for r in par] == [
+                _result_bytes(r) for r in seq
+            ]
 
     def test_live_fault_plan_rejected_across_processes(self):
         from repro.emulator.faults import plan_for
@@ -97,8 +99,10 @@ class TestWorkerDeath:
         fw = "OpenHarmony-stm32f407"
         reference = run_campaign(fw, budget=1500, seed=1)
         path = str(tmp_path / "cp.json")
-        job = CampaignJob(job_id=fw, firmware=fw, budget=1500, seed=1,
-                          checkpoint_path=path, checkpoint_every=500)
+        job = CampaignJob(
+            job_id=fw,
+            spec=CampaignSpec(fw, budget=1500, seed=1, checkpoint_every=500),
+            checkpoint_path=path)
         tracker = _PidTracker()
         killed = []
 
@@ -131,9 +135,10 @@ class TestWorkerDeath:
         reference = run_campaign(fw, budget=200, seed=1,
                                  checkpoint_path=str(tmp_path / "ref.json"),
                                  checkpoint_every=100)
-        job = CampaignJob(job_id=fw, firmware=fw, budget=200, seed=1,
-                          checkpoint_path=str(tmp_path / "cp.json"),
-                          checkpoint_every=100)
+        job = CampaignJob(
+            job_id=fw,
+            spec=CampaignSpec(fw, budget=200, seed=1, checkpoint_every=100),
+            checkpoint_path=str(tmp_path / "cp.json"))
         tracker = _PidTracker()
         stopped = []
 
@@ -159,10 +164,10 @@ class TestWorkerDeath:
         good_fw = "InfiniTime"
         reference = run_campaign(good_fw, budget=200, seed=1)
         jobs = [
-            CampaignJob(job_id="doomed", firmware="NoSuchFirmware",
-                        budget=50, seed=1),
-            CampaignJob(job_id=good_fw, firmware=good_fw, budget=200,
-                        seed=1),
+            CampaignJob(job_id="doomed",
+                        spec=CampaignSpec("NoSuchFirmware", budget=50, seed=1)),
+            CampaignJob(job_id=good_fw,
+                        spec=CampaignSpec(good_fw, budget=200, seed=1)),
         ]
         fleet = run_fleet(jobs, workers=2, heartbeat_interval=0.1,
                           max_retries=2, backoff_base=0.01)
@@ -185,8 +190,10 @@ class TestWorkerDeath:
         path = str(tmp_path / "cp.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write('{"version": 1, "truncated mid-wri')
-        job = CampaignJob(job_id=fw, firmware=fw, budget=200, seed=1,
-                          checkpoint_path=path, checkpoint_every=100)
+        job = CampaignJob(
+            job_id=fw,
+            spec=CampaignSpec(fw, budget=200, seed=1, checkpoint_every=100),
+            checkpoint_path=path)
         fleet = run_fleet([job], workers=1, heartbeat_interval=0.2)
         assert not fleet.degraded
         # identical census/findings; only the diagnostics remember that

@@ -34,6 +34,7 @@ from repro.fuzz.chaos import (
     chaos_plan_for,
 )
 from repro.fuzz.checkpoint import result_to_json
+from repro.fuzz.spec import CampaignSpec
 from repro.fuzz.supervisor import CampaignJob, run_fleet
 from repro.fuzz.transport import (
     HEADER_LEN,
@@ -54,10 +55,9 @@ def _result_bytes(result) -> str:
     return json.dumps(result_to_json(result), sort_keys=True)
 
 
-def _jobs(budget=150, seed=1, **overrides):
+def _jobs(budget=150, seed=1):
     return [
-        CampaignJob(job_id=fw, firmware=fw, budget=budget, seed=seed,
-                    **overrides)
+        CampaignJob(job_id=fw, spec=CampaignSpec(fw, budget=budget, seed=seed))
         for fw in FAST_FW
     ]
 
@@ -350,9 +350,10 @@ class TestTcpFleet:
         # durable progress and the reassigned attempt resumes from it
         fw = "OpenHarmony-stm32f407"
         reference = run_campaign(fw, budget=1500, seed=1)
-        job = CampaignJob(job_id=fw, firmware=fw, budget=1500, seed=1,
-                          checkpoint_path=str(tmp_path / "cp.json"),
-                          checkpoint_every=500)
+        job = CampaignJob(
+            job_id=fw,
+            spec=CampaignSpec(fw, budget=1500, seed=1, checkpoint_every=500),
+            checkpoint_path=str(tmp_path / "cp.json"))
         transport = TcpJsonlTransport(spawn_fallback=True)
         chaos = "disconnect:kind=checkpoint_sync,nth=1,limit=1"
         with _tcp_workers(transport, [{"name": "flaky", "chaos": chaos}]) \
@@ -385,7 +386,8 @@ class TestTcpFleet:
         # remote is still busy crunching the stale attempt)
         fw = "InfiniTime"
         reference = run_campaign(fw, budget=800, seed=1)
-        job = CampaignJob(job_id=fw, firmware=fw, budget=800, seed=1)
+        job = CampaignJob(job_id=fw,
+                          spec=CampaignSpec(fw, budget=800, seed=1))
         transport = TcpJsonlTransport(spawn_fallback=True)
         # the timeout must be long enough for a replacement attempt to
         # boot while the stale client still burns CPU, and the drop rule
@@ -429,7 +431,8 @@ class TestTcpFleet:
         reference = run_campaign(fw, budget=150, seed=1,
                                  corpus_dir=ref_dir)
         tcp_dir = str(tmp_path / "tcp-corpus")
-        job = CampaignJob(job_id=fw, firmware=fw, budget=150, seed=1,
+        job = CampaignJob(job_id=fw,
+                          spec=CampaignSpec(fw, budget=150, seed=1),
                           corpus_dir=tcp_dir)
         transport = TcpJsonlTransport(spawn_fallback=False)
         with _tcp_workers(transport, [{"name": "courier"}]):
