@@ -1,14 +1,14 @@
-"""Wall-clock hot-loop profile for the TCG engine modes.
+"""Wall-clock hot-loop profile for the TCG engine tiers.
 
 The Figure-2 cost model reports *modeled* guest-cycle ratios, which are
-mode-independent by construction; this module measures the orthogonal
+engine-independent by construction; this module measures the orthogonal
 quantity — how many guest instructions per host second each execution
-mode actually retires — on a figure-2-style workload: a memory-heavy
+tier actually retires — on a figure-2-style workload: a memory-heavy
 inner loop (the fill/scan mix the overhead corpus replays) plus calls
 and branches, run bare and with KASAN+KCSAN attached in EMBSAN-D mode.
 
-Used by ``benchmarks/bench_tcg_specialization.py`` to produce the
-committed ``BENCH_tcg.json`` artifact.
+Used by ``benchmarks/bench_jit.py`` to produce the committed
+``BENCH_jit.json`` artifact.
 """
 
 from __future__ import annotations
@@ -109,30 +109,6 @@ def profile_mode(engine: str, sanitized: bool, iterations: int = 2000,
         if hasattr(core, counter):
             out[counter] = getattr(core, counter)
     return out
-
-
-def profile_all(iterations: int = 2000) -> Dict[str, Dict[str, float]]:
-    """Profile both TCG modes, bare and sanitized.
-
-    Returns a dict keyed ``spec_bare`` / ``interp_bare`` / ``spec_kasan_kcsan``
-    / ``interp_kasan_kcsan`` plus the derived speedup ratios the acceptance
-    criteria reference.
-    """
-    results = {
-        "spec_bare": profile_mode("tcg", False, iterations),
-        "interp_bare": profile_mode("tcg-interp", False, iterations),
-        "spec_kasan_kcsan": profile_mode("tcg", True, iterations),
-        "interp_kasan_kcsan": profile_mode("tcg-interp", True, iterations),
-    }
-    results["speedup_bare"] = (
-        results["spec_bare"]["insn_per_sec"]
-        / results["interp_bare"]["insn_per_sec"]
-    )
-    results["speedup_sanitized"] = (
-        results["spec_kasan_kcsan"]["insn_per_sec"]
-        / results["interp_kasan_kcsan"]["insn_per_sec"]
-    )
-    return results
 
 
 def profile_jit_all(iterations: int = 2000) -> Dict[str, Dict[str, float]]:

@@ -724,8 +724,7 @@ def _add_spec_args(parser) -> None:
                         help="per-program cycle budget before GuestHang")
     parser.add_argument("--engine", default="tcg", choices=ENGINES,
                         help="ISA execution tier: specialized TCG "
-                             "(default), the reference interpreter, or "
-                             "the tiered JIT (see docs/jit.md)")
+                             "(default) or the tiered JIT (see docs/jit.md)")
     parser.add_argument("--jit-threshold", type=int, default=None,
                         metavar="N",
                         help="block executions before a hot trace is "

@@ -242,11 +242,9 @@ class Machine:
 
         ``engine`` selects the implementation: ``"tcg"`` (translation
         blocks, specialized closures — the default), ``"jit"`` (the tcg
-        engine with the hot-trace compiled tier enabled), ``"tcg-interp"``
-        (translation blocks, per-opcode re-dispatch; the pre-specialization
-        behaviour kept for A/B benchmarking) or ``"interp"`` (the
-        reference single-step interpreter).  ``None`` falls back to the
-        machine-wide :attr:`isa_engine` default.
+        engine with the hot-trace compiled tier enabled) or ``"interp"``
+        (the reference single-step :class:`Cpu`).  ``None`` falls back to
+        the machine-wide :attr:`isa_engine` default.
         """
         if engine is None:
             engine = self.isa_engine
@@ -255,9 +253,6 @@ class Machine:
         elif engine == "jit":
             core = TcgEngine(self.bus, pc=pc, sp=sp, hypercall=self._hypercall,
                              jit=True, jit_threshold=self.jit_threshold)
-        elif engine == "tcg-interp":
-            core = TcgEngine(self.bus, pc=pc, sp=sp, hypercall=self._hypercall,
-                             specialize=False)
         elif engine == "interp":
             core = Cpu(self.bus, pc=pc, sp=sp, hypercall=self._hypercall)
         else:

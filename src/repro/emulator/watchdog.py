@@ -12,8 +12,8 @@ The watchdog meters two independent budgets:
 
 ``insn_budget``
     ISA instructions retired since the last :meth:`reset`.  Consumed by
-    ``TcgEngine.run`` once per executed translation block (both the
-    specialized and interp modes share that loop) and by ``Cpu.run`` per
+    ``TcgEngine.run`` once per executed translation block (compiled jit
+    traces charge per constituent block too) and by ``Cpu.run`` per
     instruction, so a trip overshoots by at most one block.
 
 ``cycle_budget``

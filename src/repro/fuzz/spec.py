@@ -45,7 +45,7 @@ SEED_SCHEDULES = ("uniform", "rarity")
 #: or a golden fork-server snapshot with dirty-page delta restores
 EXEC_MODES = ("journal", "forkserver")
 #: ISA execution tiers (see ``docs/jit.md``)
-ENGINES = ("tcg", "tcg-interp", "jit")
+ENGINES = ("tcg", "jit")
 #: fuzz surfaces: the syscall/task API, or the driver-op surface of a
 #: ``driver=True`` build (modeled peripherals)
 SURFACES = ("syscall", "driver")

@@ -192,7 +192,8 @@ def encode(insn: Instruction) -> bytes:
 def decode(blob: bytes, offset: int = 0) -> Instruction:
     """Decode one instruction from ``blob`` at ``offset``.
 
-    Raises :class:`InvalidOpcode` on an unknown opcode byte, mirroring an
+    Raises :class:`InvalidOpcode` on an unknown opcode byte or a register
+    field naming no register (>= :data:`NUM_REGS`), mirroring an
     undefined-instruction fault in hardware.
     """
     if len(blob) - offset < INSN_SIZE:
@@ -202,21 +203,23 @@ def decode(blob: bytes, offset: int = 0) -> Instruction:
     opcode = blob[offset]
     if opcode not in _VALID_OPCODES:
         raise InvalidOpcode(f"invalid opcode byte {opcode:#04x}")
+    rd, rs1, rs2 = blob[offset + 1], blob[offset + 2], blob[offset + 3]
+    if rd >= NUM_REGS or rs1 >= NUM_REGS or rs2 >= NUM_REGS:
+        raise InvalidOpcode(
+            f"invalid register field in {Op(opcode).name.lower()}: "
+            f"rd={rd} rs1={rs1} rs2={rs2}"
+        )
     imm = int.from_bytes(blob[offset + 4 : offset + 8], "little")
     if imm >= 1 << 31:
         imm -= 1 << 32
-    return Instruction(
-        Op(opcode), blob[offset + 1], blob[offset + 2], blob[offset + 3], imm
-    )
+    return Instruction(Op(opcode), rd, rs1, rs2, imm)
 
 
 def apply_load_sign(op: Op, value: int) -> int:
     """Sign-extend a loaded ``value`` for the signed load opcodes.
 
     LD8S/LD16S load 1/2 bytes and sign-extend into the 32-bit register;
-    every other load returns the raw zero-extended value.  Shared by the
-    interpreter CPU and both TCG template flavours so the extension rule
-    lives in exactly one place.
+    every other load returns the raw zero-extended value.
     """
     if op is Op.LD8S and value >= 0x80:
         return value - 0x100

@@ -13,7 +13,7 @@ Guest code executed here performs its memory traffic *untraced* on the
 bus: the injected probes are the single notification channel, so an
 attached runtime never sees the same access twice.
 
-Three execution tiers share the block cache and probe machinery:
+Two execution tiers share the block cache and probe machinery:
 
 * **specialized** (default) — ``translate()`` compiles *every* instruction
   into a closure with its operands, immediates and probe set pre-bound, so
@@ -28,42 +28,37 @@ Three execution tiers share the block cache and probe machinery:
   Bulk writes into translated code (``write_bytes``/``fill``/``copy``/DMA)
   flush via a bus write watcher and take effect at the next block
   boundary.
-* **interpreter** — the seed engine's behaviour: memory instructions are
-  specialized only when probed; everything else re-dispatches through a
-  per-opcode interpreter each execution.  Kept behind the ``specialize``
-  flag so benchmarks can measure exactly what specialization buys.
 * **jit** (opt-in via ``jit=True``) — per-TB execution counters; when a
-  specialized block crosses the hotness threshold, the whole chained
-  superblock reachable from it is compiled to a single Python function:
-  registers become locals, immediates become literals, loads/stores and
-  sanitizer probes call the same pre-bound ``MemoryBus``/probe fast
-  paths the thunks use, and cycle/instruction/host-op accounting plus
-  watchdog charging happen per constituent block, so observable state is
+  block crosses the hotness threshold, the whole chained superblock
+  reachable from it is compiled to a single Python function: registers
+  become locals, immediates become literals, loads/stores and sanitizer
+  probes call the same pre-bound ``MemoryBus``/probe fast paths the
+  thunks use, and cycle/instruction/host-op accounting plus watchdog
+  charging happen per constituent block, so observable state is
   bit-identical to the thunk tier.  Deopt mirrors TB chaining exactly:
   ``flush_tbs()`` (SMC, probe changes, bulk/DMA writes, snapshot
   restore) and ``invalidate_range()`` (journal rollback, fork-server
   dirty-span restore) kill overlapping traces through a shared liveness
   cell that compiled code re-checks at every block boundary.
 
-All tiers charge identical guest cycles and instruction counts for the
-same program, so the calibrated Figure-2 cost model is mode-independent.
+Both tiers retire the same architectural state and charge the same guest
+cycles and instruction counts as the reference :class:`repro.isa.cpu.Cpu`,
+so the calibrated Figure-2 cost model is engine-independent.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import GuestHang, InvalidOpcode
+from repro.errors import GuestFault, GuestHang, InvalidOpcode
 from repro.isa.cpu import CpuState, HypercallHandler
 from repro.isa.insn import (
     INSN_SIZE,
     Instruction,
     MEM_OPS,
     Op,
-    apply_load_sign,
     decode,
     sign32,
-    u32,
 )
 from repro.mem.access import Access, AccessKind
 from repro.mem.bus import MemoryBus
@@ -107,22 +102,22 @@ class TranslationBlock:
                  "end_pc", "links", "generation", "exec_count", "jit_fn")
 
     def __init__(self, pc: int, insns: List[Instruction], ops: List,
-                 host_ops: int, cum_cycles: Optional[Tuple[int, ...]] = None,
-                 pre_charge: Optional[Tuple[int, ...]] = None,
-                 end_pc: int = 0, links: Optional[Dict] = None,
-                 generation: int = 0):
+                 host_ops: int, cum_cycles: Tuple[int, ...],
+                 pre_charge: Tuple[int, ...], end_pc: int,
+                 links: Optional[Dict], generation: int):
         self.pc = pc
         self.insns = insns
         self.ops = ops
         #: number of host-level operations the templates expand to; the
         #: cost model uses this as the translation expansion measure.
         self.host_ops = host_ops
-        #: prefix sums of per-instruction guest cycles (specialized mode):
-        #: ``cum_cycles[i]`` is the charge after executing ``i`` thunks.
+        #: prefix sums of per-instruction guest cycles: ``cum_cycles[i]``
+        #: is the charge after executing ``i`` thunks.
         self.cum_cycles = cum_cycles
-        #: cycles the interpreter would have charged for instruction ``i``
-        #: *before* reaching its first raise point; keeps trap-path cycle
-        #: accounting identical across engine modes.
+        #: cycles charged for instruction ``i`` when it raises: its full
+        #: cost, as the reference ``Cpu`` charges before its first raise
+        #: point, except for a probed memory template, whose probe runs
+        #: (and may raise) before the access is charged.
         self.pre_charge = pre_charge
         #: pc after the last instruction (fall-through target).
         self.end_pc = end_pc
@@ -164,10 +159,6 @@ class _JitTrace:
 class TcgEngine:
     """Basic-block translating executor for EVM32 guest code."""
 
-    #: class-wide default for the ``specialize`` flag; tests flip this to
-    #: run whole firmware builds under the interpreter templates.
-    DEFAULT_SPECIALIZE = True
-
     #: class-wide default for the ``jit`` flag; tests flip this to run
     #: whole firmware builds under the compiled-trace tier.
     DEFAULT_JIT = False
@@ -183,7 +174,6 @@ class TcgEngine:
         pc: int = 0,
         sp: int = 0,
         hypercall: Optional[HypercallHandler] = None,
-        specialize: Optional[bool] = None,
         tb_cache_capacity: int = TB_CACHE_CAPACITY,
         jit: Optional[bool] = None,
         jit_threshold: Optional[int] = None,
@@ -211,9 +201,6 @@ class TcgEngine:
         self.ret_probes: List[RetProbe] = []
         #: optional hang guard, consulted once per executed block
         self.watchdog = None
-        self.specialize = (
-            self.DEFAULT_SPECIALIZE if specialize is None else specialize
-        )
         self.jit = self.DEFAULT_JIT if jit is None else jit
         self.jit_threshold = (
             self.DEFAULT_JIT_THRESHOLD if jit_threshold is None
@@ -334,23 +321,24 @@ class TcgEngine:
         insns: List[Instruction] = []
         addr = pc
         while len(insns) < MAX_BLOCK_LEN:
-            blob = self.bus.fetch(addr, INSN_SIZE)
-            insn = decode(blob)
+            try:
+                insn = decode(self.bus.fetch(addr, INSN_SIZE))
+            except GuestFault:
+                if insns:
+                    # end the block before the bad slot: the instructions
+                    # ahead of it retire first, and the fault is raised
+                    # only once execution reaches its pc
+                    break
+                # the entry itself cannot be fetched or decoded: fault
+                # and halt, as Cpu.step does
+                self.state.halted = True
+                raise
             insns.append(insn)
             if insn.is_terminator():
                 break
             addr += INSN_SIZE
         end_pc = pc + len(insns) * INSN_SIZE
-        if self.specialize:
-            block = self._build_spec_block(pc, insns, end_pc)
-        else:
-            ops, host_ops = self._build_ops(pc, insns)
-            block = TranslationBlock(pc, insns, ops, host_ops,
-                                     end_pc=end_pc,
-                                     generation=self.tb_generation)
-        # both template styles extend the live-code span: SMC detection
-        # (bulk-write flush, range invalidation) must stay sound in
-        # interpreter-template mode too
+        block = self._build_block(pc, insns, end_pc)
         if pc < self._code_lo:
             self._code_lo = pc
         if end_pc > self._code_hi:
@@ -379,54 +367,10 @@ class TcgEngine:
         return block
 
     # ------------------------------------------------------------------
-    # interpreter-mode templates (the seed engine's behaviour)
+    # templates: one closure per instruction
     # ------------------------------------------------------------------
-    def _build_ops(self, pc: int, insns: List[Instruction]):
-        """Specialize only probed memory templates for the probe set."""
-        ops = []
-        host_ops = 0
-        probes = self._mem_probes
-        for idx, insn in enumerate(insns):
-            insn_pc = pc + idx * INSN_SIZE
-            if insn.op in MEM_OPS and probes:
-                size, is_write, atomic = MEM_OPS[insn.op]
-                ops.append(
-                    self._probed_mem_op(insn, insn_pc, size, is_write, atomic, probes)
-                )
-                # base op + address calc + one host call per probe
-                host_ops += 2 + len(probes)
-            else:
-                ops.append((insn_pc, insn))
-                host_ops += 2 if insn.op in MEM_OPS else 1
-        return ops, host_ops
-
-    def _probed_mem_op(self, insn, insn_pc, size, is_write, atomic, probes):
-        """Build a closure performing probe-notify then the raw access."""
-        bus = self.bus
-        state = self.state
-        rs1, rs2, rd, imm, op = insn.rs1, insn.rs2, insn.rd, insn.imm, insn.op
-
-        def run() -> None:
-            addr = u32(state.read(rs1) + imm)
-            access = Access(
-                addr, size, is_write, pc=insn_pc, task=state.task, atomic=atomic
-            )
-            for probe in probes:
-                probe(access)
-            with bus.untraced():
-                if is_write:
-                    bus.store(addr, size, state.read(rs2))
-                else:
-                    value = bus.load(addr, size)
-                    state.write(rd, apply_load_sign(op, value))
-
-        return run
-
-    # ------------------------------------------------------------------
-    # specialized-mode templates: one closure per instruction
-    # ------------------------------------------------------------------
-    def _build_spec_block(self, pc: int, insns: List[Instruction],
-                          end_pc: int) -> TranslationBlock:
+    def _build_block(self, pc: int, insns: List[Instruction],
+                     end_pc: int) -> TranslationBlock:
         ops: List[Callable] = []
         cycles: List[int] = []
         pre: List[int] = []
@@ -437,9 +381,9 @@ class TcgEngine:
             thunk, cyc, hops = self._compile_insn(insn, insn_pc, probes)
             ops.append(thunk)
             cycles.append(cyc)
-            # interpreter-mode probed templates charge nothing before the
-            # probe call can raise; every other template charges its full
-            # cycle cost before its first raise point
+            # a probed memory template charges nothing if its probe
+            # raises; every other template charges its full cycle cost
+            # before its first raise point, as the reference Cpu does
             pre.append(0 if (probes and insn.op in MEM_OPS) else cyc)
             host_ops += hops
         cum = [0]
@@ -459,7 +403,7 @@ class TcgEngine:
 
         The thunk returns ``None`` to fall through or the next pc to
         transfer control (ending the block).  Returns ``(thunk, cycles,
-        host_ops)`` where the cycle charge matches the interpreter path
+        host_ops)`` where the cycle charge matches the reference ``Cpu``
         exactly (1 per instruction, +1 for memory traffic or a hypercall).
 
         Closures bind ``state.regs`` directly: the register file list is
@@ -715,8 +659,8 @@ class TcgEngine:
 
         Walks the warm chain links breadth-first (plus the fall-through
         continuation of CALL/CALLR blocks, whose RET-terminated callees
-        carry no links), keeping only current-generation specialized
-        blocks, capped at :data:`MAX_TRACE_BLOCKS`.
+        carry no links), keeping only current-generation blocks, capped
+        at :data:`MAX_TRACE_BLOCKS`.
         """
         gen = self.tb_generation
         blocks = [entry]
@@ -736,8 +680,7 @@ class TcgEngine:
             for succ in succs:
                 if len(blocks) >= MAX_TRACE_BLOCKS:
                     break
-                if (succ.pc in seen or succ.generation != gen
-                        or succ.cum_cycles is None):
+                if succ.pc in seen or succ.generation != gen:
                     continue
                 seen.add(succ.pc)
                 blocks.append(succ)
@@ -826,7 +769,7 @@ class TcgEngine:
         Contract baked into the emitted code: memory/call/ret probes may
         read but never write the register file (all in-tree probes only
         emit events or inspect the Access); a probe that must mutate
-        registers requires the interpreter tier.
+        registers requires the thunk tier (``jit=False``).
         """
         probes = self._mem_probes
         gen = self.tb_generation
@@ -1070,8 +1013,8 @@ class TcgEngine:
             if raises_unconditionally:
                 continue
             if target_expr is None:
-                # fall-through: block was cut at MAX_BLOCK_LEN (or ends in
-                # a non-branching template); matches state.pc = end_pc
+                # fall-through: block was cut at MAX_BLOCK_LEN or before
+                # an undecodable slot; matches state.pc = end_pc
                 target_expr = str(block.end_pc)
             e(f"pc = {target_expr}")
             e(f"cyc += {cum[n]}")
@@ -1193,7 +1136,7 @@ class TcgEngine:
                 if fn is None:
                     count = block.exec_count + 1
                     block.exec_count = count
-                    if count == threshold and block.cum_cycles is not None:
+                    if count == threshold:
                         fn = self._compile_trace(block)
                 if fn is not None:
                     # the compiled trace charges cycles/insns/host_ops and
@@ -1208,10 +1151,9 @@ class TcgEngine:
             executed += done
             if watchdog is not None:
                 # Per-block granularity: a trip overshoots by at most one
-                # block (< MAX_BLOCK_LEN instructions).  Applies to both
-                # the specialized and interp templates, which share this
-                # loop.  On a trip the engine halts so the hang surfaces
-                # once, not on every subsequent run() call.
+                # block (< MAX_BLOCK_LEN instructions).  On a trip the
+                # engine halts so the hang surfaces once, not on every
+                # subsequent run() call.
                 try:
                     watchdog.consume(done, state.pc, state.task)
                 except GuestHang:
@@ -1244,11 +1186,6 @@ class TcgEngine:
         return self._exec_block(self.translate(self.state.pc))
 
     def _exec_block(self, block: TranslationBlock) -> int:
-        if block.cum_cycles is not None:
-            return self._exec_block_spec(block)
-        return self._exec_block_interp(block)
-
-    def _exec_block_spec(self, block: TranslationBlock) -> int:
         """Tight thunk loop: no opcode tests, no dict lookups."""
         state = self.state
         done = 0
@@ -1260,8 +1197,8 @@ class TcgEngine:
                 if target is not None:
                     break
         except BaseException:
-            # charge retired instructions plus whatever the interpreter
-            # would have charged for the trapping one before it raised
+            # charge retired instructions plus the trapping one's
+            # pre-raise cost
             self.cycles += block.cum_cycles[done] + block.pre_charge[done]
             self.insn_count += done
             self.host_ops += block.host_ops
@@ -1271,147 +1208,6 @@ class TcgEngine:
         self.insn_count += done
         self.host_ops += block.host_ops
         return done
-
-    def _exec_block_interp(self, block: TranslationBlock) -> int:
-        state = self.state
-        executed = 0
-        self.host_ops += block.host_ops
-        for entry in block.ops:
-            if callable(entry):
-                entry()
-                self.cycles += 2
-                state.pc += INSN_SIZE  # probed mem ops never branch
-                executed += 1
-                self.insn_count += 1
-                continue
-            insn_pc, insn = entry
-            state.pc = insn_pc
-            next_pc = self._interp(insn_pc, insn)
-            executed += 1
-            self.insn_count += 1
-            state.pc = next_pc
-            if state.halted or next_pc != insn_pc + INSN_SIZE:
-                # a branch (or trap) redirected control flow; leave the block
-                return executed
-        return executed
-
-    # ------------------------------------------------------------------
-    def _interp(self, pc: int, insn: Instruction) -> int:
-        """Interpret a single (unprobed) instruction; returns the next pc."""
-        state = self.state
-        op = insn.op
-        rs1 = state.read(insn.rs1)
-        rs2 = state.read(insn.rs2)
-        self.cycles += 1
-
-        next_pc = pc + INSN_SIZE
-        if op is Op.NOP:
-            return next_pc
-        if op is Op.HLT:
-            state.halted = True
-            return next_pc
-        if op is Op.BRK:
-            state.halted = True
-            raise InvalidOpcode(f"BRK trap at {pc:#010x}", addr=pc)
-        if op is Op.VMCALL:
-            self.cycles += 1
-            if self.hypercall is None:
-                raise InvalidOpcode(f"VMCALL with no handler at {pc:#010x}", addr=pc)
-            result = self.hypercall(self, insn.imm)
-            if result is not None:
-                state.write(1, result)
-            return next_pc
-        if op in MEM_OPS:
-            size, is_write, atomic = MEM_OPS[op]
-            addr = u32(rs1 + insn.imm)
-            self.cycles += 1
-            if is_write:
-                self.bus.store(addr, size, rs2, pc=pc, task=state.task, atomic=atomic)
-            else:
-                value = self.bus.load(addr, size, pc=pc, task=state.task, atomic=atomic)
-                state.write(insn.rd, apply_load_sign(op, value))
-            return next_pc
-
-        if op is Op.ADD:
-            state.write(insn.rd, rs1 + rs2)
-        elif op is Op.SUB:
-            state.write(insn.rd, rs1 - rs2)
-        elif op is Op.MUL:
-            state.write(insn.rd, rs1 * rs2)
-        elif op is Op.DIVU:
-            state.write(insn.rd, 0xFFFFFFFF if rs2 == 0 else rs1 // rs2)
-        elif op is Op.REMU:
-            state.write(insn.rd, rs1 if rs2 == 0 else rs1 % rs2)
-        elif op is Op.AND:
-            state.write(insn.rd, rs1 & rs2)
-        elif op is Op.OR:
-            state.write(insn.rd, rs1 | rs2)
-        elif op is Op.XOR:
-            state.write(insn.rd, rs1 ^ rs2)
-        elif op is Op.SHL:
-            state.write(insn.rd, rs1 << (rs2 & 31))
-        elif op is Op.SHR:
-            state.write(insn.rd, rs1 >> (rs2 & 31))
-        elif op is Op.SRA:
-            state.write(insn.rd, sign32(rs1) >> (rs2 & 31))
-        elif op is Op.SLT:
-            state.write(insn.rd, 1 if sign32(rs1) < sign32(rs2) else 0)
-        elif op is Op.SLTU:
-            state.write(insn.rd, 1 if rs1 < rs2 else 0)
-        elif op is Op.ADDI:
-            state.write(insn.rd, rs1 + insn.imm)
-        elif op is Op.ANDI:
-            state.write(insn.rd, rs1 & insn.imm)
-        elif op is Op.ORI:
-            state.write(insn.rd, rs1 | insn.imm)
-        elif op is Op.XORI:
-            state.write(insn.rd, rs1 ^ insn.imm)
-        elif op is Op.SHLI:
-            state.write(insn.rd, rs1 << (insn.imm & 31))
-        elif op is Op.SHRI:
-            state.write(insn.rd, rs1 >> (insn.imm & 31))
-        elif op is Op.MOVI:
-            state.write(insn.rd, insn.imm)
-        elif op is Op.LUI:
-            state.write(insn.rd, insn.imm << 16)
-        elif op is Op.MOV:
-            state.write(insn.rd, rs1)
-        elif op is Op.JMP:
-            return u32(insn.imm)
-        elif op is Op.JR:
-            return rs1
-        elif op in (Op.BEQ, Op.BNE, Op.BLT, Op.BLTU, Op.BGE, Op.BGEU):
-            taken = {
-                Op.BEQ: rs1 == rs2,
-                Op.BNE: rs1 != rs2,
-                Op.BLT: sign32(rs1) < sign32(rs2),
-                Op.BLTU: rs1 < rs2,
-                Op.BGE: sign32(rs1) >= sign32(rs2),
-                Op.BGEU: rs1 >= rs2,
-            }[op]
-            if taken:
-                return u32(insn.imm)
-        elif op is Op.CALL:
-            state.write(15, next_pc)
-            self._notify_call(pc, u32(insn.imm), next_pc)
-            return u32(insn.imm)
-        elif op is Op.CALLR:
-            state.write(15, next_pc)
-            self._notify_call(pc, rs1, next_pc)
-            return rs1
-        elif op is Op.RET:
-            for probe in self.ret_probes:
-                probe(pc, state.read(1))
-            return state.read(15)
-        else:  # pragma: no cover
-            raise InvalidOpcode(f"unhandled opcode {op!r}", addr=pc)
-        return next_pc
-
-    def _notify_call(self, pc: int, target: int, lr: int) -> None:
-        if self.call_probes:
-            args = [self.state.read(i) for i in range(1, 5)]
-            for probe in self.call_probes:
-                probe(pc, target, args, lr)
 
 
 def _nop_thunk() -> None:

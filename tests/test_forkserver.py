@@ -26,7 +26,6 @@ from repro.fuzz.checkpoint import (
     save_checkpoint,
 )
 from repro.fuzz.engine import EXEC_MODES, FuzzTarget
-from repro.isa.tcg import TcgEngine
 from repro.mem.dirty import PAGE_SIZE, DirtySet
 from repro.mem.regions import MemoryRegion
 from repro.sanitizers.runtime.runtime import (
@@ -458,16 +457,40 @@ class TestFuzzTargetModes:
 # the identity matrix: journal vs forkserver, engines, resume, shards
 # ----------------------------------------------------------------------
 class TestExecModeIdentity:
-    @pytest.mark.parametrize("engine", ["tcg", "tcg-interp", "jit"])
-    def test_census_identity_small_firmware(self, engine, monkeypatch):
-        monkeypatch.setattr(TcgEngine, "DEFAULT_SPECIALIZE",
-                            engine != "tcg-interp")
-        monkeypatch.setattr(TcgEngine, "DEFAULT_JIT", engine == "jit")
-        monkeypatch.setattr(TcgEngine, "DEFAULT_JIT_THRESHOLD", 4)
-        journal = run_campaign("InfiniTime", budget=200, seed=1)
+    @pytest.mark.parametrize("engine", ["tcg", "jit"])
+    def test_census_identity_small_firmware(self, engine):
+        journal = run_campaign("InfiniTime", budget=200, seed=1,
+                               engine=engine, jit_threshold=4)
         fork = run_campaign("InfiniTime", budget=200, seed=1,
-                            exec_mode="forkserver")
+                            exec_mode="forkserver", engine=engine,
+                            jit_threshold=4)
         assert _canon(fork) == _canon(journal)
+
+    def test_engine_identity_tplink(self):
+        """TP-Link WDR-7660 is the catalog firmware whose kernel runs
+        guest ISA code, so it is where the engine tier changes what
+        executes: tcg and a low-threshold jit must give byte-identical
+        results in both exec modes, with the jit really compiling."""
+        from repro.obs import Observer
+
+        canon = set()
+        for exec_mode in EXEC_MODES:
+            for engine in ("tcg", "jit"):
+                observer = Observer(trace=False)
+                result = run_campaign(
+                    "TP-Link WDR-7660", budget=300, seed=1,
+                    exec_mode=exec_mode, engine=engine, jit_threshold=4,
+                    observer=observer,
+                )
+                counters = observer.registry.to_json()["counters"]
+                compiled = counters["tcg.jit.tb_compiled"]
+                assert (compiled > 0) == (engine == "jit")
+                assert counters["tcg.insns"] > 0
+                doc = result_to_json(result)
+                # wall-clock timings appear only when observed
+                doc["diagnostics"]["phase_timings"] = None
+                canon.add(json.dumps(doc, sort_keys=True))
+        assert len(canon) == 1
 
     def test_census_identity_linux_firmware(self):
         journal = run_campaign("OpenWRT-armvirt", budget=150, seed=2)

@@ -169,7 +169,7 @@ class TestCampaign:
 
 class TestMidCampaignSnapshot:
     """Snapshot.restore mid-campaign must leave every layer coherent:
-    guest RAM, TB caches (both TCG modes), shadow memory and the
+    guest RAM, TB caches, shadow memory and the
     sanitizer runtime, so that fuzzing can continue and replaying the
     same programs reproduces the pre-restore outcomes exactly."""
 
@@ -182,14 +182,12 @@ class TestMidCampaignSnapshot:
             sorted(r.dedup_key() for r in fuzzer._current_reports),
         )
 
-    @pytest.mark.parametrize("engine", ["tcg", "tcg-interp"])
-    def test_restore_then_continue_fuzzing(self, monkeypatch, engine):
+    @pytest.mark.parametrize("engine", ["tcg", "jit"])
+    def test_restore_then_continue_fuzzing(self, engine):
         from repro.emulator.snapshot import take
-        from repro.isa.tcg import TcgEngine
 
-        monkeypatch.setattr(TcgEngine, "DEFAULT_SPECIALIZE",
-                            engine == "tcg")
-        fuzzer = TardisFuzzer("InfiniTime", seed=4)
+        fuzzer = TardisFuzzer("InfiniTime", seed=4, engine=engine,
+                              jit_threshold=4)
         machine = fuzzer.target.image.ctx.machine
         programs = [p.clone() for p in fuzzer.corpus[:6]]
         for program in programs[:2]:
@@ -207,14 +205,12 @@ class TestMidCampaignSnapshot:
         second = [self._outcome(fuzzer, p) for p in programs[2:]]
         assert second == first
 
-    @pytest.mark.parametrize("engine", ["tcg", "tcg-interp"])
-    def test_restore_keeps_coverage_listener_live(self, monkeypatch, engine):
+    @pytest.mark.parametrize("engine", ["tcg", "jit"])
+    def test_restore_keeps_coverage_listener_live(self, engine):
         from repro.emulator.snapshot import take
-        from repro.isa.tcg import TcgEngine
 
-        monkeypatch.setattr(TcgEngine, "DEFAULT_SPECIALIZE",
-                            engine == "tcg")
-        fuzzer = TardisFuzzer("InfiniTime", seed=4)
+        fuzzer = TardisFuzzer("InfiniTime", seed=4, engine=engine,
+                              jit_threshold=4)
         machine = fuzzer.target.image.ctx.machine
         snap = take(machine)
         fuzzer.run(10)

@@ -49,7 +49,7 @@ def load_wedged_guest(machine, engine):
 
 
 class TestWatchdog:
-    @pytest.mark.parametrize("engine", ["tcg", "tcg-interp", "interp"])
+    @pytest.mark.parametrize("engine", ["tcg", "interp"])
     def test_wedged_guest_trips_within_budget(self, machine, engine):
         core = load_wedged_guest(machine, engine)
         machine.set_watchdog(insn_budget=1_000)

@@ -252,6 +252,7 @@ class TestContracts:
             _spec(budget=0),
             _spec(bogus_knob=1),
             _spec(engine="bogus"),
+            _spec(engine="tcg" + "-interp"),  # the deleted tier
             _spec(exec_mode="nope"),
             _spec(seed="x"),
             _spec(sanitizers="kasan"),

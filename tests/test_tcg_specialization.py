@@ -1,11 +1,11 @@
 """TB semantics of the specialized TCG engine.
 
-Covers the translation-block contract the specialization rewrite must
-preserve: block boundaries, flush/invalidation behaviour (probe churn,
-chained links, self-modifying code), cache capacity, and — the load-
-bearing property — that the specialized closures, the per-opcode
-interpreter templates and the reference CPU retire bit-identical
-architectural state with identical cycle accounting.
+Covers the translation-block contract the engine must preserve: block
+boundaries, flush/invalidation behaviour (probe churn, chained links,
+self-modifying code), cache capacity, undecodable code, and — the
+load-bearing property — that the specialized closures, the compiled jit
+traces and the reference CPU retire bit-identical architectural state
+with identical cycle accounting.
 """
 
 import pytest
@@ -15,7 +15,8 @@ from repro.bugs.replay import replay_on_embsan
 from repro.firmware.instrument import InstrumentationMode
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu
-from repro.isa.insn import INSN_SIZE, Op, apply_load_sign
+from repro.errors import BusError, GuestFault, InvalidOpcode
+from repro.isa.insn import INSN_SIZE, Instruction, Op, apply_load_sign, encode
 from repro.isa.tcg import MAX_BLOCK_LEN, TcgEngine
 from repro.mem.bus import MemoryBus
 from repro.mem.regions import MemoryRegion, Perm
@@ -24,23 +25,25 @@ from repro.sanitizers.runtime.shadow import ShadowCode, ShadowMemory
 RAM_BASE = 0x10000
 
 
-def make_core(source, engine="tcg", text_perm=Perm.RX, hypercall=None, **kw):
+def make_core(source, engine="tcg", text_perm=Perm.RX, hypercall=None,
+              text_size=0x4000, **kw):
+    """Build a core over ``source`` (assembly text or a raw text image)."""
     bus = MemoryBus()
-    bus.map(MemoryRegion("text", 0, 0x4000, text_perm, "flash"))
+    bus.map(MemoryRegion("text", 0, text_size, text_perm, "flash"))
     bus.map(MemoryRegion("ram", RAM_BASE, 0x4000, Perm.RW, "ram"))
-    program = assemble(source)
+    image = source if isinstance(source, bytes) else assemble(source).image
     with bus.untraced():
-        bus.region_named("text").write(0, program.image)
+        bus.region_named("text").write(0, image)
     if engine == "interp":
         core = Cpu(bus, pc=0, sp=RAM_BASE + 0x4000, hypercall=hypercall)
     elif engine == "jit":
         kw.setdefault("jit_threshold", 2)
         core = TcgEngine(bus, pc=0, sp=RAM_BASE + 0x4000, hypercall=hypercall,
-                         specialize=True, jit=True, **kw)
+                         jit=True, **kw)
     else:
         core = TcgEngine(bus, pc=0, sp=RAM_BASE + 0x4000, hypercall=hypercall,
-                         specialize=(engine == "tcg"), **kw)
-    return core, program
+                         **kw)
+    return core, image
 
 
 def ram_bytes(core, size=0x100):
@@ -278,14 +281,12 @@ class TestModeEquivalence:
     @pytest.mark.parametrize("source", [STRAIGHT_LINE, MIXED_PROGRAM])
     def test_spec_interp_jit_cpu_identical(self, source):
         spec, _ = make_core(source, "tcg")
-        interp, _ = make_core(source, "tcg-interp")
         jit, _ = make_core(source, "jit")
         ref, _ = make_core(source, "interp")
         spec.run()
-        interp.run()
         jit.run()
         ref.run()
-        cores = (spec, interp, jit)
+        cores = (spec, jit)
         assert all(c.state.regs == ref.state.regs for c in cores)
         assert all(c.state.pc == ref.state.pc for c in cores)
         assert ref.state.halted and all(c.state.halted for c in cores)
@@ -314,7 +315,7 @@ class TestModeEquivalence:
 
     def test_probed_modes_see_identical_accesses(self):
         streams = {}
-        for mode in ("tcg", "tcg-interp", "jit"):
+        for mode in ("tcg", "jit"):
             core, _ = make_core(MIXED_PROGRAM, mode)
             seen = []
             core.add_mem_probe(
@@ -324,15 +325,68 @@ class TestModeEquivalence:
             )
             core.run()
             streams[mode] = seen
-        assert streams["tcg"] == streams["tcg-interp"] == streams["jit"]
+        assert streams["tcg"] == streams["jit"]
 
     def test_chain_hit_counter(self):
         core, _ = make_core(MIXED_PROGRAM)
         core.run()
         assert core.tb_chain_hits > 0
-        interp, _ = make_core(MIXED_PROGRAM, "tcg-interp")
-        interp.run()
-        assert interp.tb_chain_hits == 0
+
+
+#: an unknown opcode, then register fields naming no register (>= NUM_REGS)
+BAD_SLOTS = [bytes([0xEE]) + bytes(7)] + [encode(insn) for insn in (
+    Instruction(Op.ADD, 20, 1, 2),
+    Instruction(Op.ADDI, 1, 200, 0, imm=3),
+    Instruction(Op.MOVI, 16, imm=5),
+)]
+
+#: a loop hot enough for the jit tier (r5 counts to 5), then
+#: ``addi r1,r1,1; addi r2,r2,7`` ahead of the slot under test
+PRELUDE = (
+    Instruction(Op.MOVI, 6, imm=5),
+    Instruction(Op.ADDI, 5, 5, imm=1),
+    Instruction(Op.BLT, 0, 5, 6, imm=INSN_SIZE),
+    Instruction(Op.ADDI, 1, 1, imm=1),
+    Instruction(Op.ADDI, 2, 2, imm=7),
+)
+
+
+def fault_outcome(image, engine, **kw):
+    """Run ``image`` to its fault; returns the observable end state."""
+    core, _ = make_core(image, engine, **kw)
+    with pytest.raises(GuestFault) as info:
+        core.run()
+    if engine == "jit":
+        assert core.tb_compiled > 0
+    return (type(info.value), core.state.pc, tuple(core.state.regs),
+            core.insn_count, core.cycles, core.state.halted)
+
+
+class TestUndecodableCode:
+    """A slot the engine cannot fetch or decode faults when execution
+    reaches it, after the instructions ahead of it retire, and halts the
+    engine, exactly as the reference ``Cpu.step`` does."""
+
+    @staticmethod
+    def check(image, engine, fault, **kw):
+        ref = fault_outcome(image, "interp", **kw)
+        # 1 + 5 loop passes of 2 + the two addis retire, 1 cycle each
+        assert ref[0] is fault
+        assert ref[1] == len(PRELUDE) * INSN_SIZE
+        assert ref[2][1:3] == (1, 7)
+        assert ref[3:] == (13, 13, True)
+        assert fault_outcome(image, engine, **kw) == ref
+
+    @pytest.mark.parametrize("bad", BAD_SLOTS, ids=lambda b: b[:4].hex())
+    @pytest.mark.parametrize("engine", ["tcg", "jit"])
+    def test_bad_slot_mid_block(self, engine, bad):
+        image = b"".join(map(encode, PRELUDE)) + bad + encode(Instruction(Op.HLT))
+        self.check(image, engine, InvalidOpcode)
+
+    @pytest.mark.parametrize("engine", ["tcg", "jit"])
+    def test_block_runs_off_mapped_text(self, engine):
+        image = b"".join(map(encode, PRELUDE))
+        self.check(image, engine, BusError, text_size=len(image))
 
 
 class TestReplaySuiteEquivalence:
@@ -340,14 +394,12 @@ class TestReplaySuiteEquivalence:
 
     The VxWorks firmware is the corpus' EVM32/TCG consumer (its service
     blobs execute on the engine); replay each of its bugs under both
-    template flavours and require identical detection and machine state.
+    tiers and require identical detection and machine state.
     """
 
     ENGINES = {
-        "spec": {"DEFAULT_SPECIALIZE": True, "DEFAULT_JIT": False},
-        "interp": {"DEFAULT_SPECIALIZE": False, "DEFAULT_JIT": False},
-        "jit": {"DEFAULT_SPECIALIZE": True, "DEFAULT_JIT": True,
-                "DEFAULT_JIT_THRESHOLD": 4},
+        "spec": {"DEFAULT_JIT": False},
+        "jit": {"DEFAULT_JIT": True, "DEFAULT_JIT_THRESHOLD": 4},
     }
 
     def _patched(self, monkeypatch, name):
@@ -366,7 +418,7 @@ class TestReplaySuiteEquivalence:
                 result.detected, result.crashed,
                 [(r.bug_type, r.addr, r.pc) for r in result.reports],
             )
-        assert outcomes["spec"] == outcomes["interp"] == outcomes["jit"]
+        assert outcomes["spec"] == outcomes["jit"]
 
     @pytest.mark.parametrize(
         "record", table4_bugs_for("TP-Link WDR-7660"), ids=lambda r: r.bug_id
@@ -388,7 +440,7 @@ class TestReplaySuiteEquivalence:
                 cpu.cycles, cpu.insn_count, fault is None,
                 runtime.sink.unique_count(),
             )
-        assert states["spec"] == states["interp"] == states["jit"]
+        assert states["spec"] == states["jit"]
 
 
 SMC_IN_TRACE = """
@@ -498,7 +550,7 @@ class TestJitDeopts:
         from repro.emulator.faults import plan_for
 
         states = {}
-        for engine in ("tcg", "tcg-interp", "jit"):
+        for engine in ("interp", "tcg", "jit"):
             core, _ = make_core(MIXED_PROGRAM, engine)
             core.bus.fault_plan = plan_for(
                 "bitflip:0x10000-0x14000:p=0.2", seed=7
@@ -508,7 +560,7 @@ class TestJitDeopts:
                 tuple(core.state.regs), core.state.pc, core.cycles,
                 core.insn_count, ram_bytes(core),
             )
-        assert states["tcg"] == states["tcg-interp"] == states["jit"]
+        assert states["interp"] == states["tcg"] == states["jit"]
 
 
 class TestSignExtensionHelper:
