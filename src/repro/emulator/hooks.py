@@ -9,7 +9,7 @@ stream the sanitizer acted on.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.emulator.events import EventKind
 
@@ -17,15 +17,26 @@ Handler = Callable[[object], None]
 
 
 class HookRegistry:
-    """Register and dispatch handlers per :class:`EventKind`."""
+    """Register and dispatch handlers per :class:`EventKind`.
 
-    def __init__(self):
+    ``on_change``, when given, is called with no arguments after every
+    :meth:`add`, :meth:`remove` and :meth:`clear`, so an owner can keep
+    upstream wiring in step with who is subscribed.
+    """
+
+    def __init__(self, on_change: Optional[Callable[[], None]] = None):
         self._handlers: Dict[EventKind, tuple] = defaultdict(tuple)
         self.dispatch_count = 0
+        self._on_change = on_change
+
+    def _changed(self) -> None:
+        if self._on_change is not None:
+            self._on_change()
 
     def add(self, kind: EventKind, handler: Handler) -> Handler:
         """Subscribe ``handler`` to ``kind``; returns it for chaining."""
         self._handlers[kind] = self._handlers[kind] + (handler,)
+        self._changed()
         return handler
 
     def remove(self, kind: EventKind, handler: Handler) -> None:
@@ -33,6 +44,7 @@ class HookRegistry:
         self._handlers[kind] = tuple(
             h for h in self._handlers[kind] if h is not handler
         )
+        self._changed()
 
     def clear(self, kind: EventKind = None) -> None:
         """Drop all handlers for ``kind``, or every handler when None."""
@@ -40,6 +52,7 @@ class HookRegistry:
             self._handlers.clear()
         else:
             self._handlers[kind] = ()
+        self._changed()
 
     def has_handlers(self, kind: EventKind) -> bool:
         """True when at least one handler is subscribed to ``kind``."""

@@ -42,7 +42,10 @@ class Machine:
         self.arch = arch
         self.name = name
         self.bus = MemoryBus()
-        self.hooks = HookRegistry()
+        #: the MEM_ACCESS fan-out, bound once so it can be detached by
+        #: identity; it sits on the bus only while someone subscribes
+        self._bus_fanout = self._on_bus_access
+        self.hooks = HookRegistry(on_change=self._sync_bus_fanout)
         self.engines: List[object] = []
         #: callbacks fired when an execution engine is attached; the
         #: Common Sanitizer Runtime uses this to inject TCG probes into
@@ -108,8 +111,6 @@ class Machine:
                 self.bus.map(
                     MemoryRegion(spec.name, spec.base, spec.size, perm, spec.kind)
                 )
-        # route every bus access into the hook registry
-        self.bus.add_observer(self._on_bus_access)
 
     def attach_periph(self, device):
         """Map a modeled peripheral (:mod:`repro.periph`) onto the bus.
@@ -133,16 +134,22 @@ class Machine:
     def _on_bus_access(self, access) -> None:
         self.hooks.emit(EventKind.MEM_ACCESS, access)
 
-    def _scalar_unobserved(self) -> bool:
-        """True while skipping scalar-access notification is unobservable.
+    def _sync_bus_fanout(self) -> None:
+        """Route bus accesses into the hooks only while MEM_ACCESS is heard.
 
-        The jit tier inlines region reads/writes when the bus's only
-        observer is this machine's hook fan-out and nothing subscribes to
-        MEM_ACCESS — then the skipped ``Access`` would have been
-        constructed only to be dropped.
+        With no MEM_ACCESS handler the fan-out is detached, so the bus
+        builds no ``Access`` at all and the jit tier may inline region
+        reads/writes.  It re-attaches ahead of every other bus observer,
+        so hook subscribers keep seeing each access first.
         """
-        return (self.bus._observers == (self._on_bus_access,)
-                and not self.hooks._handlers.get(EventKind.MEM_ACCESS))
+        bus = self.bus
+        fanout = self._bus_fanout
+        attached = fanout in bus._observers
+        if self.hooks.has_handlers(EventKind.MEM_ACCESS):
+            if not attached:
+                bus._observers = (fanout,) + bus._observers
+        elif attached:
+            bus.remove_observer(fanout)
 
     def _on_console_byte(self, byte: int) -> None:
         self.hooks.emit(EventKind.CONSOLE, ConsoleEvent(byte))
@@ -257,8 +264,6 @@ class Machine:
             core = Cpu(self.bus, pc=pc, sp=sp, hypercall=self._hypercall)
         else:
             raise ValueError(f"unknown engine kind {engine!r}")
-        if isinstance(core, TcgEngine):
-            core.mem_fast_check = self._scalar_unobserved
         core.call_probes.append(self._on_isa_call)
         core.ret_probes.append(self._on_isa_ret)
         core.watchdog = self.watchdog

@@ -61,8 +61,7 @@ from repro.isa.insn import (
     sign32,
 )
 from repro.mem.access import Access, AccessKind
-from repro.mem.bus import MemoryBus
-from repro.mem.regions import Perm
+from repro.mem.bus import _R, _W, MemoryBus
 
 #: Probe delegate signature: receives a fully reconstructed Access.
 MemProbe = Callable[[Access], None]
@@ -212,13 +211,6 @@ class TcgEngine:
         #: entry pc -> live :class:`_JitTrace`; flush/invalidation removes
         #: entries, re-translation of an evicted entry block re-attaches.
         self._jit_traces: Dict[int, _JitTrace] = {}
-        #: optional zero-arg callable set by the machine layer: True while
-        #: skipping bus-observer notification for a scalar access is
-        #: unobservable (the machine's fan-out observer has no MEM_ACCESS
-        #: subscribers).  None means the engine only trusts a bus with no
-        #: observers at all.  Compiled traces consult this (through
-        #: :meth:`_jit_mem_flags`) to inline region reads/writes.
-        self.mem_fast_check: Optional[Callable[[], bool]] = None
         # span of guest addresses covered by live translations; scalar
         # stores landing inside it are self-modifying code and flush.
         self._code_lo = 1 << 62
@@ -692,8 +684,9 @@ class TcgEngine:
         Returns ``(loads, stores, silent_loads, silent_stores)``.  A fast
         scalar access inlines the region read/write, so it is only legal
         while every skipped layer is provably inert: observed (unprobed)
-        templates additionally need quiescent observers — either absent,
-        or declared unobservable by the machine layer — while the probed
+        templates additionally need a bus with no observers outside any
+        ``untraced()`` block (a machine attaches its hook fan-out only
+        while something subscribes to MEM_ACCESS) — while the probed
         templates' silent twins never notify anyone and only need the
         fault plan (loads) or journal/dirty recording (stores) to be
         absent.  Recomputed at trace entry and after every hypercall
@@ -701,10 +694,7 @@ class TcgEngine:
         mid-trace).
         """
         bus = self.bus
-        check = self.mem_fast_check
-        quiet = not bus._silent_depth and (
-            not bus._observers if check is None else check()
-        )
+        quiet = not bus._silent_depth and not bus._observers
         no_fault = bus.fault_plan is None
         no_wlog = bus._journal is None and bus._dirty is None
         return quiet and no_fault, quiet and no_wlog, no_fault, no_wlog
@@ -721,7 +711,7 @@ class TcgEngine:
         """
         region = self.bus.region_at(addr)
         if (region is None or region.kind == "device"
-                or not region.perm & (Perm.W if for_write else Perm.R)):
+                or not region.mask & (_W if for_write else _R)):
             mc[0] = 1
             mc[1] = 0
             return

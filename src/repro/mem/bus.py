@@ -5,12 +5,19 @@ bulk copies from rehosted kernel code, DMA from device models — goes
 through one :class:`MemoryBus`.  Observers registered on the bus see an
 :class:`~repro.mem.access.Access` per operation; this is the dynamic
 (EMBSAN-D) interception point.
+
+Every access pays for address resolution, so that path is kept to a few
+plain-int compares: the bus remembers the region its last access
+resolved to and tests that first, falling back to a bisect over region
+bases on a miss; permissions are tested as ``int`` masks, with the
+``Perm`` name rendered only for an error message; and an ``Access`` is
+built only when some observer will receive it, i.e. never inside
+:meth:`MemoryBus.untraced` and never on a bus nobody observes.
 """
 
 from __future__ import annotations
 
 import bisect
-from contextlib import contextmanager
 from typing import Callable, Iterable, List, Optional
 
 from repro.errors import BusError
@@ -20,6 +27,38 @@ from repro.mem.regions import MemoryRegion, Perm, check_no_overlap
 Observer = Callable[[Access], None]
 
 _SCALAR_SIZES = frozenset((1, 2, 4, 8))
+
+_R = int(Perm.R)
+_W = int(Perm.W)
+_X = int(Perm.X)
+
+
+class _NoRegion:
+    """Last-hit placeholder that no address resolves to."""
+
+    __slots__ = ()
+    base = 1
+    end = 0
+
+
+_NO_REGION = _NoRegion()
+
+
+class _Untraced:
+    """The reentrant guard :meth:`MemoryBus.untraced` returns."""
+
+    __slots__ = ("_bus",)
+
+    def __init__(self, bus: "MemoryBus"):
+        self._bus = bus
+
+    def __enter__(self) -> "MemoryBus":
+        bus = self._bus
+        bus._silent_depth += 1
+        return bus
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._bus._silent_depth -= 1
 
 
 class MemoryBus:
@@ -36,6 +75,9 @@ class MemoryBus:
         self._observers: tuple = ()
         self._write_watchers: tuple = ()
         self._silent_depth = 0
+        self._untraced = _Untraced(self)
+        #: region the last successful resolve landed in (see _resolve)
+        self._last = _NO_REGION
         #: optional FaultPlan whose mutate_load() filters guest loads
         self.fault_plan = None
         #: active write journal (pre-image log) or None; see journal_begin
@@ -53,6 +95,7 @@ class MemoryBus:
         idx = bisect.bisect_left(self._bases, region.base)
         self._regions.insert(idx, region)
         self._bases.insert(idx, region.base)
+        self._last = _NO_REGION
         return region
 
     def unmap(self, name: str) -> None:
@@ -61,6 +104,7 @@ class MemoryBus:
             if region.name == name:
                 del self._regions[idx]
                 del self._bases[idx]
+                self._last = _NO_REGION
                 return
         raise BusError(f"no region named {name!r} to unmap")
 
@@ -84,16 +128,29 @@ class MemoryBus:
         region = self._regions[idx]
         return region if addr < region.end else None
 
-    def _resolve(self, addr: int, size: int, want: Perm) -> MemoryRegion:
-        region = self.region_at(addr)
-        if region is None or not region.contains(addr, size):
+    def _resolve(self, addr: int, size: int, want: int) -> MemoryRegion:
+        """The region serving ``[addr, addr+size)`` with ``want`` access.
+
+        ``want`` is an int permission mask (``_R``/``_W``/``_X``).  The
+        last-hit test is exactly :meth:`region_at` plus
+        :meth:`MemoryRegion.contains` for that one region, so a hit and
+        a bisect always agree.
+        """
+        region = self._last
+        if not (region.base <= addr < region.end
+                and addr + size <= region.end):
+            region = self.region_at(addr)
+            if region is None or not region.contains(addr, size):
+                raise BusError(
+                    f"unmapped guest access at {addr:#010x} size {size}",
+                    addr=addr,
+                )
+            self._last = region
+        if not region.mask & want:
             raise BusError(
-                f"unmapped guest access at {addr:#010x} size {size}", addr=addr
-            )
-        if not region.perm & want:
-            raise BusError(
-                f"permission violation at {addr:#010x}: need {want.name}, "
-                f"region {region.name!r} grants {region.perm!r}",
+                f"permission violation at {addr:#010x}: need "
+                f"{Perm(want).name}, region {region.name!r} grants "
+                f"{region.perm!r}",
                 addr=addr,
             )
         return region
@@ -127,25 +184,20 @@ class MemoryBus:
             w for w in self._write_watchers if w is not watcher
         )
 
-    @contextmanager
-    def untraced(self):
+    def untraced(self) -> _Untraced:
         """Suppress observer notification inside the ``with`` block.
 
         Used for host-side manipulation that has no guest-visible
         counterpart: the firmware loader populating ROM, the Prober taking
         memory snapshots, report generators peeking at object contents.
-        """
-        self._silent_depth += 1
-        try:
-            yield self
-        finally:
-            self._silent_depth -= 1
 
-    def _notify(self, access: Access) -> None:
-        if self._silent_depth:
-            return
-        for observer in self._observers:
-            observer(access)
+        Returns the bus's one reusable guard, so entering it allocates
+        nothing.  Guards nest (each ``with`` adds one level) and ``with
+        bus.untraced() as b`` binds the bus itself.  While any level is
+        open, accesses build no ``Access`` and fault plans leave loads
+        alone.
+        """
+        return self._untraced
 
     # ------------------------------------------------------------------
     # write journal (crash-isolation rollback)
@@ -255,9 +307,11 @@ class MemoryBus:
         """Perform a scalar little-endian load and return the value."""
         if size not in _SCALAR_SIZES:
             raise BusError(f"invalid scalar load size {size}", addr=addr)
-        region = self._resolve(addr, size, Perm.R)
-        if self._observers:
-            self._notify(Access(addr, size, False, pc, task, atomic=atomic))
+        region = self._resolve(addr, size, _R)
+        if self._observers and not self._silent_depth:
+            access = Access(addr, size, False, pc, task, atomic=atomic)
+            for observer in self._observers:
+                observer(access)
         value = int.from_bytes(region.read(addr, size), "little")
         # fault injection applies to guest traffic only; untraced host
         # reads (report generators, the Prober) see pristine memory
@@ -277,9 +331,11 @@ class MemoryBus:
         """Perform a scalar little-endian store."""
         if size not in _SCALAR_SIZES:
             raise BusError(f"invalid scalar store size {size}", addr=addr)
-        region = self._resolve(addr, size, Perm.W)
-        if self._observers:
-            self._notify(Access(addr, size, True, pc, task, atomic=atomic))
+        region = self._resolve(addr, size, _W)
+        if self._observers and not self._silent_depth:
+            access = Access(addr, size, True, pc, task, atomic=atomic)
+            for observer in self._observers:
+                observer(access)
         if region.kind != "device":
             if self._journal is not None:
                 off = addr - region.base
@@ -298,7 +354,7 @@ class MemoryBus:
         channel; skips the context-manager round trip and the scalar-size
         guard (instruction decoding fixes the size to 1/2/4).
         """
-        region = self._resolve(addr, size, Perm.R)
+        region = self._resolve(addr, size, _R)
         value = int.from_bytes(region.read(addr, size), "little")
         if self.fault_plan is not None:
             # this path carries only guest (EVM32 template) loads
@@ -307,7 +363,7 @@ class MemoryBus:
 
     def store_silent(self, addr: int, size: int, value: int) -> None:
         """Scalar store with no observer notification (see load_silent)."""
-        region = self._resolve(addr, size, Perm.W)
+        region = self._resolve(addr, size, _W)
         if region.kind != "device":
             if self._journal is not None:
                 off = addr - region.base
@@ -332,9 +388,11 @@ class MemoryBus:
         """Read ``size`` raw bytes as one range access."""
         if size == 0:
             return b""
-        region = self._resolve(addr, size, Perm.R)
-        if self._observers:
-            self._notify(Access(addr, size, False, pc, task, kind=kind))
+        region = self._resolve(addr, size, _R)
+        if self._observers and not self._silent_depth:
+            access = Access(addr, size, False, pc, task, kind=kind)
+            for observer in self._observers:
+                observer(access)
         return region.read(addr, size)
 
     def write_bytes(
@@ -348,9 +406,11 @@ class MemoryBus:
         """Write raw bytes as one range access."""
         if not payload:
             return
-        region = self._resolve(addr, len(payload), Perm.W)
-        if self._observers:
-            self._notify(Access(addr, len(payload), True, pc, task, kind=kind))
+        region = self._resolve(addr, len(payload), _W)
+        if self._observers and not self._silent_depth:
+            access = Access(addr, len(payload), True, pc, task, kind=kind)
+            for observer in self._observers:
+                observer(access)
         if region.kind != "device":
             if self._journal is not None:
                 off = addr - region.base
@@ -381,7 +441,7 @@ class MemoryBus:
     # ------------------------------------------------------------------
     def fetch(self, addr: int, size: int) -> bytes:
         """Fetch instruction bytes; requires execute permission."""
-        region = self._resolve(addr, size, Perm.X)
+        region = self._resolve(addr, size, _X)
         return region.read(addr, size)
 
     # ------------------------------------------------------------------

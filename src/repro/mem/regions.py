@@ -8,9 +8,25 @@ from typing import Callable, Optional
 
 from repro.errors import BusError
 
-#: zero-filled regions at least this large use anonymous-mmap backing
+#: zero-filled buffers at least this large use anonymous-mmap backing
 #: (lazily faulted zero pages) instead of an eagerly memset bytearray
 _MMAP_MIN = 1 << 20
+
+
+def filled_buffer(size: int, fill: int = 0):
+    """A writable ``size``-byte buffer holding ``fill`` in every byte.
+
+    Large zero-filled buffers are an anonymous mmap: the kernel hands
+    out lazily faulted zero pages, so a 64 MiB DRAM region (or its
+    8 MiB shadow table) costs only the pages actually written.
+    Rebuild-heavy fuzzing constructs them thousands of times, and
+    ``bytearray(size)`` memsets and keeps resident the whole span every
+    time.  Iterating an mmap yields 1-byte ``bytes``, not ints, so
+    callers that iterate take a slice first.
+    """
+    if fill == 0 and size >= _MMAP_MIN:
+        return mmap.mmap(-1, size)
+    return bytearray([fill]) * size
 
 
 class Perm(enum.IntFlag):
@@ -49,23 +65,14 @@ class MemoryRegion:
         self.name = name
         self.base = base
         self.size = size
+        #: one past the highest mapped address
+        self.end = base + size
         self.perm = perm
+        #: ``perm`` as a plain int: the bus tests it on every access,
+        #: where an ``IntFlag`` ``&`` would construct a new enum member
+        self.mask = int(perm)
         self.kind = kind
-        fill &= 0xFF
-        # Large zero-filled regions are backed by an anonymous mmap:
-        # the kernel hands out lazily faulted zero pages, so a 64 MiB
-        # DRAM region costs only the pages the guest actually touches.
-        # Rebuild-heavy fuzzing constructs regions thousands of times,
-        # and bytearray(size) memsets the whole span every time.
-        if fill == 0 and size >= _MMAP_MIN:
-            self.data = mmap.mmap(-1, size)
-        else:
-            self.data = bytearray([fill]) * size
-
-    @property
-    def end(self) -> int:
-        """One past the highest mapped address."""
-        return self.base + self.size
+        self.data = filled_buffer(size, fill & 0xFF)
 
     def contains(self, addr: int, size: int = 1) -> bool:
         """True when [addr, addr+size) lies entirely inside the region."""

@@ -19,7 +19,7 @@ import enum
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.mem.bus import MemoryBus
-from repro.mem.regions import MmioRegion
+from repro.mem.regions import MmioRegion, filled_buffer
 
 #: Bytes of guest memory per shadow byte.
 GRANULE = 8
@@ -55,9 +55,9 @@ class _RegionShadow:
         self.base = base
         self.size = size
         granules = (size + GRANULE - 1) // GRANULE
-        # calloc-backed zero fill avoids touching every page up front
-        self.bytes = (bytearray(granules) if fill == 0
-                      else bytearray([fill]) * granules)
+        # a large zero table is an mmap (see filled_buffer): bytearray(n)
+        # would memset all of it up front and keep it resident
+        self.bytes = filled_buffer(granules, fill)
         #: shadow pages written since the last golden restore
         self.dirty: set = set()
         #: page index -> golden pre-image, kept on the page's first
@@ -329,10 +329,11 @@ class ShadowMemory:
     # ------------------------------------------------------------------
     def poisoned_bytes(self) -> int:
         """Granule count currently carrying any poison code (diagnostic)."""
+        # slice first: iterating an mmap table yields 1-byte bytes
         return sum(
             1
             for shadow in self._shadows
-            for value in shadow.bytes
+            for value in shadow.bytes[:]
             if value >= 0x80
         )
 

@@ -70,6 +70,52 @@ class TestMachineBoard:
         assert AccessKind.DMA in kinds
 
 
+class TestBusFanout:
+    """The MEM_ACCESS fan-out sits on the bus only while it is heard."""
+
+    def test_fresh_machine_has_no_bus_observers(self, machine):
+        assert machine.bus._observers == ()
+
+    def test_subscription_attaches_ahead_of_earlier_observers(self, machine):
+        order = []
+        machine.bus.add_observer(lambda a: order.append("bus"))
+        machine.hooks.add(EventKind.CONSOLE, lambda e: None)
+        assert len(machine.bus._observers) == 1
+        machine.hooks.add(EventKind.MEM_ACCESS, lambda a: order.append("hook"))
+        assert machine.bus._observers[0] is machine._bus_fanout
+        machine.bus.store(machine.arch.region("dram").base, 4, 1)
+        assert order == ["hook", "bus"]
+        second = machine.hooks.add(EventKind.MEM_ACCESS, lambda a: None)
+        assert machine.bus._observers.count(machine._bus_fanout) == 1
+        machine.hooks.remove(EventKind.MEM_ACCESS, second)
+        assert machine.bus._observers[0] is machine._bus_fanout
+
+    def test_last_removal_detaches(self, machine):
+        handler = machine.hooks.add(EventKind.MEM_ACCESS, lambda a: None)
+        machine.hooks.remove(EventKind.MEM_ACCESS, handler)
+        assert machine.bus._observers == ()
+
+    def test_clear_detaches(self, machine):
+        machine.bus.add_observer(lambda a: None)
+        machine.hooks.add(EventKind.MEM_ACCESS, lambda a: None)
+        machine.hooks.clear()
+        assert machine._bus_fanout not in machine.bus._observers
+        assert len(machine.bus._observers) == 1
+        machine.hooks.add(EventKind.MEM_ACCESS, lambda a: None)
+        machine.hooks.clear(EventKind.MEM_ACCESS)
+        assert machine._bus_fanout not in machine.bus._observers
+
+    def test_jit_quiet_follows_subscription(self, machine):
+        core = machine.add_cpu(engine="jit")
+        loads, stores, _silent_loads, _silent_stores = core._jit_mem_flags()
+        assert loads and stores
+        handler = machine.hooks.add(EventKind.MEM_ACCESS, lambda a: None)
+        loads, stores, _silent_loads, _silent_stores = core._jit_mem_flags()
+        assert not loads and not stores
+        machine.hooks.remove(EventKind.MEM_ACCESS, handler)
+        assert core._jit_mem_flags()[:2] == (True, True)
+
+
 class TestHypercalls:
     def test_ready(self, machine):
         fired = []

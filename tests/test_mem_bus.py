@@ -1,6 +1,9 @@
 """Unit tests: memory regions, the system bus and access events."""
 
+from contextlib import nullcontext
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import BusError
 from repro.mem.access import Access, AccessKind
@@ -175,6 +178,179 @@ class TestObservers:
         bus.write_bytes(0x1000, b"xy")
         assert seen[0].kind is AccessKind.RANGE
         assert seen[0].size == 2
+
+
+class TestUntracedGuard:
+    def test_nested_guards_restore_depth(self):
+        bus = make_bus()
+        with bus.untraced() as outer:
+            assert outer is bus
+            assert bus._silent_depth == 1
+            with bus.untraced() as inner:
+                assert inner is bus
+                assert bus._silent_depth == 2
+            assert bus._silent_depth == 1
+        assert bus._silent_depth == 0
+
+    def test_exception_restores_depth(self):
+        bus = make_bus()
+        with pytest.raises(BusError):
+            with bus.untraced():
+                with bus.untraced():
+                    bus.load(0x9000, 4)
+        assert bus._silent_depth == 0
+        seen = []
+        bus.add_observer(seen.append)
+        bus.load(0x1000, 4)
+        assert len(seen) == 1
+
+    def test_fault_plan_skips_untraced_load(self):
+        class FlipAll:
+            def mutate_load(self, addr, size, value):
+                return value ^ 1
+
+        bus = make_bus()
+        bus.store(0x1000, 4, 0x10)
+        bus.fault_plan = FlipAll()
+        assert bus.load(0x1000, 4) == 0x11
+        with bus.untraced():
+            assert bus.load(0x1000, 4) == 0x10
+
+
+#: every permission combination, not just the named members
+ALL_PERMS = [Perm(value) for value in range(8)]
+
+
+class _LinearScanBus(MemoryBus):
+    """Reference bus: a linear scan over the map and IntFlag permissions."""
+
+    def _resolve(self, addr, size, want):
+        want = Perm(want)
+        for region in self.regions:
+            if region.base <= addr < region.base + region.size:
+                if addr + size > region.base + region.size:
+                    break
+                if not region.perm & want:
+                    raise BusError(
+                        f"permission violation at {addr:#010x}: need "
+                        f"{want.name}, region {region.name!r} grants "
+                        f"{region.perm!r}",
+                        addr=addr,
+                    )
+                return region
+        raise BusError(
+            f"unmapped guest access at {addr:#010x} size {size}", addr=addr
+        )
+
+
+def _build(spec, log):
+    name, base, size, perm, device = spec
+    if not device:
+        return MemoryRegion(name, base, size, perm, "ram")
+    return MmioRegion(
+        name, base, size,
+        on_read=lambda off, n: (off * 31 + n) & 0xFFFFFFFF,
+        on_write=lambda off, n, value: log.append((name, off, n, value)),
+    )
+
+
+_region_specs = st.lists(
+    st.tuples(
+        st.integers(0, 15),  # base slot: 0x40 apart, so maps abut or gap
+        st.sampled_from([0x20, 0x40, 0x80]),
+        st.sampled_from(ALL_PERMS),
+        st.integers(0, 4),  # 0 makes a device region
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("map"), st.integers(0, 5)),
+        st.tuples(st.just("unmap"), st.integers(0, 5)),
+        st.tuples(
+            st.sampled_from(
+                ["load", "store", "read_bytes", "write_bytes", "fetch",
+                 "load_silent", "store_silent"]
+            ),
+            st.integers(0, 5),  # anchor region
+            st.booleans(),  # anchor at its base (True) or end (False)
+            st.integers(-9, 9),  # offset from the anchor
+            st.integers(0, 3),  # size selector
+            st.booleans(),  # inside untraced()
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestCachedResolver:
+    """The last-hit resolver against a linear scan, outcome by outcome."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_region_specs, _ops, st.integers(0, 0xFFFFFFFF))
+    def test_matches_linear_scan(self, raw_specs, ops, value):
+        specs = [
+            (f"r{i}", slot * 0x40, size, perm, pick == 0)
+            for i, (slot, size, perm, pick) in enumerate(raw_specs)
+        ]
+        logs = ([], [])
+        seen = ([], [])
+        buses = (MemoryBus(), _LinearScanBus())
+        for bus, log, accesses in zip(buses, logs, seen):
+            bus.add_observer(
+                lambda a, out=accesses: out.append(
+                    (a.addr, a.size, a.is_write, a.kind)
+                )
+            )
+            for spec in specs[::2]:
+                try:
+                    bus.map(_build(spec, log))
+                except BusError:
+                    pass
+
+        def run(bus, log, op):
+            kind = op[0]
+            if kind == "map":
+                return bus.map(_build(specs[op[1] % len(specs)], log)).name
+            if kind == "unmap":
+                # a mapped region, so the cached one is often the victim
+                mapped = [region.name for region in bus.regions]
+                name = mapped[op[1] % len(mapped)] if mapped else "none"
+                return bus.unmap(name)
+            _, anchor, at_base, delta, pick, silent = op
+            _name, base, size, _perm, _device = specs[anchor % len(specs)]
+            addr = max((base if at_base else base + size) + delta, 0)
+            scalar = (1, 2, 4, 8)[pick]
+            with bus.untraced() if silent else nullcontext():
+                if kind == "load":
+                    return bus.load(addr, scalar)
+                if kind == "store":
+                    return bus.store(addr, scalar, value)
+                if kind == "read_bytes":
+                    return bus.read_bytes(addr, pick * 4)
+                if kind == "write_bytes":
+                    return bus.write_bytes(addr, bytes(range(pick * 4)))
+                if kind == "fetch":
+                    return bus.fetch(addr, scalar)
+                if kind == "load_silent":
+                    return bus.load_silent(addr, min(scalar, 4))
+                return bus.store_silent(addr, min(scalar, 4), value)
+
+        for op in ops:
+            outcomes = []
+            for bus, log in zip(buses, logs):
+                try:
+                    outcomes.append(("ok", run(bus, log, op)))
+                except BusError as exc:
+                    outcomes.append(("err", type(exc), str(exc), exc.addr))
+            assert outcomes[0] == outcomes[1], op
+        assert logs[0] == logs[1]
+        assert seen[0] == seen[1]
+        fast, ref = (bus.regions for bus in buses)
+        assert [r.name for r in fast] == [r.name for r in ref]
+        assert [bytes(r.data) for r in fast] == [bytes(r.data) for r in ref]
 
 
 class TestMmio:

@@ -1,7 +1,12 @@
 """Unit + property tests: the unified shadow memory."""
 
+import mmap
+import tracemalloc
+
 from hypothesis import given, settings, strategies as st
 
+from repro.emulator.arch import arch_by_name
+from repro.emulator.machine import Machine
 from repro.mem.bus import MemoryBus
 from repro.mem.regions import MemoryRegion, MmioRegion, Perm
 from repro.sanitizers.runtime.shadow import GRANULE, ShadowCode, ShadowMemory
@@ -88,6 +93,40 @@ class TestBasics:
         assert shadow.poisoned_bytes() == 0
         shadow.poison(BASE, 80, ShadowCode.FREED)
         assert shadow.poisoned_bytes() == 10
+
+
+class TestLargeTables:
+    """Big zero tables are anonymous mmaps, not memset bytearrays."""
+
+    def test_x86_machine_shadow_allocates_no_heap_table(self):
+        bus = Machine(arch_by_name("x86")).bus
+        tracemalloc.start()
+        try:
+            shadow = ShadowMemory(bus)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 137 MiB of x86 RAM would be a 17 MiB bytearray shadow
+        assert peak < 1 << 20
+        assert any(isinstance(s.bytes, mmap.mmap) for s in shadow._shadows)
+
+    def test_mmap_table_counts_and_restores(self):
+        bus = MemoryBus()
+        base = 0x1000_0000
+        bus.map(MemoryRegion("dram", base, 16 << 20, Perm.RW, "ram"))
+        shadow = ShadowMemory(bus)
+        assert isinstance(shadow._shadows[0].bytes, mmap.mmap)
+        assert shadow.poisoned_bytes() == 0
+        shadow.begin_golden()
+        shadow.poison(base + 0x40, 80, ShadowCode.FREED)
+        shadow.poison(base + (8 << 20), 16, ShadowCode.REDZONE_HEAP)
+        assert shadow.poisoned_bytes() == 12
+        assert shadow.check(base + 0x48, 1) == (base + 0x48, 0xFF)
+        saved = shadow.save_state()
+        shadow.restore_golden()
+        assert shadow.poisoned_bytes() == 0
+        shadow.load_state(saved)
+        assert shadow.poisoned_bytes() == 12
 
 
 aligned_offsets = st.integers(0, (SIZE - 256) // GRANULE).map(
