@@ -16,15 +16,11 @@ large-RAM firmware:
 * ``cases.large.forkserver.execs_per_sec`` — delta-restore throughput
 * ``cases.large.speedup``                  — fork-server vs journal ratio
 
-``BENCH_jit.json`` (recognized by its ``jit_hotness_threshold`` key;
-throughput, higher is better) gates both TCG tiers' rates plus the
-absolute floor the JIT tier was accepted with:
+``BENCH_isa.json`` (recognized by its ``spec_bare`` key; throughput,
+higher is better) gates the TCG engine's hot-loop rates:
 
-* ``spec_bare.insn_per_sec``        — bare default-tier (thunk) throughput
-* ``spec_kasan_kcsan.insn_per_sec`` — fully sanitized default-tier throughput
-* ``jit_bare.insn_per_sec``         — compiled-trace bare throughput
-* ``jit_kasan_kcsan.insn_per_sec``  — compiled-trace sanitized throughput
-* ``speedup_bare``                  — must stay >= the 3x floor
+* ``spec_bare.insn_per_sec``        — bare TCG throughput
+* ``spec_kasan_kcsan.insn_per_sec`` — fully sanitized TCG throughput
 
 Improvements and small fluctuations pass; CI runners are noisy, which
 is why the threshold is generous and why only *relative* changes gate.
@@ -51,16 +47,11 @@ EXECS_GATED = (
     "cases.large.speedup",
 )
 
-#: (json key, metric) pairs gated in jit documents (higher = better)
-JIT_GATED = (
+#: (json key, metric) pairs gated in isa documents (higher = better)
+ISA_GATED = (
     ("spec_bare", "insn_per_sec"),
     ("spec_kasan_kcsan", "insn_per_sec"),
-    ("jit_bare", "insn_per_sec"),
-    ("jit_kasan_kcsan", "insn_per_sec"),
 )
-
-#: absolute floor: the jit tier's reason to exist (ISSUE 9)
-JIT_MIN_SPEEDUP_BARE = 3.0
 
 
 def load(path: str) -> dict:
@@ -137,12 +128,10 @@ def check_execs(baseline: dict, current: dict, max_drop: float) -> list:
     return failures
 
 
-def check_jit(baseline: dict, current: dict, max_drop: float) -> list:
-    """JIT gate: relative throughput drops plus the absolute speedup
-    floor — a tier that stops compiling is a regression even when the
-    baseline recording was slow enough to hide it."""
+def check_isa(baseline: dict, current: dict, max_drop: float) -> list:
+    """ISA gate: relative drops of the TCG hot-loop throughput."""
     failures = []
-    for key, metric in JIT_GATED:
+    for key, metric in ISA_GATED:
         name = f"{key}.{metric}"
         try:
             base = float(baseline[key][metric])
@@ -158,21 +147,6 @@ def check_jit(baseline: dict, current: dict, max_drop: float) -> list:
         print(f"{status:4s} {name:32s} {row}")
         if drop > max_drop:
             failures.append((name, base, cur, drop))
-    try:
-        speedup = float(current["speedup_bare"])
-    except (KeyError, TypeError, ValueError):
-        failures.append(("speedup_bare", None, None, None))
-        return failures
-    floor = JIT_MIN_SPEEDUP_BARE
-    status = "FAIL" if speedup < floor else "ok"
-    print(
-        f"{status:4s} {'speedup_bare':32s} floor    {floor:14,.2f}  "
-        f"current {speedup:14,.2f}"
-    )
-    if speedup < floor:
-        failures.append(
-            ("speedup_bare [floor]", floor, speedup, (floor - speedup) / floor)
-        )
     return failures
 
 
@@ -182,8 +156,8 @@ def check(baseline: dict, current: dict, max_drop: float) -> list:
         return check_fleet(baseline, current, max_drop)
     if "cases" in baseline or "cases" in current:
         return check_execs(baseline, current, max_drop)
-    if "jit_hotness_threshold" in baseline or "jit_hotness_threshold" in current:
-        return check_jit(baseline, current, max_drop)
+    if "spec_bare" in baseline or "spec_bare" in current:
+        return check_isa(baseline, current, max_drop)
     print("error: unrecognized benchmark document kind", file=sys.stderr)
     raise SystemExit(2)
 

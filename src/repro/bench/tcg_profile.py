@@ -1,14 +1,14 @@
-"""Wall-clock hot-loop profile for the TCG engine tiers.
+"""Wall-clock hot-loop profile for the TCG engine.
 
 The Figure-2 cost model reports *modeled* guest-cycle ratios, which are
 engine-independent by construction; this module measures the orthogonal
-quantity — how many guest instructions per host second each execution
-tier actually retires — on a figure-2-style workload: a memory-heavy
-inner loop (the fill/scan mix the overhead corpus replays) plus calls
-and branches, run bare and with KASAN+KCSAN attached in EMBSAN-D mode.
+quantity — how many guest instructions per host second the engine
+actually retires — on a figure-2-style workload: a memory-heavy inner
+loop (the fill/scan mix the overhead corpus replays) plus calls and
+branches, run bare and with KASAN+KCSAN attached in EMBSAN-D mode.
 
-Used by ``benchmarks/bench_jit.py`` to produce the committed
-``BENCH_jit.json`` artifact.
+Used by ``benchmarks/bench_isa.py`` to produce the committed
+``BENCH_isa.json`` artifact.
 """
 
 from __future__ import annotations
@@ -104,44 +104,19 @@ def profile_mode(engine: str, sanitized: bool, iterations: int = 2000,
         "insn_per_sec": executed / elapsed if elapsed else 0.0,
         "guest_cycles": core.cycles,
     }
-    for counter in ("tb_chain_hits", "tb_flush_count", "tb_evictions",
-                    "tb_compiled", "jit_deopts", "jit_trace_execs"):
+    for counter in ("tb_chain_hits", "tb_flush_count", "tb_evictions"):
         if hasattr(core, counter):
             out[counter] = getattr(core, counter)
     return out
 
 
-def profile_jit_all(iterations: int = 2000) -> Dict[str, Dict[str, float]]:
-    """Profile the jit tier against the specialized baseline.
+def profile_isa_all(iterations: int = 2000) -> Dict[str, Dict[str, float]]:
+    """Profile the TCG engine bare and fully sanitized.
 
-    Returns a dict keyed ``spec_bare`` / ``jit_bare`` /
-    ``spec_kasan_kcsan`` / ``jit_kasan_kcsan`` plus the derived
-    ``speedup_bare`` / ``speedup_sanitized`` ratios and the tier
-    counters the BENCH_jit document stamps.
+    Returns a dict keyed ``spec_bare`` / ``spec_kasan_kcsan``, the rows
+    the BENCH_isa document gates.
     """
-    from repro.isa.tcg import TcgEngine
-
-    results = {
+    return {
         "spec_bare": profile_mode("tcg", False, iterations),
-        "jit_bare": profile_mode("jit", False, iterations),
         "spec_kasan_kcsan": profile_mode("tcg", True, iterations),
-        "jit_kasan_kcsan": profile_mode("jit", True, iterations),
     }
-    results["speedup_bare"] = (
-        results["jit_bare"]["insn_per_sec"]
-        / results["spec_bare"]["insn_per_sec"]
-    )
-    results["speedup_sanitized"] = (
-        results["jit_kasan_kcsan"]["insn_per_sec"]
-        / results["spec_kasan_kcsan"]["insn_per_sec"]
-    )
-    results["jit_hotness_threshold"] = TcgEngine.DEFAULT_JIT_THRESHOLD
-    results["tb_compiled"] = int(
-        results["jit_bare"].get("tb_compiled", 0)
-        + results["jit_kasan_kcsan"].get("tb_compiled", 0)
-    )
-    results["jit_deopts"] = int(
-        results["jit_bare"].get("jit_deopts", 0)
-        + results["jit_kasan_kcsan"].get("jit_deopts", 0)
-    )
-    return results

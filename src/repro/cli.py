@@ -703,7 +703,7 @@ def _cmd_table2(_args) -> int:
 def _add_spec_args(parser) -> None:
     """The campaign-spec flags ``fuzz``, ``fuzz-all`` and ``submit``
     share; :func:`_spec_from_args` turns them into a CampaignSpec."""
-    from repro.fuzz.spec import ENGINES, EXEC_MODES, SEED_SCHEDULES, SURFACES
+    from repro.fuzz.spec import EXEC_MODES, SEED_SCHEDULES, SURFACES
 
     parser.add_argument("--budget", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=1)
@@ -722,13 +722,6 @@ def _add_spec_args(parser) -> None:
                              "GuestHang")
     parser.add_argument("--watchdog-cycles", type=float, default=None,
                         help="per-program cycle budget before GuestHang")
-    parser.add_argument("--engine", default="tcg", choices=ENGINES,
-                        help="ISA execution tier: specialized TCG "
-                             "(default) or the tiered JIT (see docs/jit.md)")
-    parser.add_argument("--jit-threshold", type=int, default=None,
-                        metavar="N",
-                        help="block executions before a hot trace is "
-                             "compiled (engine=jit only)")
     parser.add_argument("--exec-mode", default="journal", choices=EXEC_MODES,
                         help="target reset strategy: per-program journal + "
                              "rebuild-per-refresh, or a golden fork-server "

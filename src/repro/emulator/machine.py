@@ -61,14 +61,6 @@ class Machine:
         self._charged_guest_cycles = 0
         self.overhead_cycles = 0
 
-        #: engine kind used when ``add_cpu`` is called without an explicit
-        #: ``engine`` (OS boot paths go through this, so campaigns can
-        #: select the jit tier before ``image.boot()`` attaches CPUs)
-        self.isa_engine = "tcg"
-        #: hotness threshold handed to jit-tier engines; None keeps
-        #: :attr:`TcgEngine.DEFAULT_JIT_THRESHOLD`
-        self.jit_threshold: Optional[int] = None
-
         #: optional hang guard shared by every engine and charge_guest
         self.watchdog = None
         #: optional deterministic fault-injection plan (see emulator/faults.py)
@@ -138,9 +130,8 @@ class Machine:
         """Route bus accesses into the hooks only while MEM_ACCESS is heard.
 
         With no MEM_ACCESS handler the fan-out is detached, so the bus
-        builds no ``Access`` at all and the jit tier may inline region
-        reads/writes.  It re-attaches ahead of every other bus observer,
-        so hook subscribers keep seeing each access first.
+        builds no ``Access`` at all.  It re-attaches ahead of every other
+        bus observer, so hook subscribers keep seeing each access first.
         """
         bus = self.bus
         fanout = self._bus_fanout
@@ -243,23 +234,15 @@ class Machine:
     # ------------------------------------------------------------------
     # execution engines
     # ------------------------------------------------------------------
-    def add_cpu(self, pc: int = 0, sp: int = 0,
-                engine: Optional[str] = None):
+    def add_cpu(self, pc: int = 0, sp: int = 0, engine: str = "tcg"):
         """Attach an execution engine for EVM32 code.
 
         ``engine`` selects the implementation: ``"tcg"`` (translation
-        blocks, specialized closures — the default), ``"jit"`` (the tcg
-        engine with the hot-trace compiled tier enabled) or ``"interp"``
-        (the reference single-step :class:`Cpu`).  ``None`` falls back to
-        the machine-wide :attr:`isa_engine` default.
+        blocks, specialized closures — the default) or ``"interp"`` (the
+        reference single-step :class:`Cpu`, kept as the test oracle).
         """
-        if engine is None:
-            engine = self.isa_engine
         if engine == "tcg":
             core = TcgEngine(self.bus, pc=pc, sp=sp, hypercall=self._hypercall)
-        elif engine == "jit":
-            core = TcgEngine(self.bus, pc=pc, sp=sp, hypercall=self._hypercall,
-                             jit=True, jit_threshold=self.jit_threshold)
         elif engine == "interp":
             core = Cpu(self.bus, pc=pc, sp=sp, hypercall=self._hypercall)
         else:

@@ -12,9 +12,9 @@ The watchdog meters two independent budgets:
 
 ``insn_budget``
     ISA instructions retired since the last :meth:`reset`.  Consumed by
-    ``TcgEngine.run`` once per executed translation block (compiled jit
-    traces charge per constituent block too) and by ``Cpu.run`` per
-    instruction, so a trip overshoots by at most one block.
+    ``TcgEngine.run`` once per executed translation block and by
+    ``Cpu.run`` per instruction, so a TCG trip overshoots by at most one
+    block.
 
 ``cycle_budget``
     Guest cycles charged since the last :meth:`reset`.  Consumed by

@@ -132,10 +132,6 @@ def run_campaign(
     golden snapshot by copying back only dirty pages.  The census is
     byte-identical either way; only throughput differs.
 
-    ``engine`` selects the ISA execution tier (``"tcg"`` or ``"jit"`` —
-    see ``docs/jit.md``), with its hot-trace compile threshold; census
-    output is engine-invariant, only throughput differs.
-
     ``surface="driver"`` fuzzes the firmware's driver-op surface instead
     of its syscall/task API: the build attaches the modeled peripherals
     (``build_firmware(driver=True)``), the interface spec comes from the

@@ -33,8 +33,8 @@ campaign's trajectory — ``firmware``, ``seed``, ``seeds``,
 effective cadence: checkpoint cadence is part of the identity) and
 ``surface``.  A resume under a different value is refused with
 :class:`FuzzerError`, as a seed mismatch is.  ``budget`` is exempt
-(sharded rounds extend it), and so are the engine tier, the exec mode
-and the JIT threshold, under which the census is invariant by contract
+(sharded rounds extend it), and so is the exec mode, under which the
+census is invariant by contract
 (:data:`~repro.fuzz.spec.RESUMABLE_FIELDS`).
 Checkpoints without an ``identity`` (older files) resume as before.
 """

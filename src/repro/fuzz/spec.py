@@ -11,8 +11,11 @@ The JSON codec (:meth:`CampaignSpec.to_json` /
 :meth:`CampaignSpec.from_json`) is the single producer-consumer
 contract.  Its keys are the field names, plus ``version``.  A dict with
 no ``version`` decodes as version 1, which is exactly the shape serve
-specs had before the version field existed.  Unknown keys and future
-versions are rejected.
+specs had before the version field existed.  Version 1 also carried
+``engine`` and ``jit_threshold``, the knobs of a removed ISA tier; a v1
+dict decodes when they hold their only surviving values (``"tcg"`` and
+``null``) and is rejected otherwise.  Unknown keys and other versions
+are rejected.
 
 The firmware name is checked only syntactically (a non-empty string).
 An unknown firmware is admitted and fails when the campaign builds it,
@@ -30,7 +33,7 @@ from typing import Optional, Tuple
 from repro.errors import FuzzerError
 
 #: version written by :meth:`CampaignSpec.to_json`
-SPEC_VERSION = 1
+SPEC_VERSION = 2
 #: default per-firmware execution budget for a scaled-down campaign
 DEFAULT_BUDGET = 1500
 #: firmware of a catalog-sweep template; the job factories replace it
@@ -44,16 +47,16 @@ SEED_SCHEDULES = ("uniform", "rarity")
 #: target reset strategies: per-program journal + rebuild-per-refresh,
 #: or a golden fork-server snapshot with dirty-page delta restores
 EXEC_MODES = ("journal", "forkserver")
-#: ISA execution tiers (see ``docs/jit.md``)
-ENGINES = ("tcg", "jit")
 #: fuzz surfaces: the syscall/task API, or the driver-op surface of a
 #: ``driver=True`` build (modeled peripherals)
 SURFACES = ("syscall", "driver")
 
 #: fields a checkpoint may be resumed under with a different value:
 #: sharded rounds extend the budget, and the census is invariant under
-#: the engine tier, the exec mode and the JIT threshold
-RESUMABLE_FIELDS = ("budget", "engine", "exec_mode", "jit_threshold")
+#: the exec mode
+RESUMABLE_FIELDS = ("budget", "exec_mode")
+#: version-1 fields that v2 dropped, with the one value each may hold
+_V1_REMOVED = {"engine": "tcg", "jit_threshold": None}
 #: fields the fuzzer frontends take as keyword arguments of the same name
 _FUZZER_FIELDS = (
     "seed",
@@ -62,8 +65,6 @@ _FUZZER_FIELDS = (
     "watchdog_cycles",
     "seed_schedule",
     "exec_mode",
-    "engine",
-    "jit_threshold",
     "surface",
 )
 
@@ -105,8 +106,8 @@ class CampaignSpec:
     those seeds; otherwise ``seed`` runs one campaign.  ``sanitizers``
     defaults to the tools the firmware's catalog rows need.  ``faults``
     is the fault-plan DSL, compiled with ``fault_seed`` (default:
-    ``seed``).  ``None`` for ``crash_budget``, ``watchdog_insns``,
-    ``watchdog_cycles`` and ``jit_threshold`` means the engine default.
+    ``seed``).  ``None`` for ``crash_budget``, ``watchdog_insns`` and
+    ``watchdog_cycles`` means the engine default.
     ``checkpoint_every=0`` means the default cadence.
     """
 
@@ -123,8 +124,6 @@ class CampaignSpec:
     seed_schedule: str = "uniform"
     checkpoint_every: int = 0
     exec_mode: str = "journal"
-    engine: str = "tcg"
-    jit_threshold: Optional[int] = None
     surface: str = "syscall"
 
     def __post_init__(self) -> None:
@@ -136,7 +135,6 @@ class CampaignSpec:
         _check_int("crash_budget", self.crash_budget, low=0, optional=True)
         _check_int("watchdog_insns", self.watchdog_insns, low=0, optional=True)
         _check_int("checkpoint_every", self.checkpoint_every, low=0)
-        _check_int("jit_threshold", self.jit_threshold, low=1, optional=True)
         cycles = self.watchdog_cycles
         if cycles is not None and (
             not isinstance(cycles, (int, float))
@@ -146,7 +144,6 @@ class CampaignSpec:
             _reject("watchdog_cycles", cycles, "a number >= 0")
         _check_choice("seed_schedule", self.seed_schedule, SEED_SCHEDULES)
         _check_choice("exec_mode", self.exec_mode, EXEC_MODES)
-        _check_choice("engine", self.engine, ENGINES)
         _check_choice("surface", self.surface, SURFACES)
         seeds = _as_tuple("seeds", self.seeds, lambda s: _check_int("seeds", s))
         sanitizers = _as_tuple(
@@ -182,11 +179,23 @@ class CampaignSpec:
             raise FuzzerError(f"spec must be an object, got {type(data).__name__}")
         data = dict(data)
         version = data.pop("version", 1)
-        if version != SPEC_VERSION:
+        if (
+            not isinstance(version, int)
+            or isinstance(version, bool)
+            or version not in (1, SPEC_VERSION)
+        ):
             raise FuzzerError(
                 f"spec version {version!r} not supported "
-                f"(this build speaks version {SPEC_VERSION})"
+                f"(this build speaks versions 1 and {SPEC_VERSION})"
             )
+        if version == 1:
+            for name, only in _V1_REMOVED.items():
+                value = data.pop(name, only)
+                if value != only:
+                    raise FuzzerError(
+                        f"spec.{name}={value!r} selects the removed jit "
+                        f"tier; only {only!r} is still accepted"
+                    )
         unknown = sorted(set(data) - {field.name for field in fields(cls)})
         if unknown:
             raise FuzzerError(f"unknown spec fields: {', '.join(unknown)}")

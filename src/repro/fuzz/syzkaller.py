@@ -38,8 +38,6 @@ class SyzkallerFuzzer(FuzzerEngine):
         seed_schedule: str = "uniform",
         shard=None,
         exec_mode: str = "journal",
-        engine: str = "tcg",
-        jit_threshold=None,
         surface: str = "syscall",
     ):
         if surface not in SURFACES:
@@ -60,8 +58,6 @@ class SyzkallerFuzzer(FuzzerEngine):
                 coverage = KcovCoverage(image.machine)
             else:
                 coverage = EmulatorCoverage(image.machine)
-            image.machine.isa_engine = engine
-            image.machine.jit_threshold = jit_threshold
             image.boot()
             # arm hardening after boot so boot-time work never trips the
             # per-program watchdog; the shared fault plan keeps one RNG

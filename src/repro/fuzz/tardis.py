@@ -46,8 +46,6 @@ class TardisFuzzer(FuzzerEngine):
         seed_schedule: str = "uniform",
         shard=None,
         exec_mode: str = "journal",
-        engine: str = "tcg",
-        jit_threshold=None,
         surface: str = "syscall",
     ):
         if surface not in SURFACES:
@@ -65,8 +63,6 @@ class TardisFuzzer(FuzzerEngine):
             )
             runtime = attach_runtime(image, sanitizers=self.sanitizers)
             coverage = EmulatorCoverage(image.machine)
-            image.machine.isa_engine = engine
-            image.machine.jit_threshold = jit_threshold
             image.boot()
             # arm hardening after boot so boot-time work never trips the
             # per-program watchdog; the shared fault plan keeps one RNG

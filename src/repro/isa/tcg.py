@@ -13,37 +13,25 @@ Guest code executed here performs its memory traffic *untraced* on the
 bus: the injected probes are the single notification channel, so an
 attached runtime never sees the same access twice.
 
-Two execution tiers share the block cache and probe machinery:
+``translate()`` compiles *every* instruction into a closure with its
+operands, immediates and probe set pre-bound, so ``_exec_block`` is a
+tight loop over pre-built thunks with no opcode comparisons or dict
+lookups on the hot path.  ``run()`` additionally chains blocks: a block
+whose terminator has static successors (jump, call, conditional branch,
+fall-through) links directly to the successor ``TranslationBlock``,
+skipping the cache lookup entirely.  Links carry the translation
+generation and die on ``flush_tbs()``; ``invalidate_range()`` (journal
+rollback, fork-server dirty-span restore) drops only the overlapping
+blocks.  Scalar guest stores into translated code flush and exit the
+current block, so self-modifying code re-translates before its next
+instruction executes.  Bulk writes into translated code
+(``write_bytes``/``fill``/``copy``/DMA) flush via a bus write watcher and
+take effect at the next block boundary.
 
-* **specialized** (default) — ``translate()`` compiles *every* instruction
-  into a closure with its operands, immediates and probe set pre-bound, so
-  ``_exec_block`` is a tight loop over pre-built thunks with no opcode
-  comparisons or dict lookups on the hot path.  ``run()`` additionally
-  chains blocks: a block whose terminator has static successors (jump,
-  call, conditional branch, fall-through) links directly to the successor
-  ``TranslationBlock``, skipping the cache lookup entirely.  Links carry
-  the translation generation and die on ``flush_tbs()``; scalar guest
-  stores into translated code flush and exit the current block, so
-  self-modifying code re-translates before its next instruction executes.
-  Bulk writes into translated code (``write_bytes``/``fill``/``copy``/DMA)
-  flush via a bus write watcher and take effect at the next block
-  boundary.
-* **jit** (opt-in via ``jit=True``) — per-TB execution counters; when a
-  block crosses the hotness threshold, the whole chained superblock
-  reachable from it is compiled to a single Python function: registers
-  become locals, immediates become literals, loads/stores and sanitizer
-  probes call the same pre-bound ``MemoryBus``/probe fast paths the
-  thunks use, and cycle/instruction/host-op accounting plus watchdog
-  charging happen per constituent block, so observable state is
-  bit-identical to the thunk tier.  Deopt mirrors TB chaining exactly:
-  ``flush_tbs()`` (SMC, probe changes, bulk/DMA writes, snapshot
-  restore) and ``invalidate_range()`` (journal rollback, fork-server
-  dirty-span restore) kill overlapping traces through a shared liveness
-  cell that compiled code re-checks at every block boundary.
-
-Both tiers retire the same architectural state and charge the same guest
-cycles and instruction counts as the reference :class:`repro.isa.cpu.Cpu`,
-so the calibrated Figure-2 cost model is engine-independent.
+The engine retires the same architectural state and charges the same
+guest cycles and instruction counts as the reference
+:class:`repro.isa.cpu.Cpu`, so the calibrated Figure-2 cost model is
+engine-independent.
 """
 
 from __future__ import annotations
@@ -61,7 +49,7 @@ from repro.isa.insn import (
     sign32,
 )
 from repro.mem.access import Access, AccessKind
-from repro.mem.bus import _R, _W, MemoryBus
+from repro.mem.bus import MemoryBus
 
 #: Probe delegate signature: receives a fully reconstructed Access.
 MemProbe = Callable[[Access], None]
@@ -82,9 +70,6 @@ TB_CACHE_CAPACITY = 2048
 #: (taken + fall-through), the cap only guards degenerate exits.
 _MAX_LINKS = 4
 
-#: Maximum translation blocks stitched into one compiled JIT trace.
-MAX_TRACE_BLOCKS = 8
-
 _M = 0xFFFFFFFF
 _DATA = AccessKind.DATA
 
@@ -98,7 +83,7 @@ class TranslationBlock:
     """One translated basic block: entry pc, length, and executable ops."""
 
     __slots__ = ("pc", "insns", "ops", "host_ops", "cum_cycles", "pre_charge",
-                 "end_pc", "links", "generation", "exec_count", "jit_fn")
+                 "end_pc", "links", "generation")
 
     def __init__(self, pc: int, insns: List[Instruction], ops: List,
                  host_ops: int, cum_cycles: Tuple[int, ...],
@@ -126,46 +111,13 @@ class TranslationBlock:
         #: translation generation; ``run()`` refuses chained links whose
         #: generation predates the last ``flush_tbs()``.
         self.generation = generation
-        #: executions observed while the JIT tier is enabled; crossing the
-        #: hotness threshold triggers trace compilation with this block as
-        #: the entry.
-        self.exec_count = 0
-        #: compiled trace executor entered when ``run()`` resolves this
-        #: block; None until hot (or after deopt).
-        self.jit_fn = None
 
     def __len__(self) -> int:
         return len(self.insns)
 
 
-class _JitTrace:
-    """One compiled trace: entry block, executor, and covered code span."""
-
-    __slots__ = ("entry", "fn", "lo", "hi", "alive")
-
-    def __init__(self, entry: TranslationBlock, fn, lo: int, hi: int,
-                 alive: List[bool]):
-        self.entry = entry
-        self.fn = fn
-        self.lo = lo
-        self.hi = hi
-        #: shared liveness cell baked into the compiled code, checked at
-        #: every block boundary; invalidation flips it so an in-flight
-        #: trace side-exits instead of executing stale translations.
-        self.alive = alive
-
-
 class TcgEngine:
     """Basic-block translating executor for EVM32 guest code."""
-
-    #: class-wide default for the ``jit`` flag; tests flip this to run
-    #: whole firmware builds under the compiled-trace tier.
-    DEFAULT_JIT = False
-
-    #: executions of a block before its trace is compiled.  Low enough
-    #: that short fuzz programs reach the compiled tier, high enough that
-    #: one-shot boot code never pays for compilation.
-    DEFAULT_JIT_THRESHOLD = 16
 
     def __init__(
         self,
@@ -174,8 +126,6 @@ class TcgEngine:
         sp: int = 0,
         hypercall: Optional[HypercallHandler] = None,
         tb_cache_capacity: int = TB_CACHE_CAPACITY,
-        jit: Optional[bool] = None,
-        jit_threshold: Optional[int] = None,
     ):
         self.bus = bus
         self.state = CpuState(pc=pc, sp=sp)
@@ -200,17 +150,6 @@ class TcgEngine:
         self.ret_probes: List[RetProbe] = []
         #: optional hang guard, consulted once per executed block
         self.watchdog = None
-        self.jit = self.DEFAULT_JIT if jit is None else jit
-        self.jit_threshold = (
-            self.DEFAULT_JIT_THRESHOLD if jit_threshold is None
-            else jit_threshold
-        )
-        self.tb_compiled = 0
-        self.jit_deopts = 0
-        self.jit_trace_execs = 0
-        #: entry pc -> live :class:`_JitTrace`; flush/invalidation removes
-        #: entries, re-translation of an evicted entry block re-attaches.
-        self._jit_traces: Dict[int, _JitTrace] = {}
         # span of guest addresses covered by live translations; scalar
         # stores landing inside it are self-modifying code and flush.
         self._code_lo = 1 << 62
@@ -245,12 +184,6 @@ class TcgEngine:
         self.tb_generation += 1
         self._code_lo = 1 << 62
         self._code_hi = -1
-        if self._jit_traces:
-            self.jit_deopts += len(self._jit_traces)
-            for trace in self._jit_traces.values():
-                trace.alive[0] = False
-                trace.entry.jit_fn = None
-            self._jit_traces.clear()
 
     def _on_bulk_write(self, addr: int, size: int) -> None:
         """Bus bulk-write watcher: flush when the write hits translated code."""
@@ -279,20 +212,6 @@ class TcgEngine:
             block = self.tb_cache.pop(pc)
             block.generation = -1
         self.tb_invalidations += len(doomed)
-        if self._jit_traces:
-            # a trace spanning the range may be entered through a block
-            # that itself survives, so trace kill is by covered span, not
-            # by membership in ``doomed``
-            dead = [
-                entry_pc
-                for entry_pc, trace in self._jit_traces.items()
-                if trace.lo < hi and trace.hi > lo
-            ]
-            for entry_pc in dead:
-                trace = self._jit_traces.pop(entry_pc)
-                trace.alive[0] = False
-                trace.entry.jit_fn = None
-            self.jit_deopts += len(dead)
         return len(doomed)
 
     # ------------------------------------------------------------------
@@ -335,13 +254,6 @@ class TcgEngine:
             self._code_lo = pc
         if end_pc > self._code_hi:
             self._code_hi = end_pc
-        trace = self._jit_traces.get(pc)
-        if trace is not None and trace.alive[0]:
-            # the entry block was evicted but its trace survived (traces
-            # die by flush/invalidation, not cache pressure): re-attach
-            # instead of re-warming from zero
-            block.jit_fn = trace.fn
-            trace.entry = block
         cache[pc] = block
         if len(cache) > self.tb_cache_capacity:
             evicted = cache.pop(next(iter(cache)))
@@ -644,439 +556,6 @@ class TcgEngine:
         return thunk
 
     # ------------------------------------------------------------------
-    # jit tier: compile hot chained superblocks to Python source
-    # ------------------------------------------------------------------
-    def _collect_trace(self, entry: TranslationBlock) -> List[TranslationBlock]:
-        """Gather the chained superblock reachable from ``entry``.
-
-        Walks the warm chain links breadth-first (plus the fall-through
-        continuation of CALL/CALLR blocks, whose RET-terminated callees
-        carry no links), keeping only current-generation blocks, capped
-        at :data:`MAX_TRACE_BLOCKS`.
-        """
-        gen = self.tb_generation
-        blocks = [entry]
-        seen = {entry.pc}
-        index = 0
-        while index < len(blocks) and len(blocks) < MAX_TRACE_BLOCKS:
-            block = blocks[index]
-            index += 1
-            succs: List[TranslationBlock] = []
-            if block.links:
-                succs.extend(block.links.values())
-            last = block.insns[-1].op
-            if last is Op.CALL or last is Op.CALLR:
-                cont = self.tb_cache.get(block.end_pc)
-                if cont is not None:
-                    succs.append(cont)
-            for succ in succs:
-                if len(blocks) >= MAX_TRACE_BLOCKS:
-                    break
-                if succ.pc in seen or succ.generation != gen:
-                    continue
-                seen.add(succ.pc)
-                blocks.append(succ)
-        return blocks
-
-    def _jit_mem_flags(self) -> Tuple[bool, bool, bool, bool]:
-        """May compiled traces bypass the bus for scalar accesses?
-
-        Returns ``(loads, stores, silent_loads, silent_stores)``.  A fast
-        scalar access inlines the region read/write, so it is only legal
-        while every skipped layer is provably inert: observed (unprobed)
-        templates additionally need a bus with no observers outside any
-        ``untraced()`` block (a machine attaches its hook fan-out only
-        while something subscribes to MEM_ACCESS) — while the probed
-        templates' silent twins never notify anyone and only need the
-        fault plan (loads) or journal/dirty recording (stores) to be
-        absent.  Recomputed at trace entry and after every hypercall
-        (the only points where host code can change any of these
-        mid-trace).
-        """
-        bus = self.bus
-        quiet = not bus._silent_depth and not bus._observers
-        no_fault = bus.fault_plan is None
-        no_wlog = bus._journal is None and bus._dirty is None
-        return quiet and no_fault, quiet and no_wlog, no_fault, no_wlog
-
-    def _jit_refill(self, mc: list, addr: int, for_write: bool) -> None:
-        """Point a per-site memory cache at the region covering ``addr``.
-
-        Called from a trace's slow path after the bus access succeeded.
-        Device regions (MMIO dispatch) and permission mismatches leave
-        the cache invalid (``[1, 0, ...]``) so the site stays on the bus
-        path.  Restore strategies mutate ``region.data`` in place, never
-        reassign it, so a cached buffer reference stays coherent for the
-        trace's lifetime.
-        """
-        region = self.bus.region_at(addr)
-        if (region is None or region.kind == "device"
-                or not region.mask & (_W if for_write else _R)):
-            mc[0] = 1
-            mc[1] = 0
-            return
-        mc[0] = region.base
-        mc[1] = region.end
-        mc[2] = region.data
-
-    def _compile_trace(self, entry: TranslationBlock):
-        """Emit, compile and install the trace entered at ``entry``."""
-        tracer = self.tracer
-        trace_start = tracer.now() if tracer is not None else 0.0
-        blocks = self._collect_trace(entry)
-        alive = [True]
-        src, binds = self._emit_trace(blocks, alive)
-        code = compile(src, f"<jit-trace@{entry.pc:#x}>", "exec")
-        ns: Dict = {}
-        exec(code, ns)
-        fn = ns["_jit_make"](binds)
-        trace = _JitTrace(entry, fn,
-                          min(b.pc for b in blocks),
-                          max(b.end_pc for b in blocks), alive)
-        self._jit_traces[entry.pc] = trace
-        entry.jit_fn = fn
-        self.tb_compiled += 1
-        if tracer is not None:
-            tracer.complete(
-                "jit:compile", trace_start, cat="tcg",
-                args={"pc": entry.pc, "blocks": len(blocks),
-                      "insns": sum(len(b.insns) for b in blocks)},
-            )
-        return fn
-
-    def _emit_trace(self, blocks: List[TranslationBlock], alive: List[bool]):
-        """Generate Python source for ``blocks`` as one executor function.
-
-        The function takes the remaining step budget (``limit``) and
-        returns instructions executed.  Guest registers live in locals
-        ``r1``..``r15``; every external call site (bus access, probe,
-        hypercall, watchdog) sees the register file written back first,
-        so observable state at any raise point is bit-identical to the
-        thunk tier.  ``fi`` indexes the compile-time ``_FACCT`` table of
-        ``(insns, cycles, host_ops)`` exception charges, mirroring
-        ``cum_cycles``/``pre_charge`` accounting exactly.
-
-        Contract baked into the emitted code: memory/call/ret probes may
-        read but never write the register file (all in-tree probes only
-        emit events or inspect the Access); a probe that must mutate
-        registers requires the thunk tier (``jit=False``).
-        """
-        probes = self._mem_probes
-        gen = self.tb_generation
-        facct: List[Tuple[int, int, int]] = [(0, 0, 0)]
-        used, written = _scan_regs(blocks)
-        wb = [f"regs[{r}] = r{r}" for r in sorted(written)]
-        rl = [f"r{r} = regs[{r}]" for r in sorted(used)]
-        arms: List[str] = []
-        mem_caches: List[str] = []
-
-        for block_index, block in enumerate(blocks):
-            head = "if" if block_index == 0 else "elif"
-            arms.append(f"                {head} pc == {block.pc}:")
-            cum = block.cum_cycles
-            hb = block.host_ops
-            n = len(block.insns)
-
-            def e(line: str, depth: int = 0) -> None:
-                arms.append(" " * (20 + 4 * depth) + line)
-
-            def site(k: int, pre: int) -> int:
-                facct.append((k, cum[k] + pre, hb))
-                return len(facct) - 1
-
-            def emit_wd(nb: int, depth: int) -> None:
-                # boundary watchdog charge: flush accumulators so a trip
-                # (or anything the guest raises later) charges exactly
-                # the retired blocks, then consume like run() does
-                e("if wd is not None:", depth)
-                e("state.pc = pc", depth + 1)
-                e("eng.cycles += cyc", depth + 1)
-                e("eng.insn_count += ni", depth + 1)
-                e("eng.host_ops += hops", depth + 1)
-                e("cyc = 0", depth + 1)
-                e("ni = 0", depth + 1)
-                e("hops = 0", depth + 1)
-                e("fi = 0", depth + 1)
-                e("try:", depth + 1)
-                e(f"wd.consume({nb}, pc, state.task)", depth + 2)
-                e("except _GH:", depth + 1)
-                e("state.halted = True", depth + 2)
-                e("raise", depth + 2)
-
-            def exit_partial(done: int, next_lit: int, depth: int) -> None:
-                # mid-block trace exit (SMC flush / VMCALL halt): retire
-                # ``done`` instructions exactly like a thunk returning
-                # early, then leave the compiled trace entirely
-                e(f"cyc += {cum[done]}", depth)
-                e(f"ni += {done}", depth)
-                e(f"hops += {hb}", depth)
-                e(f"tot += {done}", depth)
-                e(f"pc = {next_lit}", depth)
-                emit_wd(done, depth)
-                e("break", depth)
-
-            target_expr: Optional[str] = None
-            raises_unconditionally = False
-            for k, insn in enumerate(block.insns):
-                insn_pc = block.pc + k * INSN_SIZE
-                next_pc = (insn_pc + INSN_SIZE) & _M
-                op = insn.op
-                a = f"r{insn.rs1}" if insn.rs1 else "0"
-                b = f"r{insn.rs2}" if insn.rs2 else "0"
-                if op in MEM_OPS:
-                    size, is_write, atomic = MEM_OPS[op]
-                    signed = op is Op.LD8S or op is Op.LD16S
-                    bound, adjust = ((0x80, 0x100) if op is Op.LD8S
-                                     else (0x8000, 0x10000))
-                    mc = f"_mc{len(mem_caches)}"
-                    mem_caches.append(mc)
-                    # the per-site inline cache: [region.base, region.end,
-                    # region.data]; the guard proves the whole scalar
-                    # access lands inside one cached non-device region
-                    guard = (f"_c[0] <= _a and _a + {size} <= _c[1]")
-                    if is_write and size < 4:
-                        val = f"({b} & {(1 << (8 * size)) - 1})"
-                    else:
-                        val = f"({b})"
-                    if probes:
-                        e(f"state.pc = {insn_pc}")
-                        e(f"fi = {site(k, 0)}")
-                        e(f"_a = ({a} + {insn.imm}) & 4294967295")
-                        e(f"_ac = _AC(_a, {size}, {is_write}, {insn_pc}, "
-                          f"state.task, _DK, {atomic})")
-                        if len(probes) == 1:
-                            e("_mp0(_ac)")
-                        else:
-                            e("for _p in _mp:")
-                            e("_p(_ac)", 1)
-                        e(f"_c = {mc}")
-                        if is_write:
-                            e(f"if _ss and {guard}:")
-                            e(f"_c[2][_a - _c[0] : _a - _c[0] + {size}] = "
-                              f"{val}.to_bytes({size}, \"little\")", 1)
-                            e("else:")
-                            e(f"_sts(_a, {size}, {b})", 1)
-                            e("if _ss:", 1)
-                            e("eng._jit_refill(_c, _a, True)", 2)
-                            e(f"if _a < eng._code_hi and "
-                              f"_a + {size} > eng._code_lo:")
-                            e("eng.flush_tbs()", 1)
-                            exit_partial(k + 1, next_pc, 1)
-                        else:
-                            e(f"if _sl and {guard}:")
-                            e(f"_v = int.from_bytes(_c[2][_a - _c[0] : "
-                              f"_a - _c[0] + {size}], \"little\")", 1)
-                            e("else:")
-                            e(f"_v = _lds(_a, {size})", 1)
-                            e("if _sl:", 1)
-                            e("eng._jit_refill(_c, _a, False)", 2)
-                            if signed:
-                                e(f"if _v >= {bound}:")
-                                e(f"_v -= {adjust}", 1)
-                            if insn.rd:
-                                e(f"r{insn.rd} = _v & 4294967295")
-                    elif is_write:
-                        e(f"_a = ({a} + {insn.imm}) & 4294967295")
-                        e(f"_c = {mc}")
-                        e(f"if _fs and {guard}:")
-                        e(f"_c[2][_a - _c[0] : _a - _c[0] + {size}] = "
-                          f"{val}.to_bytes({size}, \"little\")", 1)
-                        e("else:")
-                        e(f"state.pc = {insn_pc}", 1)
-                        e(f"fi = {site(k, 2)}", 1)
-                        e(f"_st(_a, {size}, {b}, {insn_pc}, "
-                          f"state.task, {atomic})", 1)
-                        e("if _fs:", 1)
-                        e("eng._jit_refill(_c, _a, True)", 2)
-                        e(f"if _a < eng._code_hi and "
-                          f"_a + {size} > eng._code_lo:")
-                        e("eng.flush_tbs()", 1)
-                        exit_partial(k + 1, next_pc, 1)
-                    else:
-                        e(f"_a = ({a} + {insn.imm}) & 4294967295")
-                        e(f"_c = {mc}")
-                        e(f"if _fl and {guard}:")
-                        e(f"_v = int.from_bytes(_c[2][_a - _c[0] : "
-                          f"_a - _c[0] + {size}], \"little\")", 1)
-                        e("else:")
-                        e(f"state.pc = {insn_pc}", 1)
-                        e(f"fi = {site(k, 2)}", 1)
-                        e(f"_v = _ld(_a, {size}, {insn_pc}, "
-                          f"state.task, {atomic})", 1)
-                        e("if _fl:", 1)
-                        e("eng._jit_refill(_c, _a, False)", 2)
-                        if signed:
-                            e(f"if _v >= {bound}:")
-                            e(f"_v -= {adjust}", 1)
-                            if insn.rd:
-                                e(f"r{insn.rd} = _v & 4294967295")
-                        elif insn.rd:
-                            e(f"r{insn.rd} = _v")
-                elif op is Op.NOP or (op in _WRITES_RD and insn.rd == 0):
-                    pass
-                elif op is Op.HLT:
-                    e("state.halted = True")
-                    target_expr = str(next_pc)
-                elif op is Op.BRK:
-                    e(f"state.pc = {insn_pc}")
-                    e("state.halted = True")
-                    e(f"fi = {site(k, 1)}")
-                    msg = f"BRK trap at {insn_pc:#010x}"
-                    e(f"raise _IO({msg!r}, addr={insn_pc})")
-                    raises_unconditionally = True
-                elif op is Op.VMCALL:
-                    e(f"state.pc = {insn_pc}")
-                    e(f"fi = {site(k, 2)}")
-                    e("_h = eng.hypercall")
-                    e("if _h is None:")
-                    msg = f"VMCALL with no handler at {insn_pc:#010x}"
-                    e(f"raise _IO({msg!r}, addr={insn_pc})", 1)
-                    for stmt in wb:
-                        e(stmt)
-                    # the handler (and any IRQ it delivers) may mutate the
-                    # register file: reload locals afterwards — and on a
-                    # raise, before the outer handler's writeback would
-                    # clobber the mutation with stale locals
-                    e("try:")
-                    e(f"_r = _h(eng, {insn.imm})", 1)
-                    e("except BaseException:")
-                    for stmt in rl:
-                        e(stmt, 1)
-                    e("raise", 1)
-                    for stmt in rl:
-                        e(stmt)
-                    e("_fl, _fs, _sl, _ss = eng._jit_mem_flags()")
-                    e("if _r is not None:")
-                    e("r1 = _r & 4294967295", 1)
-                    e("if state.halted:")
-                    exit_partial(k + 1, next_pc, 1)
-                elif op is Op.JMP:
-                    target_expr = str(insn.imm & _M)
-                elif op is Op.JR:
-                    target_expr = a
-                elif op in _JIT_BR:
-                    cond = _JIT_BR[op].format(a=a, b=b)
-                    target_expr = f"{insn.imm & _M} if {cond} else {next_pc}"
-                elif op is Op.CALL or op is Op.CALLR:
-                    if op is Op.CALLR:
-                        e(f"_t = {a}")
-                        tgt = "_t"
-                    else:
-                        tgt = str(insn.imm & _M)
-                    e(f"r15 = {next_pc}")
-                    e("_cp = eng.call_probes")
-                    e("if _cp:")
-                    for stmt in wb:
-                        e(stmt, 1)
-                    e(f"fi = {site(k, 1)}", 1)
-                    e("_args = [r1, r2, r3, r4]", 1)
-                    e("for _p in _cp:", 1)
-                    e(f"_p({insn_pc}, {tgt}, _args, {next_pc})", 2)
-                    target_expr = tgt
-                elif op is Op.RET:
-                    e("_rp = eng.ret_probes")
-                    e("if _rp:")
-                    for stmt in wb:
-                        e(stmt, 1)
-                    e(f"fi = {site(k, 1)}", 1)
-                    e("for _p in _rp:", 1)
-                    e(f"_p({insn_pc}, r1)", 2)
-                    target_expr = "r15"
-                elif op in _JIT_ALU:
-                    e(f"r{insn.rd} = " + _JIT_ALU[op].format(a=a, b=b))
-                elif op in _JIT_ALU_IMM:
-                    e(f"r{insn.rd} = "
-                      + _JIT_ALU_IMM[op].format(a=a, imm=insn.imm))
-                elif op is Op.SHLI:
-                    e(f"r{insn.rd} = ({a} << {insn.imm & 31}) & 4294967295")
-                elif op is Op.SHRI:
-                    e(f"r{insn.rd} = {a} >> {insn.imm & 31}")
-                elif op is Op.MOVI:
-                    e(f"r{insn.rd} = {insn.imm & _M}")
-                elif op is Op.LUI:
-                    e(f"r{insn.rd} = {(insn.imm << 16) & _M}")
-                elif op is Op.MOV:
-                    e(f"r{insn.rd} = {a}")
-                else:  # pragma: no cover - decode() rejects unknown opcodes
-                    raise InvalidOpcode(f"unhandled opcode {op!r}",
-                                        addr=insn_pc)
-            if raises_unconditionally:
-                continue
-            if target_expr is None:
-                # fall-through: block was cut at MAX_BLOCK_LEN or before
-                # an undecodable slot; matches state.pc = end_pc
-                target_expr = str(block.end_pc)
-            e(f"pc = {target_expr}")
-            e(f"cyc += {cum[n]}")
-            e(f"ni += {n}")
-            e(f"hops += {hb}")
-            e(f"tot += {n}")
-            emit_wd(n, 0)
-            e(f"if tot >= limit or state.halted "
-              f"or eng.tb_generation != {gen} or not _ALIVE[0]:")
-            e("break", 1)
-
-        binds: Dict[str, object] = {
-            "eng": self,
-            "state": self.state,
-            "regs": self.state.regs,
-            "_ld": self.bus.load,
-            "_st": self.bus.store,
-            "_lds": self.bus.load_silent,
-            "_sts": self.bus.store_silent,
-            "_AC": Access,
-            "_DK": _DATA,
-            "_IO": InvalidOpcode,
-            "_GH": GuestHang,
-            "_ALIVE": alive,
-            "_FACCT": tuple(facct),
-        }
-        if probes:
-            binds["_mp"] = probes
-            if len(probes) == 1:
-                binds["_mp0"] = probes[0]
-        for name in mem_caches:
-            # invalid until the site's first slow-path access refills it
-            binds[name] = [1, 0, None]
-        header = ", ".join(
-            ["limit"] + [f"{k}=__c[{k!r}]" for k in sorted(binds)]
-        )
-        src_lines = [
-            "def _jit_make(__c):",
-            f"    def _trace({header}):",
-            "        wd = eng.watchdog",
-            "        _fl, _fs, _sl, _ss = eng._jit_mem_flags()",
-            *[f"        {stmt}" for stmt in rl],
-            "        cyc = 0",
-            "        ni = 0",
-            "        hops = 0",
-            "        tot = 0",
-            "        fi = 0",
-            f"        pc = {blocks[0].pc}",
-            "        try:",
-            "            while True:",
-            *arms,
-            "                else:",
-            "                    break",
-            "        except BaseException:",
-            *[f"            {stmt}" for stmt in wb],
-            "            _d, _c, _h = _FACCT[fi]",
-            "            eng.cycles += cyc + _c",
-            "            eng.insn_count += ni + _d",
-            "            eng.host_ops += hops + _h",
-            "            raise",
-            *[f"        {stmt}" for stmt in wb],
-            "        state.pc = pc",
-            "        eng.cycles += cyc",
-            "        eng.insn_count += ni",
-            "        eng.host_ops += hops",
-            "        return tot",
-            "    return _trace",
-            "",
-        ]
-        return "\n".join(src_lines), binds
-
-    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(self, max_steps: int = 1_000_000) -> int:
@@ -1093,8 +572,6 @@ class TcgEngine:
         exec_block = self._exec_block
         translate = self.translate
         watchdog = self.watchdog
-        jit = self.jit
-        threshold = self.jit_threshold
         prev: Optional[TranslationBlock] = None
         while not state.halted and executed < max_steps:
             pc = state.pc
@@ -1121,22 +598,6 @@ class TcgEngine:
                 if (prev is not None and prev.links is not None
                         and len(prev.links) < _MAX_LINKS):
                     prev.links[pc] = block
-            if jit:
-                fn = block.jit_fn
-                if fn is None:
-                    count = block.exec_count + 1
-                    block.exec_count = count
-                    if count == threshold:
-                        fn = self._compile_trace(block)
-                if fn is not None:
-                    # the compiled trace charges cycles/insns/host_ops and
-                    # consumes watchdog budget per constituent block
-                    # internally, so this loop's per-block bookkeeping is
-                    # skipped for the whole trace execution
-                    self.jit_trace_execs += 1
-                    executed += fn(max_steps - executed)
-                    prev = None
-                    continue
             done = exec_block(block)
             executed += done
             if watchdog is not None:
@@ -1164,9 +625,11 @@ class TcgEngine:
             "tb_invalidations": self.tb_invalidations,
             "tb_chain_hits": self.tb_chain_hits,
             "tb_cache_blocks": len(self.tb_cache),
-            "tb_compiled": self.tb_compiled,
-            "jit_deopts": self.jit_deopts,
-            "jit_trace_execs": self.jit_trace_execs,
+            # always 0 (no trace tier); kept because the perfbench
+            # records in perfbench/expected.jsonl digest this key set
+            "tb_compiled": 0,
+            "jit_deopts": 0,
+            "jit_trace_execs": 0,
         }
 
     def step_block(self) -> int:
@@ -1231,88 +694,3 @@ _WRITES_RD = frozenset(
      Op.SHL, Op.SHR, Op.SRA, Op.SLT, Op.SLTU, Op.ADDI, Op.ANDI, Op.ORI,
      Op.XORI, Op.SHLI, Op.SHRI, Op.MOVI, Op.LUI, Op.MOV}
 )
-
-# ----------------------------------------------------------------------
-# jit emission tables
-#
-# Signed comparisons use the xor-bias trick: for 32-bit unsigned x,
-# ``x ^ 0x80000000`` maps signed order onto unsigned order, so
-# ``sign32(a) < sign32(b)`` == ``(a ^ 2**31) < (b ^ 2**31)`` without a
-# function call; ``(x ^ 2**31) - 2**31`` *is* sign32(x) for SRA.
-# ----------------------------------------------------------------------
-
-#: branch predicate source, formatted with register-read expressions.
-_JIT_BR = {
-    Op.BEQ: "{a} == {b}",
-    Op.BNE: "{a} != {b}",
-    Op.BLT: "({a} ^ 2147483648) < ({b} ^ 2147483648)",
-    Op.BLTU: "{a} < {b}",
-    Op.BGE: "({a} ^ 2147483648) >= ({b} ^ 2147483648)",
-    Op.BGEU: "{a} >= {b}",
-}
-
-#: register-register ALU expression source (mirrors the spec thunks).
-_JIT_ALU = {
-    Op.ADD: "({a} + {b}) & 4294967295",
-    Op.SUB: "({a} - {b}) & 4294967295",
-    Op.MUL: "({a} * {b}) & 4294967295",
-    Op.DIVU: "4294967295 if {b} == 0 else {a} // {b}",
-    Op.REMU: "{a} if {b} == 0 else {a} % {b}",
-    Op.AND: "{a} & {b}",
-    Op.OR: "{a} | {b}",
-    Op.XOR: "{a} ^ {b}",
-    Op.SHL: "({a} << ({b} & 31)) & 4294967295",
-    Op.SHR: "{a} >> ({b} & 31)",
-    Op.SRA: "((({a} ^ 2147483648) - 2147483648) >> ({b} & 31)) & 4294967295",
-    Op.SLT: "1 if ({a} ^ 2147483648) < ({b} ^ 2147483648) else 0",
-    Op.SLTU: "1 if {a} < {b} else 0",
-}
-
-#: register-immediate ALU expression source.
-_JIT_ALU_IMM = {
-    Op.ADDI: "({a} + {imm}) & 4294967295",
-    Op.ANDI: "({a} & {imm}) & 4294967295",
-    Op.ORI: "({a} | {imm}) & 4294967295",
-    Op.XORI: "({a} ^ {imm}) & 4294967295",
-}
-
-
-def _scan_regs(blocks: List[TranslationBlock]):
-    """Which guest registers a trace reads (``used``) and writes
-    (``written``); locals are materialized for ``used`` and written back
-    to the register file for ``written`` at every external call site.
-    """
-    used: set = set()
-    written: set = set()
-    for block in blocks:
-        for insn in block.insns:
-            op = insn.op
-            if op in MEM_OPS:
-                _size, is_write, _atomic = MEM_OPS[op]
-                used.add(insn.rs1)
-                if is_write:
-                    used.add(insn.rs2)
-                elif insn.rd:
-                    written.add(insn.rd)
-            elif op is Op.VMCALL:
-                written.add(1)
-            elif op is Op.CALL or op is Op.CALLR:
-                used.update((1, 2, 3, 4))
-                written.add(15)
-                if op is Op.CALLR:
-                    used.add(insn.rs1)
-            elif op is Op.RET:
-                used.update((1, 15))
-            elif op is Op.JR:
-                used.add(insn.rs1)
-            elif op in _JIT_BR:
-                used.add(insn.rs1)
-                used.add(insn.rs2)
-            elif op in _WRITES_RD and insn.rd:
-                written.add(insn.rd)
-                used.add(insn.rs1)
-                used.add(insn.rs2)
-    used |= written
-    used.discard(0)
-    written.discard(0)
-    return used, written

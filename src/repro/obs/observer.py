@@ -158,9 +158,6 @@ class Observer:
         evictions = counter("tcg.tb_evictions")
         chain_hits = counter("tcg.tb_chain_hits")
         cache_blocks = gauge("tcg.tb_cache_blocks")
-        jit_compiled = counter("tcg.jit.tb_compiled")
-        jit_deopts = counter("tcg.jit.deopts")
-        jit_execs = counter("tcg.jit.trace_execs")
         for engine in getattr(machine, "engines", ()):
             insns.inc(getattr(engine, "insn_count", 0))
             cycles.inc(getattr(engine, "cycles", 0))
@@ -169,9 +166,6 @@ class Observer:
             flushes.inc(getattr(engine, "tb_flush_count", 0))
             evictions.inc(getattr(engine, "tb_evictions", 0))
             chain_hits.inc(getattr(engine, "tb_chain_hits", 0))
-            jit_compiled.inc(getattr(engine, "tb_compiled", 0))
-            jit_deopts.inc(getattr(engine, "jit_deopts", 0))
-            jit_execs.inc(getattr(engine, "jit_trace_execs", 0))
             cache = getattr(engine, "tb_cache", None)
             if cache is not None:
                 cache_blocks.set(len(cache))

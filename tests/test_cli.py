@@ -66,7 +66,6 @@ class TestSpecFlags:
     SHARED = ["--budget", "77", "--seed", "5", "--faults", "alloc:every=9",
               "--checkpoint-every", "25", "--crash-budget", "4",
               "--watchdog-insns", "9000", "--watchdog-cycles", "1e6",
-              "--engine", "jit", "--jit-threshold", "8",
               "--exec-mode", "forkserver", "--seed-schedule", "rarity",
               "--surface", "driver"]
 
@@ -114,15 +113,26 @@ class TestSpecFlags:
             assert seen["fuzz"] == CampaignSpec(
                 "InfiniTime", budget=77, seed=5, faults="alloc:every=9",
                 checkpoint_every=25, crash_budget=4, watchdog_insns=9000,
-                watchdog_cycles=1e6, engine="jit", jit_threshold=8,
-                exec_mode="forkserver", seed_schedule="rarity",
+                watchdog_cycles=1e6, exec_mode="forkserver", seed_schedule="rarity",
                 surface="driver")
 
     def test_bad_value_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["fuzz", "InfiniTime", "--jit-threshold", "-5"])
+            main(["fuzz", "InfiniTime", "--watchdog-insns", "-5"])
         assert info.value.code == 2
-        assert "jit_threshold" in capsys.readouterr().err
+        assert "watchdog_insns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["fuzz", "InfiniTime"],
+        ["fuzz-all"],
+        ["submit", "InfiniTime", "--connect", "127.0.0.1:9"],
+    ])
+    @pytest.mark.parametrize("flag", [["--engine", "tcg"],
+                                      ["--jit-threshold", "8"]])
+    def test_removed_engine_flags_rejected(self, command, flag):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(command + flag)
+        assert info.value.code == 2
 
 
 class TestCommands:

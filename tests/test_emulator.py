@@ -105,16 +105,6 @@ class TestBusFanout:
         machine.hooks.clear(EventKind.MEM_ACCESS)
         assert machine._bus_fanout not in machine.bus._observers
 
-    def test_jit_quiet_follows_subscription(self, machine):
-        core = machine.add_cpu(engine="jit")
-        loads, stores, _silent_loads, _silent_stores = core._jit_mem_flags()
-        assert loads and stores
-        handler = machine.hooks.add(EventKind.MEM_ACCESS, lambda a: None)
-        loads, stores, _silent_loads, _silent_stores = core._jit_mem_flags()
-        assert not loads and not stores
-        machine.hooks.remove(EventKind.MEM_ACCESS, handler)
-        assert core._jit_mem_flags()[:2] == (True, True)
-
 
 class TestHypercalls:
     def test_ready(self, machine):

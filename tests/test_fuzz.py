@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fuzz.campaign import run_campaign
@@ -182,12 +181,10 @@ class TestMidCampaignSnapshot:
             sorted(r.dedup_key() for r in fuzzer._current_reports),
         )
 
-    @pytest.mark.parametrize("engine", ["tcg", "jit"])
-    def test_restore_then_continue_fuzzing(self, engine):
+    def test_restore_then_continue_fuzzing(self):
         from repro.emulator.snapshot import take
 
-        fuzzer = TardisFuzzer("InfiniTime", seed=4, engine=engine,
-                              jit_threshold=4)
+        fuzzer = TardisFuzzer("InfiniTime", seed=4)
         machine = fuzzer.target.image.ctx.machine
         programs = [p.clone() for p in fuzzer.corpus[:6]]
         for program in programs[:2]:
@@ -205,12 +202,10 @@ class TestMidCampaignSnapshot:
         second = [self._outcome(fuzzer, p) for p in programs[2:]]
         assert second == first
 
-    @pytest.mark.parametrize("engine", ["tcg", "jit"])
-    def test_restore_keeps_coverage_listener_live(self, engine):
+    def test_restore_keeps_coverage_listener_live(self):
         from repro.emulator.snapshot import take
 
-        fuzzer = TardisFuzzer("InfiniTime", seed=4, engine=engine,
-                              jit_threshold=4)
+        fuzzer = TardisFuzzer("InfiniTime", seed=4)
         machine = fuzzer.target.image.ctx.machine
         snap = take(machine)
         fuzzer.run(10)

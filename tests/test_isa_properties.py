@@ -210,7 +210,7 @@ items = st.one_of(
         st.integers(0, 1),
         st.one_of(words, insn_words)),
     st.sampled_from(_BAD_SLOTS).map(lambda raw: [raw]),
-    # a short counted loop: hot enough for the jit at threshold 2
+    # a short counted loop: exercises chained links and LRU touches
     st.builds(_loop, st.integers(1, 4),
               st.lists(st.one_of(alu_insns, hypercalls), min_size=1,
                        max_size=3)),
@@ -266,8 +266,7 @@ def run_outcome(image: bytes, tier: str) -> dict:
     if tier == "cpu":
         core = Cpu(bus, pc=0, sp=RAM_BASE + 0x8000, hypercall=_hypercall)
     else:
-        core = TcgEngine(bus, pc=0, sp=RAM_BASE + 0x8000, hypercall=_hypercall,
-                         jit=tier == "jit", jit_threshold=2)
+        core = TcgEngine(bus, pc=0, sp=RAM_BASE + 0x8000, hypercall=_hypercall)
     fault = None
     try:
         core.run(max_steps=STEP_BUDGET)
@@ -286,10 +285,10 @@ def run_outcome(image: bytes, tier: str) -> dict:
 
 
 class TestDifferentialTiers:
-    """The TCG thunk tier and the jit tier against the reference Cpu on
-    programs with branches, calls, hypercalls, self-modifying stores and
-    undecodable slots.  Only programs that halt or fault within the step
-    budget are compared: TCG honours ``max_steps`` at block granularity."""
+    """The TCG engine against the reference Cpu on programs with
+    branches, calls, hypercalls, self-modifying stores and undecodable
+    slots.  Only programs that halt or fault within the step budget are
+    compared: TCG honours ``max_steps`` at block granularity."""
 
     @settings(max_examples=200, deadline=None)
     @given(program=programs)
@@ -298,7 +297,6 @@ class TestDifferentialTiers:
         ref = run_outcome(image, "cpu")
         assume(ref["halted"] or ref["fault"] is not None)
         assert run_outcome(image, "tcg") == ref
-        assert run_outcome(image, "jit") == ref
 
 
 class TestEncodingProperties:

@@ -420,8 +420,8 @@ class TestCheckpointResume:
                              checkpoint_path=path, **options)
 
     def test_journal_checkpoint_resumes_under_forkserver(self, tmp_path):
-        # budget, exec mode and engine are outside the identity: the
-        # census is invariant under them, and resuming extends budget
+        # budget and exec mode are outside the identity: the census is
+        # invariant under them, and resuming extends budget
         reference = run_campaign("InfiniTime", budget=60, seed=1,
                                  checkpoint_path=str(tmp_path / "ref.json"),
                                  checkpoint_every=10)
@@ -430,7 +430,7 @@ class TestCheckpointResume:
                      checkpoint_every=10)
         resumed = run_campaign("InfiniTime", budget=60, seed=1,
                                checkpoint_path=path, checkpoint_every=10,
-                               exec_mode="forkserver", engine="jit")
+                               exec_mode="forkserver")
         assert resumed.execs == reference.execs == 60
         assert resumed.census() == reference.census()
         assert sorted(resumed.matched) == sorted(reference.matched)
@@ -442,7 +442,7 @@ class TestCheckpointResume:
             raise AssertionError("fuzzer built despite a bad spec")
 
         monkeypatch.setattr(campaign_mod, "TardisFuzzer", no_build)
-        for bad in ({"engine": "bogus"}, {"jit_threshold": -5},
+        for bad in ({"exec_mode": "bogus"}, {"checkpoint_every": -5},
                     {"watchdog_insns": -1}):
             with pytest.raises(FuzzerError):
                 run_campaign("InfiniTime", budget=20, seed=1, **bad)

@@ -3,19 +3,18 @@
 The spec's JSON form is the contract between every producer (CLI,
 ``run_campaign``, ``repro submit``) and consumer (fleet worker, serve
 daemon, checkpoint identity), so it must round-trip exactly, accept the
-version-less dicts serve WALs already hold, and reject anything it does
-not understand.
+version-1 and version-less dicts serve WALs and old clients still hold,
+and reject anything it does not understand.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FuzzerError
 from repro.fuzz.spec import (
-    ENGINES,
     EXEC_MODES,
     RESUMABLE_FIELDS,
     SANITIZERS,
@@ -49,8 +48,6 @@ specs = st.builds(
     seed_schedule=st.sampled_from(SEED_SCHEDULES),
     checkpoint_every=st.integers(0, 5000),
     exec_mode=st.sampled_from(EXEC_MODES),
-    engine=st.sampled_from(ENGINES),
-    jit_threshold=_optional(st.integers(1, 1000)),
     surface=st.sampled_from(SURFACES),
 )
 
@@ -70,7 +67,42 @@ class TestCodec:
         assert spec == CampaignSpec("InfiniTime", budget=1200, seed=1,
                                     checkpoint_every=200,
                                     exec_mode="forkserver")
-        assert spec.to_json()["version"] == SPEC_VERSION == 1
+        assert spec.to_json()["version"] == SPEC_VERSION == 2
+
+    def test_v1_dict_with_retired_engine_knobs_decodes(self):
+        # every v1 `to_json` carried the engine knobs at these values
+        v1 = CampaignSpec("InfiniTime", budget=300, seed=4).to_json()
+        v1.update(version=1, engine="tcg", jit_threshold=None)
+        assert CampaignSpec.from_json(v1) == CampaignSpec(
+            "InfiniTime", budget=300, seed=4
+        )
+
+    @pytest.mark.parametrize("knobs", [
+        {"engine": "jit"},
+        {"engine": "bogus"},
+        {"jit_threshold": 8},
+        {"engine": "tcg", "jit_threshold": 4},
+    ])
+    @pytest.mark.parametrize("version", [1, None])
+    def test_v1_dict_selecting_the_jit_rejected(self, knobs, version):
+        data = {"firmware": "InfiniTime", **knobs}
+        if version is not None:
+            data["version"] = version
+        with pytest.raises(FuzzerError, match="removed jit tier"):
+            CampaignSpec.from_json(data)
+
+    def test_v2_dict_with_engine_knob_rejected(self):
+        data = CampaignSpec("InfiniTime").to_json()
+        data["engine"] = "tcg"
+        with pytest.raises(FuzzerError, match="unknown spec fields"):
+            CampaignSpec.from_json(data)
+
+    @pytest.mark.parametrize("version", [True, 1.0, 2.0, "1", None])
+    def test_non_int_version_rejected(self, version):
+        # True == 1 and 1.0 == 1 in Python; neither is version 1
+        with pytest.raises(FuzzerError, match="version"):
+            CampaignSpec.from_json({"version": version,
+                                    "firmware": "InfiniTime"})
 
     def test_unknown_field_rejected(self):
         with pytest.raises(FuzzerError, match="unknown spec fields"):
@@ -98,12 +130,25 @@ class TestValidation:
         identity = spec.identity()
         assert not set(RESUMABLE_FIELDS) & set(identity)
         assert identity["seed"] == 3 and identity["sanitizers"] == ["kasan"]
-        changed = replace(spec, budget=9, engine="jit", exec_mode="forkserver",
-                          jit_threshold=4)
+        changed = replace(spec, budget=9, exec_mode="forkserver")
         assert changed.identity() == identity
+
+    def test_default_identity_is_pinned(self):
+        # checkpoints store this dict; it must not move across spec
+        # versions, or old checkpoints stop resuming
+        assert CampaignSpec("InfiniTime").identity() == {
+            "firmware": "InfiniTime", "seed": 0, "seeds": None,
+            "sanitizers": None, "faults": None, "fault_seed": None,
+            "crash_budget": None, "watchdog_insns": None,
+            "watchdog_cycles": None, "seed_schedule": "uniform",
+            "checkpoint_every": 0, "surface": "syscall",
+        }
+
+    def test_fields(self):
+        assert len(fields(CampaignSpec)) == 14
+        assert RESUMABLE_FIELDS == ("budget", "exec_mode")
 
     def test_fuzzer_options_leave_unset_knobs_to_the_frontend(self):
         options = CampaignSpec("InfiniTime", seed=2).fuzzer_options()
         assert options == {"seed": 2, "seed_schedule": "uniform",
-                           "exec_mode": "journal", "engine": "tcg",
-                           "surface": "syscall"}
+                           "exec_mode": "journal", "surface": "syscall"}

@@ -3,19 +3,21 @@
 Covers the translation-block contract the engine must preserve: block
 boundaries, flush/invalidation behaviour (probe churn, chained links,
 self-modifying code), cache capacity, undecodable code, and — the
-load-bearing property — that the specialized closures, the compiled jit
-traces and the reference CPU retire bit-identical architectural state
-with identical cycle accounting.
+load-bearing property — that the specialized closures and the reference
+``Cpu`` retire bit-identical architectural state with identical cycle
+accounting, from single programs up to whole firmware replays.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bugs.catalog import table4_bugs_for
 from repro.bugs.replay import replay_on_embsan
 from repro.firmware.instrument import InstrumentationMode
 from repro.isa.assembler import assemble
 from repro.isa.cpu import Cpu
-from repro.errors import BusError, GuestFault, InvalidOpcode
+from repro.errors import BusError, GuestFault, GuestHang, InvalidOpcode
 from repro.isa.insn import INSN_SIZE, Instruction, Op, apply_load_sign, encode
 from repro.isa.tcg import MAX_BLOCK_LEN, TcgEngine
 from repro.mem.bus import MemoryBus
@@ -36,10 +38,6 @@ def make_core(source, engine="tcg", text_perm=Perm.RX, hypercall=None,
         bus.region_named("text").write(0, image)
     if engine == "interp":
         core = Cpu(bus, pc=0, sp=RAM_BASE + 0x4000, hypercall=hypercall)
-    elif engine == "jit":
-        kw.setdefault("jit_threshold", 2)
-        core = TcgEngine(bus, pc=0, sp=RAM_BASE + 0x4000, hypercall=hypercall,
-                         jit=True, **kw)
     else:
         core = TcgEngine(bus, pc=0, sp=RAM_BASE + 0x4000, hypercall=hypercall,
                          **kw)
@@ -279,25 +277,18 @@ class TestCacheCapacity:
 
 class TestModeEquivalence:
     @pytest.mark.parametrize("source", [STRAIGHT_LINE, MIXED_PROGRAM])
-    def test_spec_interp_jit_cpu_identical(self, source):
-        spec, _ = make_core(source, "tcg")
-        jit, _ = make_core(source, "jit")
+    def test_tcg_cpu_identical(self, source):
+        core, _ = make_core(source, "tcg")
         ref, _ = make_core(source, "interp")
-        spec.run()
-        jit.run()
+        core.run()
         ref.run()
-        cores = (spec, jit)
-        assert all(c.state.regs == ref.state.regs for c in cores)
-        assert all(c.state.pc == ref.state.pc for c in cores)
-        assert ref.state.halted and all(c.state.halted for c in cores)
-        assert all(ram_bytes(c) == ram_bytes(ref) for c in cores)
+        assert core.state.regs == ref.state.regs
+        assert core.state.pc == ref.state.pc
+        assert ref.state.halted and core.state.halted
+        assert ram_bytes(core) == ram_bytes(ref)
         # accounting parity: the calibrated figure-2 bands depend on it
-        assert all(c.cycles == ref.cycles for c in cores)
-        assert all(c.insn_count == ref.insn_count for c in cores)
-        if "loop" in source:
-            # the looping program has hot blocks; the tier must engage
-            assert jit.tb_compiled > 0
-            assert jit.jit_trace_execs > 0
+        assert core.cycles == ref.cycles
+        assert core.insn_count == ref.insn_count
 
     def test_probed_equals_unprobed_state(self):
         plain, _ = make_core(MIXED_PROGRAM)
@@ -314,18 +305,24 @@ class TestModeEquivalence:
         assert plain.insn_count == probed.insn_count
 
     def test_probed_modes_see_identical_accesses(self):
+        """The probes the TCG templates call see exactly the accesses the
+        reference ``Cpu`` sends through the traced bus."""
         streams = {}
-        for mode in ("tcg", "jit"):
+        for mode in ("tcg", "interp"):
             core, _ = make_core(MIXED_PROGRAM, mode)
             seen = []
-            core.add_mem_probe(
-                lambda a, seen=seen: seen.append(
-                    (a.addr, a.size, a.is_write, a.pc, a.atomic)
-                )
-            )
+
+            def record(a, seen=seen):
+                seen.append((a.addr, a.size, a.is_write, a.pc, a.atomic))
+
+            if mode == "tcg":
+                core.add_mem_probe(record)
+            else:
+                core.bus.add_observer(record)
             core.run()
             streams[mode] = seen
-        assert streams["tcg"] == streams["jit"]
+        assert streams["tcg"]
+        assert streams["tcg"] == streams["interp"]
 
     def test_chain_hit_counter(self):
         core, _ = make_core(MIXED_PROGRAM)
@@ -340,7 +337,7 @@ BAD_SLOTS = [bytes([0xEE]) + bytes(7)] + [encode(insn) for insn in (
     Instruction(Op.MOVI, 16, imm=5),
 )]
 
-#: a loop hot enough for the jit tier (r5 counts to 5), then
+#: a chained loop (r5 counts to 5), then
 #: ``addi r1,r1,1; addi r2,r2,7`` ahead of the slot under test
 PRELUDE = (
     Instruction(Op.MOVI, 6, imm=5),
@@ -356,8 +353,6 @@ def fault_outcome(image, engine, **kw):
     core, _ = make_core(image, engine, **kw)
     with pytest.raises(GuestFault) as info:
         core.run()
-    if engine == "jit":
-        assert core.tb_compiled > 0
     return (type(info.value), core.state.pc, tuple(core.state.regs),
             core.insn_count, core.cycles, core.state.halted)
 
@@ -378,47 +373,42 @@ class TestUndecodableCode:
         assert fault_outcome(image, engine, **kw) == ref
 
     @pytest.mark.parametrize("bad", BAD_SLOTS, ids=lambda b: b[:4].hex())
-    @pytest.mark.parametrize("engine", ["tcg", "jit"])
+    @pytest.mark.parametrize("engine", ["tcg"])
     def test_bad_slot_mid_block(self, engine, bad):
         image = b"".join(map(encode, PRELUDE)) + bad + encode(Instruction(Op.HLT))
         self.check(image, engine, InvalidOpcode)
 
-    @pytest.mark.parametrize("engine", ["tcg", "jit"])
+    @pytest.mark.parametrize("engine", ["tcg"])
     def test_block_runs_off_mapped_text(self, engine):
         image = b"".join(map(encode, PRELUDE))
         self.check(image, engine, BusError, text_size=len(image))
 
 
 class TestReplaySuiteEquivalence:
-    """ISSUE acceptance: bit-identical state on the bug-replay corpus.
+    """Bit-identical state on the bug-replay corpus.
 
     The VxWorks firmware is the corpus' EVM32/TCG consumer (its service
-    blobs execute on the engine); replay each of its bugs under both
-    tiers and require identical detection and machine state.
+    blobs execute on the engine); replay each of its bugs under the TCG
+    engine and under the reference ``Cpu`` swapped in for it, and
+    require identical detection and machine state.
     """
 
-    ENGINES = {
-        "spec": {"DEFAULT_JIT": False},
-        "jit": {"DEFAULT_JIT": True, "DEFAULT_JIT_THRESHOLD": 4},
-    }
-
-    def _patched(self, monkeypatch, name):
-        for attr, value in self.ENGINES[name].items():
-            monkeypatch.setattr(TcgEngine, attr, value)
+    ENGINES = {"tcg": TcgEngine, "cpu": Cpu}
 
     @pytest.mark.parametrize(
         "record", table4_bugs_for("TP-Link WDR-7660"), ids=lambda r: r.bug_id
     )
     def test_vxworks_replay_identical(self, record, monkeypatch):
         outcomes = {}
-        for name in self.ENGINES:
-            self._patched(monkeypatch, name)
+        for name, cls in self.ENGINES.items():
+            monkeypatch.setattr("repro.emulator.machine.TcgEngine", cls)
             result = replay_on_embsan(record, InstrumentationMode.EMBSAN_D)
             outcomes[name] = (
                 result.detected, result.crashed,
                 [(r.bug_type, r.addr, r.pc) for r in result.reports],
             )
-        assert outcomes["spec"] == outcomes["jit"]
+        assert outcomes["tcg"][0]
+        assert outcomes["tcg"] == outcomes["cpu"]
 
     @pytest.mark.parametrize(
         "record", table4_bugs_for("TP-Link WDR-7660"), ids=lambda r: r.bug_id
@@ -428,28 +418,30 @@ class TestReplaySuiteEquivalence:
         from repro.firmware.builder import attach_runtime
 
         states = {}
-        for name in self.ENGINES:
-            self._patched(monkeypatch, name)
+        for name, cls in self.ENGINES.items():
+            monkeypatch.setattr("repro.emulator.machine.TcgEngine", cls)
             image = _build_for_record(record, InstrumentationMode.EMBSAN_D)
             runtime = attach_runtime(image, sanitizers=("kasan",))
             image.boot()
             fault = run_program(image, record.reproducer, record.interface)
             cpu = image.kernel.cpu
+            assert type(cpu) is cls
             states[name] = (
                 tuple(cpu.state.regs), cpu.state.pc, cpu.state.halted,
                 cpu.cycles, cpu.insn_count, fault is None,
                 runtime.sink.unique_count(),
             )
-        assert states["spec"] == states["jit"]
+        assert states["tcg"][4] > 0
+        assert states["tcg"] == states["cpu"]
 
 
-SMC_IN_TRACE = """
+SMC_IN_LOOP = """
     movi t1, 6
     movi s0, 136        ; address of patch_target
-    movi a2, 3          ; iterations that warm up against ram
+    movi a2, 3          ; iterations that store into ram first
     lui  s2, 1          ; ram scratch (RAM_BASE)
 loop:
-    slt  a3, t0, a2     ; 1 while warming, 0 once hot
+    slt  a3, t0, a2     ; 1 for the first iterations, then 0
     sub  s3, s2, s0
     mul  s3, s3, a3
     add  s3, s3, s0     ; target: ram early, patch_target late
@@ -468,89 +460,83 @@ patch_target:
 """
 
 
-class TestJitDeopts:
-    """The jit tier's deopt contract: every invalidation event that
-    flushes chained TBs must tear down (or side-exit) compiled traces,
-    leaving architectural state bit-identical to the uncompiled engine.
-    """
+class TestCpuOracle:
+    """The TCG engine against the reference ``Cpu`` on the events that
+    tear translations down or stop a run part-way: self-modifying code,
+    watchdog trips, fork-server restores and injected bus faults."""
 
-    def test_smc_store_into_compiled_trace(self):
-        spec, _ = make_core(SMC_IN_TRACE, "tcg", text_perm=Perm.RWX)
-        ref, _ = make_core(SMC_IN_TRACE, "interp", text_perm=Perm.RWX)
-        jit, _ = make_core(SMC_IN_TRACE, "jit", text_perm=Perm.RWX)
-        for core in (jit, spec, ref):
-            core.run()
-        # the hot loop compiled, then its own store deoptimized it
-        assert jit.tb_compiled > 0
-        assert jit.jit_deopts > 0
-        assert jit.state.regs == spec.state.regs == ref.state.regs
-        assert jit.state.pc == spec.state.pc == ref.state.pc
-        assert jit.cycles == spec.cycles == ref.cycles
-        assert jit.insn_count == spec.insn_count == ref.insn_count
+    def test_smc_store_into_chained_loop(self):
+        core, _ = make_core(SMC_IN_LOOP, "tcg", text_perm=Perm.RWX)
+        ref, _ = make_core(SMC_IN_LOOP, "interp", text_perm=Perm.RWX)
+        for engine in (core, ref):
+            engine.run()
+        # the callee was translated and chained before its own caller
+        # patched it, so every patch had to flush
+        assert core.tb_flush_count >= 3
+        assert core.state.regs == ref.state.regs
+        assert core.state.pc == ref.state.pc
+        assert core.cycles == ref.cycles
+        assert core.insn_count == ref.insn_count
         # a1 took the patched immediate, not the stale 7
-        assert jit.state.read(2) == 45
-        # 3 warm-up calls at 7, then the patched 43 + 44 + 45
-        assert jit.state.read(10) == 7 * 3 + 43 + 44 + 45
+        assert core.state.read(2) == 45
+        # 3 calls at 7, then the patched 43 + 44 + 45
+        assert core.state.read(10) == 7 * 3 + 43 + 44 + 45
 
-    def test_invalidate_range_over_compiled_page(self):
-        core, _ = make_core(MIXED_PROGRAM, "jit")
-        core.run()
-        assert core.tb_compiled > 0 and core._jit_traces
-        entries = [trace.entry for trace in core._jit_traces.values()]
-        deopts = core.jit_deopts
-        # a range beyond the code leaves every trace installed
-        core.invalidate_range(0x2000, 0x3000)
-        assert core.jit_deopts == deopts
-        assert core._jit_traces
-        # one covering the code kills them all and detaches executors
-        core.invalidate_range(0, 0x2000)
-        assert core.jit_deopts > deopts
-        assert not core._jit_traces
-        assert all(block.jit_fn is None for block in entries)
-
-    def test_watchdog_trip_mid_trace(self):
+    @settings(max_examples=25, deadline=None)
+    @given(budget=st.integers(1, 6000))
+    def test_watchdog_trip_matches_cpu(self, budget):
+        """TCG charges the watchdog once per block, so it trips at the
+        end of the block that crosses the budget: never early, less than
+        one block late, in exactly the state ``Cpu`` reaches after the
+        same number of instructions."""
         from repro.bench.tcg_profile import _make_machine
-        from repro.errors import GuestHang
 
-        states = {}
-        for engine in ("tcg", "jit"):
-            machine, core = _make_machine(engine, False, iterations=50)
-            machine.set_watchdog(insn_budget=2000)
-            with pytest.raises(GuestHang):
-                core.run(max_steps=1_000_000)
-            states[engine] = (
-                tuple(core.state.regs), core.state.pc, core.state.halted,
-                core.cycles, core.insn_count, machine.watchdog.trips,
-            )
-        assert states["jit"][5] == 1  # it actually tripped
-        assert states["tcg"] == states["jit"]
+        machine, core = _make_machine("tcg", False, iterations=50)
+        machine.set_watchdog(insn_budget=budget)
+        with pytest.raises(GuestHang):
+            core.run(max_steps=1_000_000)
+        assert machine.watchdog.trips == 1
+        assert core.state.halted
 
-    def test_forkserver_restore_after_compilation(self):
+        ref_machine, ref = _make_machine("interp", False, iterations=50)
+        ref_machine.set_watchdog(insn_budget=budget)
+        with pytest.raises(GuestHang):
+            ref.run(max_steps=1_000_000)
+        assert ref.insn_count == budget + 1
+
+        assert budget + 1 <= core.insn_count < budget + 1 + MAX_BLOCK_LEN
+        _, free = _make_machine("interp", False, iterations=50)
+        assert free.run(max_steps=core.insn_count) == core.insn_count
+        assert (tuple(core.state.regs), core.state.pc, core.cycles) == (
+            tuple(free.state.regs), free.state.pc, free.cycles
+        )
+
+    def test_forkserver_restore_after_translation(self):
         from repro.bench.tcg_profile import _make_machine
         from repro.emulator.snapshot import ForkServer
 
         def run_out(core):
             core.run(max_steps=5_000_000)
             assert core.state.halted
-            return (tuple(core.state.regs), core.cycles, core.insn_count)
+            return (tuple(core.state.regs), core.state.pc, core.cycles,
+                    core.insn_count)
 
-        machine, core = _make_machine("jit", False, iterations=30)
+        machine, core = _make_machine("tcg", False, iterations=30)
         fork = ForkServer(machine)
         first = run_out(core)
-        assert core.tb_compiled > 0
+        assert core.tb_cache
         fork.restore()
-        # the golden rewind must leave installed traces coherent: their
-        # cached region buffers were restored in place, not reassigned
+        # the golden rewind restores the register file in place, so the
+        # cached thunks (which bind it by identity) stay coherent
         second = run_out(core)
-        assert second == first
-        ref_machine, ref = _make_machine("tcg", False, iterations=30)
-        assert run_out(ref) == first
+        _, fresh = _make_machine("tcg", False, iterations=30)
+        assert second == first == run_out(fresh)
 
     def test_fault_plan_identity(self):
         from repro.emulator.faults import plan_for
 
         states = {}
-        for engine in ("interp", "tcg", "jit"):
+        for engine in ("interp", "tcg"):
             core, _ = make_core(MIXED_PROGRAM, engine)
             core.bus.fault_plan = plan_for(
                 "bitflip:0x10000-0x14000:p=0.2", seed=7
@@ -560,7 +546,7 @@ class TestJitDeopts:
                 tuple(core.state.regs), core.state.pc, core.cycles,
                 core.insn_count, ram_bytes(core),
             )
-        assert states["interp"] == states["tcg"] == states["jit"]
+        assert states["interp"] == states["tcg"]
 
 
 class TestSignExtensionHelper:
