@@ -1,10 +1,12 @@
 """The emulation layer: machines, hooks, hypercalls and device models.
 
 A :class:`~repro.emulator.machine.Machine` bundles a guest memory bus,
-one or more execution engines, device models and a hook registry.  The
-hook registry is the integration surface for the Common Sanitizer
-Runtime: every sanitizer-sensitive event (memory access, function call
-and return, hypercall, task switch, boot-ready) is dispatched through it.
+one or more execution engines, device models, a probe plan and a hook
+registry.  Together they are the integration surface for the Common
+Sanitizer Runtime: function calls, returns and hypercalls dispatch
+through the plan's keyed tables, and the rarer events (task switch,
+interrupt, console byte, boot-ready, memory access) through the hook
+registry's broadcast (see :mod:`repro.emulator.hooks`).
 """
 
 from repro.emulator.arch import Arch, ARCHS, arch_by_name

@@ -3,8 +3,9 @@
 One :class:`Machine` hosts one firmware instance.  It is deliberately
 similar in role to a QEMU board model: the firmware (rehosted Python
 kernel and/or EVM32 binaries) runs *inside* it, while sanitizers,
-fuzzers and the Prober observe it from *outside* through the hook
-registry — never by patching the guest.
+fuzzers and the Prober observe it from *outside* — through the probe
+plan (``calls``, ``rets``, ``vmcalls``) and the hook registry — never by
+patching the guest.
 """
 
 from __future__ import annotations
@@ -22,13 +23,20 @@ from repro.emulator.events import (
     TaskSwitchEvent,
     VmcallEvent,
 )
-from repro.emulator.hooks import HookRegistry
+from repro.emulator.hooks import HookRegistry, ProbeTable
 from repro.emulator.hypercalls import Hypercall
 from repro.errors import GuestFault
 from repro.isa.cpu import Cpu
 from repro.isa.tcg import TcgEngine
 from repro.mem.bus import MemoryBus
 from repro.mem.regions import MemoryRegion, Perm
+
+
+#: the hypercalls the machine acts on itself, as plain ints: reading an
+#: IntEnum member off its class costs more than the compare
+_READY = int(Hypercall.READY)
+_PANIC = int(Hypercall.PANIC)
+_PUTC = int(Hypercall.PUTC)
 
 
 class GuestPanic(GuestFault):
@@ -45,7 +53,17 @@ class Machine:
         #: the MEM_ACCESS fan-out, bound once so it can be detached by
         #: identity; it sits on the bus only while someone subscribes
         self._bus_fanout = self._on_bus_access
-        self.hooks = HookRegistry(on_change=self._sync_bus_fanout)
+        #: the probe plan (see emulator/hooks.py): guest calls and returns
+        #: keyed by call target, hypercalls keyed by number
+        self.calls = ProbeTable()
+        self.rets = ProbeTable()
+        self.vmcalls = ProbeTable()
+        #: the symbol a rehosted function's CALL/RET events carry, by
+        #: entry address (None for a stripped module's functions)
+        self.fn_names: Dict[int, Optional[str]] = {}
+        self.hooks = HookRegistry(
+            on_change=self._sync_bus_fanout, plan=self._plan_subscriber
+        )
         self.engines: List[object] = []
         #: callbacks fired when an execution engine is attached; the
         #: Common Sanitizer Runtime uses this to inject TCG probes into
@@ -143,7 +161,9 @@ class Machine:
             bus.remove_observer(fanout)
 
     def _on_console_byte(self, byte: int) -> None:
-        self.hooks.emit(EventKind.CONSOLE, ConsoleEvent(byte))
+        hooks = self.hooks
+        if hooks.has_handlers(EventKind.CONSOLE):
+            hooks.emit(EventKind.CONSOLE, ConsoleEvent(byte))
 
     def _on_dma_complete(self) -> None:
         self.raise_irq(DMA_IRQ, device="dma")
@@ -211,7 +231,9 @@ class Machine:
 
     def _deliver_irq(self, irq: int, device: str = "board") -> None:
         self.irqs_delivered += 1
-        self.hooks.emit(EventKind.INTERRUPT, InterruptEvent(irq, device))
+        hooks = self.hooks
+        if hooks.has_handlers(EventKind.INTERRUPT):
+            hooks.emit(EventKind.INTERRUPT, InterruptEvent(irq, device))
 
     def tick_irqs(self) -> None:
         """Advance delayed-interrupt countdowns by one step.
@@ -256,13 +278,48 @@ class Machine:
         return core
 
     def _on_isa_call(self, pc: int, target: int, args: List[int], lr: int) -> None:
-        name = self.symbol_at(target)
-        self.hooks.emit(
-            EventKind.CALL, CallEvent(pc, target, args, self.current_task, name)
-        )
+        calls = self.calls
+        task = self.current_task
+        for handler in calls.keyed.get(target, calls.default):
+            handler(pc, target, args, task)
 
     def _on_isa_ret(self, pc: int, retval: int) -> None:
-        self.hooks.emit(EventKind.RET, RetEvent(pc, retval, self.current_task))
+        # an ISA return is keyed by the RET instruction's own pc
+        rets = self.rets
+        task = self.current_task
+        for handler in rets.keyed.get(pc, rets.default):
+            handler(pc, retval, task)
+
+    # ------------------------------------------------------------------
+    # catch-all adapters: HookRegistry subscribers to CALL/RET/VMCALL
+    # ------------------------------------------------------------------
+    def _plan_subscriber(self, kind: EventKind, handler):
+        """The probe table and event-building adapter for a hook
+        subscriber to a planned kind; None for a broadcast kind."""
+        names = self.fn_names
+        if kind is EventKind.CALL:
+            symbol_at = self.symbol_at
+
+            def on_call(pc: int, target: int, args: List[int],
+                        task: int) -> None:
+                # rehosted functions carry their visible name; ISA call
+                # targets resolve through the symbol table
+                name = names[target] if target in names else symbol_at(target)
+                handler(CallEvent(pc, target, args, task, name))
+
+            return self.calls, on_call
+        if kind is EventKind.RET:
+            def on_ret(target: int, retval: int, task: int) -> None:
+                handler(RetEvent(target, retval, task, names.get(target)))
+
+            return self.rets, on_ret
+        if kind is EventKind.VMCALL:
+            def on_vmcall(number: int, args: List[int], pc: int,
+                          task: int) -> None:
+                handler(VmcallEvent(number, list(args), pc, task))
+
+            return self.vmcalls, on_vmcall
+        return None
 
     # ------------------------------------------------------------------
     # hypercalls
@@ -277,8 +334,11 @@ class Machine:
         """Dispatch a hypercall (from ISA trap or rehosted guest code)."""
         if task is None:
             task = self.current_task
-        self.hooks.emit(EventKind.VMCALL, VmcallEvent(number, list(args), pc, task))
-        self.tick_irqs()
+        vmcalls = self.vmcalls
+        for handler in vmcalls.keyed.get(number, vmcalls.default):
+            handler(number, args, pc, task)
+        if self._pending_irqs:
+            self.tick_irqs()
         plan = self.fault_plan
         if plan is not None:
             storm = plan.irq_storm()
@@ -286,12 +346,12 @@ class Machine:
                 irq, count = storm
                 for _ in range(count):
                     self._deliver_irq(irq, device="irq-storm")
-        if number == Hypercall.READY:
+        if number == _READY:
             self.mark_ready()
-        elif number == Hypercall.PANIC:
+        elif number == _PANIC:
             self.panicked = args[0] if args else 0
             raise GuestPanic(f"guest panic code {self.panicked:#x} at pc {pc:#x}")
-        elif number == Hypercall.PUTC and self.uart is not None:
+        elif number == _PUTC and self.uart is not None:
             with self.bus.untraced():
                 self.uart.region.write(self.uart.base, bytes([args[0] & 0xFF]))
                 self.uart.output.append(args[0] & 0xFF)
@@ -304,22 +364,8 @@ class Machine:
             self.hooks.emit(EventKind.READY, None)
 
     # ------------------------------------------------------------------
-    # rehosted-guest integration
+    # guest scheduling
     # ------------------------------------------------------------------
-    def emit_call(
-        self, pc: int, target: int, args: List[int], name: Optional[str]
-    ) -> None:
-        """Report a rehosted guest function call to observers."""
-        self.hooks.emit(
-            EventKind.CALL, CallEvent(pc, target, args, self.current_task, name)
-        )
-
-    def emit_ret(self, target: int, retval: int, name: Optional[str]) -> None:
-        """Report a rehosted guest function return to observers."""
-        self.hooks.emit(
-            EventKind.RET, RetEvent(target, retval, self.current_task, name)
-        )
-
     def switch_task(self, task: int) -> None:
         """Record a guest scheduler context switch."""
         prev = self.current_task
@@ -328,7 +374,9 @@ class Machine:
         self.current_task = task
         for engine in self.engines:
             engine.state.task = task
-        self.hooks.emit(EventKind.TASK_SWITCH, TaskSwitchEvent(prev, task))
+        hooks = self.hooks
+        if hooks.has_handlers(EventKind.TASK_SWITCH):
+            hooks.emit(EventKind.TASK_SWITCH, TaskSwitchEvent(prev, task))
 
     # ------------------------------------------------------------------
     # symbols

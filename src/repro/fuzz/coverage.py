@@ -3,17 +3,18 @@
 Two collectors mirror the two fuzzers' mechanisms:
 
 * :class:`KcovCoverage` — consumes the ``COV_TRACE_PC`` hypercalls a
-  kcov-enabled kernel build emits (Syzkaller's mechanism).
-* :class:`EmulatorCoverage` — consumes CALL events at the emulator
-  level; works on any OS, instrumented or not (Tardis's OS-agnostic
-  mechanism, usable even on the closed-source VxWorks target).
+  kcov-enabled kernel build emits (Syzkaller's mechanism); it is
+  planned on that one hypercall number.
+* :class:`EmulatorCoverage` — consumes every guest call at the emulator
+  level, as a catch-all call probe; works on any OS, instrumented or
+  not (Tardis's OS-agnostic mechanism, usable even on the closed-source
+  VxWorks target).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import List, Optional, Set
 
-from repro.emulator.events import CallEvent, EventKind, VmcallEvent
 from repro.emulator.hypercalls import Hypercall
 from repro.emulator.machine import Machine
 
@@ -55,7 +56,7 @@ class CoverageMap:
         """Rewind to ``points`` (empty by default), in place.
 
         The fork-server refresh path reuses the live map instead of
-        building a new one: the event subscription made at construction
+        building a new one: the probe registered at construction
         must survive (the machine persists across restores), so the map
         object can never be replaced — only rewound.  ``points`` is the
         golden capture's point set — a rebuilt map re-collects boot-time
@@ -77,22 +78,24 @@ class KcovCoverage(CoverageMap):
 
     def __init__(self, machine: Machine):
         super().__init__()
-        machine.hooks.add(EventKind.VMCALL, self._on_vmcall)
+        machine.vmcalls.add(self._on_trace_pc, keys=(Hypercall.COV_TRACE_PC,))
 
-    def _on_vmcall(self, event: VmcallEvent) -> None:
-        if event.number == Hypercall.COV_TRACE_PC and event.args:
-            self.hit(event.args[0])
+    def _on_trace_pc(self, number: int, args: List[int], pc: int,
+                     task: int) -> None:
+        if args:
+            self.hit(args[0])
 
 
 class EmulatorCoverage(CoverageMap):
-    """OS-agnostic coverage from emulator-level CALL events."""
+    """OS-agnostic coverage from emulator-level guest calls."""
 
     def __init__(self, machine: Machine):
         super().__init__()
-        machine.hooks.add(EventKind.CALL, self._on_call)
+        machine.calls.add(self._on_call)
 
-    def _on_call(self, event: CallEvent) -> None:
+    def _on_call(self, pc: int, target: int, args: List[int],
+                 task: int) -> None:
         # function entry is the basic-block proxy; fold in one argument
         # nibble so distinct operation shapes count as distinct coverage
-        arg = event.args[0] & 0xF if event.args else 0
-        self.hit((event.target << 4) | arg)
+        arg = args[0] & 0xF if args else 0
+        self.hit((target << 4) | arg)

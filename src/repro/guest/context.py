@@ -15,13 +15,14 @@ Sanitizer build hooks
 * a native-sanitizer build installs hooks that run the in-guest check
   routine directly (charged as translated guest cycles);
 * an EMBSAN-D build installs no hooks at all — the runtime watches the
-  bus and CALL/RET events instead.
+  bus and probes the allocator entry points in the machine's call plan.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.emulator.hypercalls import Hypercall
 from repro.emulator.machine import Machine
 from repro.errors import GuestFault
 from repro.guest.layout import DEFAULT_REDZONE, GuestLayout, STACK_SIZE
@@ -30,6 +31,9 @@ from repro.guest.layout import DEFAULT_REDZONE, GuestLayout, STACK_SIZE
 _PC_SLOTS = 64
 _CALL_CYCLES = 4
 _VAR_ALIGN = 8
+#: bound once: reading an IntEnum member off its class is an enum
+#: attribute lookup, paid on every guest call of a kcov build
+_COV_TRACE_PC = Hypercall.COV_TRACE_PC
 
 
 class SanHooks:
@@ -153,32 +157,41 @@ class GuestContext:
     # call mechanics
     # ------------------------------------------------------------------
     def call(self, fn, args: Sequence[int]):
-        """Invoke a guest function, emitting CALL/RET at the machine level."""
+        """Invoke a guest function, running the machine's CALL/RET probes."""
         machine = self.machine
-        caller_pc = self.current_pc()
+        frames = self._frames
+        addr = fn.addr
+        if frames:
+            top = frames[-1]
+            caller_pc = top.fn_addr + 8 * (top.counter % _PC_SLOTS)
+        else:
+            caller_pc = 0
         int_args = [int(a) & 0xFFFFFFFF for a in args[:4]]
-        visible = getattr(fn, "visible_name", fn.name)
-        machine.emit_call(caller_pc, fn.addr, int_args, visible)
+        calls = machine.calls
+        task = machine.current_task
+        for handler in calls.keyed.get(addr, calls.default):
+            handler(caller_pc, addr, int_args, task)
         machine.charge_guest(_CALL_CYCLES)
         if self.kcov_enabled:
             # kcov instruments every function entry; fold the leading
             # argument nibble in so distinct operation shapes separate
-            from repro.emulator.hypercalls import Hypercall
+            point = (addr << 4) | (int_args[0] & 0xF if int_args else 0)
+            machine.vmcall(_COV_TRACE_PC, [point & 0xFFFFFFFF])
 
-            point = (fn.addr << 4) | (int_args[0] & 0xF if int_args else 0)
-            machine.vmcall(Hypercall.COV_TRACE_PC, [point & 0xFFFFFFFF])
-
-        sp = self._frames[-1].sp if self._frames else self._task_stack_top()
-        frame = GuestFrame(self, fn.addr, sp)
-        self._frames.append(frame)
+        sp = frames[-1].sp if frames else self._task_stack_top()
+        frame = GuestFrame(self, addr, sp)
+        frames.append(frame)
         try:
             result = fn.pyfunc(self, *args)
         finally:
             if frame.entered:
                 self.san_hooks_stack_leave(frame)
-            self._frames.pop()
+            frames.pop()
         retval = int(result) & 0xFFFFFFFF if isinstance(result, int) else 0
-        machine.emit_ret(fn.addr, retval, visible)
+        rets = machine.rets
+        task = machine.current_task
+        for handler in rets.keyed.get(addr, rets.default):
+            handler(addr, retval, task)
         return result
 
     def _task_stack_top(self) -> int:
@@ -439,11 +452,9 @@ class GuestContext:
         """kcov-style coverage beacon (compiled in only when the build
         enables it; Tardis-style OS-agnostic coverage does not need it)."""
         if self.kcov_enabled:
-            from repro.emulator.hypercalls import Hypercall
-
             point = (self.current_pc() ^ (marker * 0x9E3779B1)) & 0xFFFFFFFF
             self.machine.charge_guest(1)
-            self.machine.vmcall(Hypercall.COV_TRACE_PC, [point])
+            self.machine.vmcall(_COV_TRACE_PC, [point])
 
 
 class _KthreadFrame:

@@ -136,6 +136,7 @@ class GuestModule:
             )
             self.functions[raw._guestfn_name] = fn
             setattr(self, attr, fn)
+            ctx.machine.fn_names[addr] = fn.visible_name
             if not self.stripped:
                 symbols[fn_name] = addr
         ctx.machine.add_symbols(symbols)

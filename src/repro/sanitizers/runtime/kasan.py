@@ -9,7 +9,7 @@ which is precisely the paper's argument for a common runtime.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.mem.access import Access, AccessKind
 from repro.sanitizers.runtime.quarantine import FreedObject, QuarantineLog
@@ -50,7 +50,11 @@ class KasanEngine:
     def __init__(self, shadow: ShadowMemory, sink: ReportSink):
         self.shadow = shadow
         self.sink = sink
-        self.live: Dict[int, AllocInfo] = {}
+        self._live: Dict[int, AllocInfo] = {}
+        #: object end address -> bases of the live objects ending there;
+        #: the index behind :meth:`_object_before`, built lazily (None
+        #: until first needed, and again after :attr:`live` is replaced)
+        self._ends: Optional[Dict[int, List[int]]] = None
         self.freed = QuarantineLog()
         #: raised by the runtime while allocator internals execute
         self.suppress_depth = 0
@@ -61,6 +65,22 @@ class KasanEngine:
         #: allocator lifetime events observed (observability counters)
         self.allocs = 0
         self.frees = 0
+
+    @property
+    def live(self) -> Dict[int, AllocInfo]:
+        """Live allocations by base address.
+
+        Change the map only through :meth:`on_alloc` and
+        :meth:`on_free`, or replace it whole by assigning to this
+        property (as snapshot restore does), so the end-address index
+        stays in step with it.
+        """
+        return self._live
+
+    @live.setter
+    def live(self, value: Dict[int, AllocInfo]) -> None:
+        self._live = value
+        self._ends = None
 
     # ------------------------------------------------------------------
     # allocator state transitions
@@ -73,7 +93,14 @@ class KasanEngine:
             return
         self.allocs += 1
         self.freed.pop(addr)
-        self.live[addr] = AllocInfo(size, cache, pc, task)
+        live = self._live
+        ends = self._ends
+        if ends is not None:
+            prior = live.get(addr)
+            if prior is not None:
+                _unindex(ends, addr, prior.size)
+            ends.setdefault(addr + size, []).append(addr)
+        live[addr] = AllocInfo(size, cache, pc, task)
         self.shadow.unpoison(addr, size)
         if cache != _PAGE_CACHE_ID:
             # slab / large-kmalloc objects get a trailing redzone; whole
@@ -84,7 +111,7 @@ class KasanEngine:
             end = addr + size
             limit = end + HEAP_REDZONE
             for candidate in range(end + 1, limit + 1):
-                if candidate in self.live:
+                if candidate in live:
                     limit = candidate
                     break
             if limit > end:
@@ -95,7 +122,9 @@ class KasanEngine:
         if addr == 0:
             return
         self.frees += 1
-        info = self.live.pop(addr, None)
+        info = self._live.pop(addr, None)
+        if info is not None and self._ends is not None:
+            _unindex(self._ends, addr, info.size)
         if info is None:
             bug = (
                 BugType.DOUBLE_FREE
@@ -181,15 +210,33 @@ class KasanEngine:
 
     # ------------------------------------------------------------------
     def _object_before(self, addr: int) -> Optional[AllocInfo]:
-        """The live object whose redzone ``addr`` most plausibly is."""
-        best = None
+        """The live object whose redzone ``addr`` most plausibly is.
+
+        That is the one with the largest base among those whose end
+        lies in ``[addr - HEAP_REDZONE, addr]``, found by probing the
+        end-address index at those ``HEAP_REDZONE + 1`` ends.
+        """
+        ends = self._ends
+        if ends is None:
+            ends = self._ends = {}
+            for base, info in self._live.items():
+                ends.setdefault(base + info.size, []).append(base)
         best_base = -1
-        for base, info in self.live.items():
-            if base + info.size <= addr <= base + info.size + HEAP_REDZONE:
-                if base > best_base:
-                    best, best_base = info, base
-        return best
+        for end in range(addr - HEAP_REDZONE, addr + 1):
+            bases = ends.get(end)
+            if bases:
+                top = max(bases)
+                if top > best_base:
+                    best_base = top
+        return self._live[best_base] if best_base >= 0 else None
 
     def live_count(self) -> int:
         """Number of live tracked allocations (diagnostic)."""
-        return len(self.live)
+        return len(self._live)
+
+
+def _unindex(ends: Dict[int, List[int]], base: int, size: int) -> None:
+    bases = ends[base + size]
+    bases.remove(base)
+    if not bases:
+        del ends[base + size]

@@ -5,13 +5,19 @@ configuration (both arrive as plain config objects, normally compiled
 from the SanSpec DSL), then wires the KASAN/KCSAN engines to the
 machine:
 
-* **EMBSAN-C** — subscribes to the dummy-sanitizer-library hypercalls
+* **EMBSAN-C** — handles the dummy-sanitizer-library hypercalls
   (``SAN_LOAD``/``SAN_STORE``/``SAN_ALLOC``/...) that instrumented
-  firmware issues; the hypercall fast path of the paper.
-* **EMBSAN-D** — subscribes to raw bus accesses, injects probes into
-  every attached TCG engine's translation templates, and reconstructs
-  allocator semantics from CALL/RET events at the entry points the
-  Prober identified.
+  firmware issues; the hypercall fast path of the paper.  One
+  catch-all vmcall probe dispatches through a ``number → method`` table
+  built at attach time.
+* **EMBSAN-D** — observes raw bus accesses, injects probes into every
+  attached TCG engine's translation templates, and reconstructs
+  allocator semantics from call/return probes planned on exactly the
+  allocator entry points the Prober identified.
+
+Attaching compiles the configuration into the machine's probe plan
+(see :mod:`repro.emulator.hooks`): a guest call to anything but an
+allocator runs no runtime code at all.
 
 State-maintenance events (allocations, globals, stack frames) are
 processed from the moment of attachment; *validation* begins at the
@@ -26,13 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.costmodel import CostModel, DEFAULT_COSTS
-from repro.emulator.events import (
-    CallEvent,
-    ConsoleEvent,
-    EventKind,
-    RetEvent,
-    VmcallEvent,
-)
+from repro.emulator.events import ConsoleEvent, EventKind
 from repro.emulator.hypercalls import Hypercall
 from repro.emulator.machine import Machine
 from repro.errors import DslError
@@ -43,6 +43,11 @@ from repro.sanitizers.runtime.reports import ReportSink
 from repro.sanitizers.runtime.shadow import ShadowMemory
 
 from repro.os.embedded_linux.buddy import PAGE_SIZE
+
+#: compared on every EMBSAN-C access hypercall, as plain ints (reading an
+#: IntEnum member off its class costs more than the compare)
+_SAN_STORE = int(Hypercall.SAN_STORE)
+_SAN_RANGE_WRITE = int(Hypercall.SAN_RANGE_WRITE)
 
 
 @dataclass(frozen=True)
@@ -142,14 +147,18 @@ class CommonSanitizerRuntime:
         self._suppress = 0
         self._console_tail = b""
         self._handlers: List[Tuple[EventKind, Callable]] = []
+        #: (probe table, handler) pairs this runtime planned on the machine
+        self._probes: List[Tuple[object, Callable]] = []
+        #: EMBSAN-C hypercall number -> method, compiled at attach
+        self._vmcall_handlers: Dict[int, Callable] = {}
         self.events_handled = 0
         #: §4.3 composition: where the added cycles go
         self.breakdown: Dict[str, float] = {
             "interception": 0.0, "checks": 0.0, "allocator": 0.0,
             "range": 0.0,
         }
-        #: the delegate injected into TCG templates and bus hooks; either
-        #: the plain handler or the combined fast-path probe
+        #: the delegate injected into TCG templates and observing the bus;
+        #: either the plain handler or the combined fast-path probe
         self._probe_cb: Callable[[Access], None] = self._make_probe()
 
     # ------------------------------------------------------------------
@@ -159,14 +168,17 @@ class CommonSanitizerRuntime:
         """Subscribe to machine events according to the configured mode."""
         if self.attached:
             return self
-        hooks = self.machine.hooks
+        machine = self.machine
+        hooks = machine.hooks
         self._subscribe(hooks, EventKind.READY, self._on_ready)
         if self.config.mode == "c":
-            self._subscribe(hooks, EventKind.VMCALL, self._on_vmcall)
+            self._vmcall_handlers = self._compile_vmcalls()
+            self._plan(machine.vmcalls, self._on_vmcall)
         else:
-            self._subscribe(hooks, EventKind.MEM_ACCESS, self._probe_cb)
-            self._subscribe(hooks, EventKind.CALL, self._on_call)
-            self._subscribe(hooks, EventKind.RET, self._on_ret)
+            machine.bus.add_observer(self._probe_cb)
+            allocators = tuple(self._alloc_map)
+            self._plan(machine.calls, self._on_call, allocators)
+            self._plan(machine.rets, self._on_ret, allocators)
             if self.config.ready.kind == "banner":
                 self._subscribe(hooks, EventKind.CONSOLE, self._on_console)
             # patch probes into every TCG engine's translation templates,
@@ -203,6 +215,7 @@ class CommonSanitizerRuntime:
             return self._on_access
         kasan = self.kasan
         kcsan = self.kcsan
+        data = AccessKind.DATA
         clear_for = self.shadow.clear_for
         charge = self._charge
         costs = self.costs
@@ -215,7 +228,7 @@ class CommonSanitizerRuntime:
         def probe(access: Access) -> None:
             if not self.enabled or self._suppress:
                 return
-            if access.kind is not AccessKind.DATA:
+            if access.kind is not data:
                 # FETCH filtering and RANGE decomposition stay on the
                 # callback path
                 self._on_access(access)
@@ -240,6 +253,9 @@ class CommonSanitizerRuntime:
         """Unsubscribe everything (end of a testing campaign)."""
         for kind, handler in self._handlers:
             self.machine.hooks.remove(kind, handler)
+        for table, handler in self._probes:
+            table.remove(handler)
+        self.machine.bus.remove_observer(self._probe_cb)
         for engine in self.machine.engines:
             remove_probe = getattr(engine, "remove_mem_probe", None)
             if remove_probe is not None:
@@ -249,6 +265,7 @@ class CommonSanitizerRuntime:
         if self in self.machine.state_providers:
             self.machine.state_providers.remove(self)
         self._handlers.clear()
+        self._probes.clear()
         self.attached = False
 
     # ------------------------------------------------------------------
@@ -433,6 +450,10 @@ class CommonSanitizerRuntime:
         hooks.add(kind, handler)
         self._handlers.append((kind, handler))
 
+    def _plan(self, table, handler: Callable, keys=None) -> None:
+        table.add(handler, keys)
+        self._probes.append((table, handler))
+
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -470,54 +491,98 @@ class CommonSanitizerRuntime:
     # ------------------------------------------------------------------
     # EMBSAN-C: hypercall fast path
     # ------------------------------------------------------------------
-    def _on_vmcall(self, event: VmcallEvent) -> None:
-        number, args = event.number, event.args
+    def _compile_vmcalls(self) -> Dict[int, Callable]:
+        """The ``number → method`` table of the hypercall fast path.
+
+        Only hypercalls some configured engine acts on get an entry;
+        every other number (``SAN_STACK_ENTER``, coverage, lifecycle) is
+        counted by :meth:`_on_vmcall` and otherwise ignored.  The table
+        holds the class's functions, not bound methods, so a runtime
+        (one per journal-mode rebuild) adds one dict, not one object per
+        hypercall, to what the garbage collector tracks.
+        """
+        cls = type(self)
+        table: Dict[int, Callable] = {
+            Hypercall.SAN_LOAD: cls._vm_access,
+            Hypercall.SAN_STORE: cls._vm_access,
+            Hypercall.SAN_RANGE_READ: cls._vm_range,
+            Hypercall.SAN_RANGE_WRITE: cls._vm_range,
+        }
+        if self.kasan is not None or self.kmsan is not None:
+            table[Hypercall.SAN_ALLOC] = cls._vm_alloc
+            table[Hypercall.SAN_FREE] = cls._vm_free
+        if self.kasan is not None:
+            table[Hypercall.SAN_SLAB_PAGE] = cls._vm_slab_page
+            table[Hypercall.SAN_GLOBAL_REG] = cls._vm_global
+            table[Hypercall.SAN_STACK_VAR] = cls._vm_stack_var
+            table[Hypercall.SAN_STACK_LEAVE] = cls._vm_stack_leave
+        if self.kmsan is not None:
+            table[Hypercall.SAN_MARK_INIT] = cls._vm_mark_init
+        return {int(number): method for number, method in table.items()}
+
+    def _on_vmcall(self, number: int, args: List[int], pc: int,
+                   task: int) -> None:
         self.events_handled += 1
-        if number == Hypercall.SAN_LOAD or number == Hypercall.SAN_STORE:
-            if not self.enabled:
-                return
-            access = Access(
-                args[0], args[1] or 1, number == Hypercall.SAN_STORE,
-                pc=event.pc, task=event.task,
-                atomic=bool(args[2]) if len(args) > 2 else False,
+        method = self._vmcall_handlers.get(number)
+        if method is not None:
+            method(self, number, args, pc, task)
+
+    # every handler below takes the plan's (number, args, pc, task)
+    def _vm_access(self, number: int, args: List[int], pc: int,
+                   task: int) -> None:
+        if not self.enabled:
+            return
+        access = Access(
+            args[0], args[1] or 1, number == _SAN_STORE,
+            pc=pc, task=task,
+            atomic=bool(args[2]) if len(args) > 2 else False,
+        )
+        self._run_checks(access, mode="c")
+
+    def _vm_range(self, number: int, args: List[int], pc: int,
+                  task: int) -> None:
+        if self.enabled:
+            self._check_range(
+                args[0], args[1], number == _SAN_RANGE_WRITE,
+                pc, task, mode="c",
             )
-            self._run_checks(access, mode="c")
-        elif number == Hypercall.SAN_ALLOC:
-            if self.kasan is not None:
-                self.kasan.on_alloc(args[0], args[1], args[2], event.pc, event.task)
-                self._charge(self.costs.alloc_cost("c"), "allocator")
-            if self.kmsan is not None:
-                self.kmsan.on_alloc(args[0], args[1], args[2], event.pc, event.task)
-                self._charge(self.costs.kmsan_c_alloc, "allocator")
-        elif number == Hypercall.SAN_FREE:
-            if self.kasan is not None:
-                self.kasan.on_free(args[0], event.pc, event.task)
-                self._charge(self.costs.alloc_cost("c"), "allocator")
-            if self.kmsan is not None:
-                self.kmsan.on_free(args[0], event.pc, event.task)
-        elif number == Hypercall.SAN_MARK_INIT:
-            if self.kmsan is not None:
-                self.kmsan.mark_initialized(args[0], args[1])
-        elif number == Hypercall.SAN_SLAB_PAGE:
-            if self.kasan is not None:
-                self.kasan.on_slab_page(args[0], args[1])
-        elif number == Hypercall.SAN_GLOBAL_REG:
-            if self.kasan is not None:
-                self.kasan.register_global(args[0], args[1], args[2])
-        elif number == Hypercall.SAN_STACK_ENTER:
-            pass  # frame extent bookkeeping is carried by the vars
-        elif number == Hypercall.SAN_STACK_VAR:
-            if self.kasan is not None:
-                self.kasan.stack_var(args[0], args[1])
-        elif number == Hypercall.SAN_STACK_LEAVE:
-            if self.kasan is not None:
-                self.kasan.stack_clear(args[0], args[1])
-        elif number in (Hypercall.SAN_RANGE_READ, Hypercall.SAN_RANGE_WRITE):
-            if self.enabled:
-                self._check_range(
-                    args[0], args[1], number == Hypercall.SAN_RANGE_WRITE,
-                    event.pc, event.task, mode="c",
-                )
+
+    def _vm_alloc(self, number: int, args: List[int], pc: int,
+                  task: int) -> None:
+        if self.kasan is not None:
+            self.kasan.on_alloc(args[0], args[1], args[2], pc, task)
+            self._charge(self.costs.alloc_cost("c"), "allocator")
+        if self.kmsan is not None:
+            self.kmsan.on_alloc(args[0], args[1], args[2], pc, task)
+            self._charge(self.costs.kmsan_c_alloc, "allocator")
+
+    def _vm_free(self, number: int, args: List[int], pc: int,
+                 task: int) -> None:
+        if self.kasan is not None:
+            self.kasan.on_free(args[0], pc, task)
+            self._charge(self.costs.alloc_cost("c"), "allocator")
+        if self.kmsan is not None:
+            self.kmsan.on_free(args[0], pc, task)
+
+    def _vm_mark_init(self, number: int, args: List[int], pc: int,
+                      task: int) -> None:
+        self.kmsan.mark_initialized(args[0], args[1])
+
+    def _vm_slab_page(self, number: int, args: List[int], pc: int,
+                      task: int) -> None:
+        self.kasan.on_slab_page(args[0], args[1])
+
+    def _vm_global(self, number: int, args: List[int], pc: int,
+                   task: int) -> None:
+        self.kasan.register_global(args[0], args[1], args[2])
+
+    def _vm_stack_var(self, number: int, args: List[int], pc: int,
+                      task: int) -> None:
+        self.kasan.stack_var(args[0], args[1])
+
+    def _vm_stack_leave(self, number: int, args: List[int], pc: int,
+                        task: int) -> None:
+        self.kasan.stack_clear(args[0], args[1])
 
     # ------------------------------------------------------------------
     # EMBSAN-D: dynamic interception
@@ -534,45 +599,43 @@ class CommonSanitizerRuntime:
             return
         self._run_checks(access, mode="d")
 
-    def _on_call(self, event: CallEvent) -> None:
-        spec = self._alloc_map.get(event.target)
-        if spec is None:
-            return
+    # _on_call/_on_ret are planned on exactly the allocator entry points,
+    # so every call they see is to an AllocFnSpec address
+    def _on_call(self, pc: int, target: int, args: List[int],
+                 task: int) -> None:
+        spec = self._alloc_map[target]
         self.events_handled += 1
         self._suppress += 1
-        stack = self._pending.setdefault(event.task, [])
+        stack = self._pending.setdefault(task, [])
         nested = bool(stack)
         if spec.kind == "alloc":
-            stack.append((spec, spec.size_from(event.args)))
+            stack.append((spec, spec.size_from(args)))
         else:
-            addr = event.args[spec.addr_arg] if event.args else 0
+            addr = args[spec.addr_arg] if args else 0
             stack.append((spec, addr))
             # a free issued from inside another allocator call is that
             # allocator releasing backing store, not an object lifetime
             # event (e.g. kfree of a large object forwarding to the buddy)
             if not nested and self.kasan is not None:
-                self.kasan.on_free(addr, event.pc, event.task)
+                self.kasan.on_free(addr, pc, task)
                 self._charge(self.costs.alloc_cost("d"), "allocator")
 
-    def _on_ret(self, event: RetEvent) -> None:
-        spec = self._alloc_map.get(event.target)
-        if spec is None:
-            return
-        stack = self._pending.get(event.task)
+    def _on_ret(self, target: int, retval: int, task: int) -> None:
+        stack = self._pending.get(task)
         if not stack:
             return
         pending_spec, value = stack.pop()
         self._suppress = max(0, self._suppress - 1)
         if pending_spec.kind == "alloc" and self.kasan is not None:
-            if event.retval:
+            if retval:
                 if stack and stack[-1][0].kind == "alloc":
                     # a page allocation nested inside another allocator is
                     # slab backing store: poison it like kasan_poison_slab
-                    self.kasan.on_slab_page(event.retval, value)
+                    self.kasan.on_slab_page(retval, value)
                 else:
                     self.kasan.on_alloc(
-                        event.retval, value, pending_spec.cache_hint,
-                        event.target, event.task,
+                        retval, value, pending_spec.cache_hint,
+                        target, task,
                     )
                 self._charge(self.costs.alloc_cost("d"), "allocator")
 

@@ -95,3 +95,30 @@ def test_mt7629_bug_free_send_is_clean():
     assert runtime.sink.count() == 0, [
         str(r).splitlines()[0] for r in runtime.sink.unique.values()
     ]
+
+
+def _netrom(with_bugs):
+    image = build_firmware("OpenWRT-rtl839x", mode=InstrumentationMode.EMBSAN_D,
+                           with_bugs=with_bugs, boot=False)
+    runtime = attach_runtime(image, sanitizers=("kasan",))
+    image.boot()
+    module = next(m for m in image.kernel.modules if m.name == "netrom")
+    module.fs_mount(image.ctx, 0)
+    return image.ctx, module, runtime
+
+
+@pytest.mark.parametrize("with_bugs", [False, True])
+def test_netrom_route_flush_then_node_del(with_bugs):
+    # flushing the route drops its reference to a node the table still
+    # owns; deleting the node afterwards is its only free on a bug-free
+    # build (a Hypothesis run of the property above found seed 362)
+    ctx, netrom, runtime = _netrom(with_bugs)
+    assert netrom.nr_node_add(ctx, 5) == 5
+    assert netrom.nr_route_flush(ctx) == 1
+    assert netrom.nr_node_del(ctx, 5) == 0
+    reports = [str(r).splitlines()[0] for r in runtime.sink.unique.values()]
+    if with_bugs:
+        # the seeded build keeps freeing on both paths
+        assert reports == ["BUG: KASAN: double-free in netrom.nr_node_del"]
+    else:
+        assert reports == []

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.emulator.arch import arch_by_name
 from repro.emulator.devices import DMA_CTRL, DMA_DST, DMA_LEN, DMA_SRC
+from repro.emulator.events import EventKind
 from repro.emulator.machine import Machine
 from repro.emulator.snapshot import Checkpoint, ForkServer, take
 from repro.errors import DmaFault, FuzzerError, SnapshotError
@@ -25,10 +26,12 @@ from repro.fuzz.checkpoint import (
     result_to_json,
     save_checkpoint,
 )
+from repro.fuzz.coverage import EmulatorCoverage, KcovCoverage
 from repro.fuzz.engine import EXEC_MODES, FuzzTarget
 from repro.mem.dirty import PAGE_SIZE, DirtySet
 from repro.mem.regions import MemoryRegion
 from repro.sanitizers.runtime.runtime import (
+    AllocFnSpec,
     CommonSanitizerRuntime,
     RuntimeConfig,
 )
@@ -324,9 +327,10 @@ class TestForkServerRestore:
 
 
 # ----------------------------------------------------------------------
-# differential restore: every RAM write path against a full snapshot
+# differential restore: every RAM write path against a fresh build
 # ----------------------------------------------------------------------
-#: small regions keep a full take() cheap; >= 1 MiB keeps the mmap path
+#: small regions keep two builds per example cheap; >= 1 MiB keeps the
+#: mmap path
 _DIFF_SIZES = dict(dram=2 * _MiB, sram=_MiB, flash=64 << 10)
 #: writes land around the first few page boundaries of a region
 _offsets = st.builds(
@@ -394,32 +398,67 @@ def _apply(machine, runtime, op) -> None:
         runtime.shadow.unpoison(addr, op[3])
 
 
+#: allocator entry points the differential machine's runtime probes
+_DIFF_ALLOCATORS = (
+    AllocFnSpec(0x0800_1000, "alloc", "kmalloc"),
+    AllocFnSpec(0x0800_2000, "free", "kfree"),
+)
+
+
+def _diff_machine():
+    """A machine in the golden state the differential test restores to.
+
+    Built the same way every time, so a second call is the fresh-build
+    oracle for a restored first one.
+    """
+    machine = _arm_machine(**_DIFF_SIZES)
+    runtime = CommonSanitizerRuntime(
+        machine, RuntimeConfig(mode="d", alloc_fns=_DIFF_ALLOCATORS)).attach()
+    # a planned probe of every shape: keyed call/ret (the runtime),
+    # keyed vmcall and catch-all call (coverage), catch-all ret (a hook)
+    KcovCoverage(machine)
+    EmulatorCoverage(machine)
+    machine.hooks.add(EventKind.RET, lambda event: None)
+    # golden content worth restoring: data in RAM, poison in shadow
+    dram = machine.bus.region_named("dram")
+    machine.bus.fill(dram.base + PAGE_SIZE - 64, 128, 0x5A)
+    runtime.shadow.poison(dram.base + 16, 48, ShadowCode.REDZONE_HEAP)
+    return machine, runtime
+
+
+def _probe_plan(machine):
+    """Each probe table's keys and handler functions, in order."""
+    def shape(handlers):
+        return tuple(getattr(h, "__func__", None) or h.__code__
+                     for h in handlers)
+
+    return tuple(
+        ({key: shape(hs) for key, hs in table.keyed.items()},
+         shape(table.default))
+        for table in (machine.calls, machine.rets, machine.vmcalls)
+    )
+
+
 class TestDifferentialRestore:
-    """Delta restore ≡ full snapshot, over every RAM write path."""
+    """Delta restore ≡ fresh build, over every RAM write path."""
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(st.lists(_op, max_size=10), min_size=1, max_size=4))
-    def test_restore_matches_full_snapshot(self, sessions):
-        machine = _arm_machine(**_DIFF_SIZES)
-        runtime = CommonSanitizerRuntime(
-            machine, RuntimeConfig(mode="d")).attach()
-        # golden content worth restoring: data in RAM, poison in shadow
-        dram = machine.bus.region_named("dram")
-        machine.bus.fill(dram.base + PAGE_SIZE - 64, 128, 0x5A)
-        runtime.shadow.poison(dram.base + 16, 48, ShadowCode.REDZONE_HEAP)
-        snap = take(machine)
-        shadow = dict(snap._provider_states)[runtime]["shadow"]
+    def test_restore_matches_fresh_build(self, sessions):
+        machine, runtime = _diff_machine()
+        fresh, fresh_runtime = _diff_machine()
         fork = ForkServer(machine)
         for session in sessions:
             for op in session:
                 _apply(machine, runtime, op)
             fork.restore()
             for region in machine.bus.regions:
-                if region.name in snap._regions:
-                    assert bytes(region.data) == snap._regions[region.name], \
-                        region.name
-            assert runtime.shadow.save_state() == shadow
+                oracle = fresh.bus.region_named(region.name)
+                assert bytes(region.data) == bytes(oracle.data), region.name
+            assert runtime.save_state() == fresh_runtime.save_state()
+            # restore neither drops nor duplicates a planned probe
+            assert _probe_plan(machine) == _probe_plan(fresh)
 
 
 # ----------------------------------------------------------------------

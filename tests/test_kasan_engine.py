@@ -7,7 +7,7 @@ from repro.fuzz.checkpoint import _report_to_json
 from repro.mem.access import Access, AccessKind
 from repro.mem.bus import MemoryBus
 from repro.mem.regions import MemoryRegion, Perm
-from repro.sanitizers.runtime.kasan import KasanEngine
+from repro.sanitizers.runtime.kasan import HEAP_REDZONE, KasanEngine
 from repro.sanitizers.runtime.reports import BugType, ReportSink
 from repro.sanitizers.runtime.shadow import GRANULE, ShadowCode, ShadowMemory
 
@@ -216,3 +216,65 @@ class TestLazyShadowDump:
         for addr in (BASE, BASE + 0x800, BASE + ODD_SIZE - 1, BASE - 8):
             assert engine.shadow.dump_around(addr) == eager_dump(
                 engine.shadow, addr)
+
+
+def linear_object_before(live, addr):
+    """The owner lookup as a scan over every live object (reference)."""
+    best = None
+    best_base = -1
+    for base, info in live.items():
+        if base + info.size <= addr <= base + info.size + HEAP_REDZONE:
+            if base > best_base:
+                best, best_base = info, base
+    return best
+
+
+#: bases packed into a few hundred bytes, so objects sit adjacent,
+#: overlap (a page allocation over slab objects) and share end addresses
+_bases = st.integers(1, 0x180)
+_heap_op = st.one_of(
+    st.tuples(st.just("alloc"), _bases, st.integers(1, 64),
+              st.sampled_from([1, 2, 0xFFFF])),
+    st.tuples(st.just("free"), _bases),
+    st.tuples(st.just("save")),
+    st.tuples(st.just("restore")),
+)
+
+
+class TestObjectBefore:
+    """The end-address index finds the owner the linear scan finds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_heap_op, max_size=40),
+           st.lists(st.integers(0, 0x200), min_size=1, max_size=12))
+    def test_index_matches_linear_scan(self, ops, probes):
+        engine = odd_engine()
+        saved = {}
+        for op in ops:
+            if op[0] == "alloc":
+                engine.on_alloc(BASE + op[1], op[2], op[3])
+            elif op[0] == "free":
+                engine.on_free(BASE + op[1])
+            elif op[0] == "save":
+                saved = dict(engine.live)
+            else:
+                # snapshot restore replaces the map wholesale
+                engine.live = dict(saved)
+            # probe between ops too, so the index is live while mutating
+            probe = BASE + probes[len(ops) % len(probes)]
+            assert engine._object_before(probe) == linear_object_before(
+                engine.live, probe)
+        for offset in probes:
+            addr = BASE + offset
+            assert engine._object_before(addr) == linear_object_before(
+                engine.live, addr)
+
+    def test_largest_base_wins(self, engine):
+        # two objects end at the same address: the later-starting owns it
+        engine.on_alloc(BASE, 64, cache=1, pc=0x1)
+        engine.on_alloc(BASE + 32, 32, cache=1, pc=0x2)
+        assert engine._object_before(BASE + 64).alloc_pc == 0x2
+        assert engine._object_before(BASE + 64 + HEAP_REDZONE).alloc_pc == 0x2
+        assert engine._object_before(BASE + 65 + HEAP_REDZONE) is None
+        engine.on_free(BASE + 32)
+        assert engine._object_before(BASE + 64).alloc_pc == 0x1

@@ -247,3 +247,42 @@ class TestOverheadGuard:
         assert observer.tracer is None
         assert result.execs == 60
         assert observer.registry.to_json()["counters"]["campaign.execs"] == 60
+
+
+class TestPerfbenchLedger:
+    """``perfbench/ledger.py`` wraps each layer target by replacing
+    ``owner.__dict__[attr]``; a refactor that renames, moves or inherits
+    one of them would break ``--trace 1`` at install time."""
+
+    @staticmethod
+    def _ledger():
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "ledger.py"
+        spec = importlib.util.spec_from_file_location("_perfbench_ledger",
+                                                      path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_layer_target_is_its_owners_own_attribute(self):
+        import importlib
+
+        ledger = self._ledger()
+        missing = []
+        for name, targets, _moves in ledger.LAYERS:
+            for module_name, class_name, attr in targets:
+                owner = importlib.import_module(module_name)
+                if class_name is not None:
+                    owner = getattr(owner, class_name, None)
+                    if not isinstance(owner, type) or \
+                            attr not in owner.__dict__:
+                        missing.append((name, module_name, class_name, attr))
+                elif not callable(getattr(owner, attr, None)):
+                    missing.append((name, module_name, class_name, attr))
+        assert missing == []
+        # the fuzz-phase marker is installed the same way
+        from repro.fuzz.engine import FuzzerEngine
+
+        assert "run" in FuzzerEngine.__dict__
