@@ -17,14 +17,14 @@ Three restore strategies over one dirty-set abstraction
   journaled execution mode.
 * :class:`ForkServer` — golden snapshot + dirty-page delta restore.
   Captures the ready-to-run state once (engine and machine state,
-  device models, provider state, and the host-side Python object graph
-  of the rehosted kernel) without copying RAM: the DirtySet keeps each
-  page's golden bytes the first time the page is written after
-  capture.  Restores between programs copy back only the pages the
-  session dirtied, invalidate only translations built from dirty code
-  pages, and reload only state providers whose epoch actually moved.
-  Capture and restore both cost O(pages touched) — the AFL fork-server
-  idea applied to a rehosted machine.
+  device models, provider state, and a restore plan for the host-side
+  Python object graph of the rehosted kernel) without copying RAM: the
+  DirtySet keeps each page's golden bytes the first time the page is
+  written after capture.  Restores between programs copy back only the
+  pages the session dirtied, invalidate only translations built from
+  dirty code pages, reload only state providers whose epoch moved, and
+  rebuild only host containers that differ from their prototypes — the
+  AFL fork-server idea applied to a rehosted machine.
 
 Device and host-side observer state (hooks, tracers, metric registries)
 is deliberately *not* captured by any strategy: observers persist
@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 import time
 import types
-from collections import deque
+from collections import OrderedDict, defaultdict, deque
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.emulator.machine import Machine
@@ -238,9 +238,9 @@ class ForkServer:
 
     ``host_roots`` seeds the host-side object walk: the rehosted kernel
     and its guest context.  Every plain-data attribute reachable from
-    them through ``repro.os``/``repro.guest`` objects is captured and
-    restored; opaque values (machine references, callables, mmap
-    handles) pass through untouched by identity.
+    them through ``repro.os``/``repro.guest`` objects is compiled into a
+    restore plan (:func:`_compile_host_plan`); opaque values (machine
+    references, callables, mmap handles) are never touched.
     """
 
     def __init__(self, machine: Machine, host_roots: Tuple = ()):
@@ -260,6 +260,7 @@ class ForkServer:
             else:
                 self._ram[region.name] = region.data
         self.dirty = DirtySet(self._ram)
+        self._bind_regions(bus.regions)
         self._engines = [
             (
                 _capture_engine(engine),
@@ -296,22 +297,47 @@ class ForkServer:
             if watchdog is not None
             else None
         )
+        #: per provider: (state_epoch, epoch, load, saved,
+        #: load_telemetry, telemetry), methods bound once
         self._providers = []
         for provider in machine.state_providers:
             epoch_fn = getattr(provider, "state_epoch", None)
             telemetry_fn = getattr(provider, "save_telemetry", None)
             save = getattr(provider, "save_golden", None)
-            self._providers.append(
-                (
-                    provider,
-                    save() if save is not None else provider.save_state(),
-                    epoch_fn() if epoch_fn is not None else None,
-                    telemetry_fn() if telemetry_fn is not None else None,
-                )
-            )
-        self._host_state = _capture_host_state(host_roots)
+            telemetry = telemetry_fn() if telemetry_fn is not None else None
+            self._providers.append((
+                epoch_fn,
+                epoch_fn() if epoch_fn is not None else None,
+                getattr(provider, "load_golden", None) or provider.load_state,
+                save() if save is not None else provider.save_state(),
+                provider.load_telemetry if telemetry is not None else None,
+                telemetry,
+            ))
+        self._host_plan = _compile_host_plan(host_roots)
         # from here on, every bus write marks pages for the next restore
         bus.attach_dirty(self.dirty)
+
+    def _bind_regions(self, regions: Tuple) -> None:
+        # rebound by restore() only when the bus's region tuple changes
+        ram = []
+        device = []
+        for region in regions:
+            name = region.name
+            if isinstance(region, MmioRegion) or region.kind == "device":
+                golden = self._device_ram.get(name)
+                if golden is not None and len(golden) == region.size:
+                    device.append((region, golden))
+            elif name in self._ram:
+                ram.append((name, region, self._ram[name]))
+            else:
+                raise SnapshotError(
+                    "mapped after the golden capture; delta restore "
+                    "cannot reconstruct it",
+                    region=name,
+                )
+        self._regions = regions
+        self._ram_regions = ram
+        self._device_regions = device
 
     # ------------------------------------------------------------------
     def restore(self) -> RestoreStats:
@@ -319,22 +345,14 @@ class ForkServer:
         start = time.perf_counter()
         machine = self.machine
         dirty = self.dirty
+        regions = machine.bus.regions
+        if regions != self._regions:
+            self._bind_regions(regions)
+        for region, golden in self._device_regions:
+            region.data[:] = golden
         pages = 0
         code_spans: List[Tuple[int, int]] = []
-        for region in machine.bus.regions:
-            name = region.name
-            if isinstance(region, MmioRegion) or region.kind == "device":
-                golden = self._device_ram.get(name)
-                if golden is not None and len(golden) == region.size:
-                    region.data[:] = golden
-                continue
-            data = self._ram.get(name)
-            if data is None:
-                raise SnapshotError(
-                    "mapped after the golden capture; delta restore "
-                    "cannot reconstruct it",
-                    region=name,
-                )
+        for name, region, data in self._ram_regions:
             if region.data is not data:
                 raise SnapshotError(
                     "remapped since the golden capture; its golden pages "
@@ -389,23 +407,19 @@ class ForkServer:
             watchdog.trips = trips
             watchdog._ring.clear()
             watchdog._ring.extend(ring)
-        _restore_host_state(self._host_state)
+        _restore_host_plan(self._host_plan)
         # providers restore after guest memory (see Snapshot.restore);
         # the epoch gate skips the semantic reload entirely when nothing
         # the provider tracks actually changed, and telemetry (counters,
         # report sink) rewinds unconditionally — it moves on every check
         reloaded = 0
-        for provider, saved, epoch, telemetry in self._providers:
-            epoch_fn = getattr(provider, "state_epoch", None)
-            if epoch_fn is None or epoch is None or epoch_fn() != epoch:
-                load = getattr(provider, "load_golden", None)
-                if load is not None:
-                    load(saved)
-                else:
-                    provider.load_state(saved)
+        for epoch_fn, epoch, load, saved, load_telemetry, telemetry \
+                in self._providers:
+            if epoch is None or epoch_fn() != epoch:
+                load(saved)
                 reloaded += 1
             if telemetry is not None:
-                provider.load_telemetry(telemetry)
+                load_telemetry(telemetry)
         dirty.clear()
         self.restores += 1
         us = (time.perf_counter() - start) * 1e6
@@ -429,38 +443,15 @@ class ForkServer:
 
 
 # ----------------------------------------------------------------------
-# host-side Python state capture
+# host-side Python state: a restore plan compiled at capture
 # ----------------------------------------------------------------------
 #: instances of classes from these packages form the walkable graph
 _WALK_PREFIXES = ("repro.os", "repro.guest")
 
-#: attribute-level marker: leave the attribute untouched on restore
-_OPAQUE = object()
-
-
-class _FrozenList(NamedTuple):
-    items: list
-
-
-class _FrozenTuple(NamedTuple):
-    items: tuple
-
-
-class _FrozenSet(NamedTuple):
-    items: list
-
-
-class _FrozenDict(NamedTuple):
-    items: list
-
-
-class _FrozenDeque(NamedTuple):
-    items: list
-    maxlen: Optional[int]
-
-
-class _FrozenBytearray(NamedTuple):
-    data: bytes
+#: immutable leaves, kept by reference (``bool`` is an ``int``)
+_ATOMS = (int, float, str, bytes, frozenset, enum.Enum, type(None))
+#: mutable containers, copied level by level
+_MUTABLE = (list, dict, set, deque, bytearray)
 
 
 def _walkable(value) -> bool:
@@ -473,66 +464,82 @@ def _walkable(value) -> bool:
     return hasattr(value, "__dict__")
 
 
-def _freeze(value, queue: list):
-    """Deep-copy plain data; pass objects through by reference.
+def _copy_tree(value, queue: Optional[list] = None):
+    """Copy every container level of ``value``; pass the rest by reference.
 
-    Walkable objects are queued so their own attributes get captured;
-    everything else (machine references, callables, mmap handles) stays
-    an identity reference inside containers.
+    Copies keep their exact type (``defaultdict`` factory, deque
+    ``maxlen``, NamedTuple class); a tuple holding nothing mutable comes
+    back as itself; walkable objects are appended to ``queue``.  A
+    container type it cannot rebuild faithfully raises SnapshotError.
     """
-    if value is None or isinstance(
-        value, (int, float, bool, str, bytes, frozenset, enum.Enum)
-    ):
+    if isinstance(value, _ATOMS):
         return value
-    if isinstance(value, bytearray):
-        return _FrozenBytearray(bytes(value))
-    if isinstance(value, list):
-        return _FrozenList([_freeze(item, queue) for item in value])
+    kind = type(value)
+    if kind is list:
+        return [_copy_tree(item, queue) for item in value]
+    if kind is dict or kind is OrderedDict or kind is defaultdict:
+        copy = value.copy()  # same type, same default_factory
+        for key, item in value.items():
+            copy[_copy_tree(key, queue)] = _copy_tree(item, queue)
+        return copy
+    if kind is set:
+        return {_copy_tree(item, queue) for item in value}
+    if kind is deque:
+        return deque((_copy_tree(item, queue) for item in value), value.maxlen)
+    if kind is bytearray:
+        return bytearray(value)
     if isinstance(value, tuple):
-        return _FrozenTuple(tuple(_freeze(item, queue) for item in value))
-    if isinstance(value, set):
-        return _FrozenSet([_freeze(item, queue) for item in value])
-    if isinstance(value, dict):
-        return _FrozenDict(
-            [(_freeze(k, queue), _freeze(v, queue)) for k, v in value.items()]
-        )
-    if isinstance(value, deque):
-        return _FrozenDeque([_freeze(item, queue) for item in value], value.maxlen)
-    if _walkable(value):
-        queue.append(value)
-    return value
+        items = [_copy_tree(item, queue) for item in value]
+        if all(new is old for new, old in zip(items, value)):
+            return value  # immutable all the way down
+        if kind is tuple:
+            return tuple(items)
+        if hasattr(kind, "_make"):
+            return kind._make(items)
+    elif not isinstance(value, _MUTABLE):
+        if queue is not None and _walkable(value):
+            queue.append(value)
+        return value
+    raise SnapshotError(
+        f"golden capture cannot rebuild a {kind.__qualname__} faithfully"
+    )
 
 
-def _thaw(frozen):
-    if isinstance(frozen, _FrozenList):
-        return [_thaw(item) for item in frozen.items]
-    if isinstance(frozen, _FrozenTuple):
-        return tuple(_thaw(item) for item in frozen.items)
-    if isinstance(frozen, _FrozenSet):
-        return {_thaw(item) for item in frozen.items}
-    if isinstance(frozen, _FrozenDict):
-        return {_thaw(k): _thaw(v) for k, v in frozen.items}
-    if isinstance(frozen, _FrozenDeque):
-        return deque((_thaw(item) for item in frozen.items), frozen.maxlen)
-    if isinstance(frozen, _FrozenBytearray):
-        return bytearray(frozen.data)
-    return frozen
+def _flat(container) -> bool:
+    """True when nothing held in ``container`` needs copying."""
+    items = container.values() if isinstance(container, dict) else container
+    return all(_copy_tree(item) is item for item in items)
 
 
-_MISSING = object()
+def _copier(proto):
+    """The cheapest faithful rebuild of ``proto``, chosen once.
 
-
-def _capture_host_state(roots) -> List[Tuple[object, dict, dict]]:
-    """Capture the plain-data attributes of every reachable host object.
-
-    Each entry carries, besides the frozen attribute values, a thawed
-    *prototype* per container attribute: restore compares the live value
-    against it (a C-level ``==``, allocation-free) and only rebuilds
-    attributes that actually changed — with no custom ``__eq__`` in the
-    walked modules, element equality for object references is identity,
-    so an equal container is exactly one that needs no restore.
+    The ``copy`` method of every container :func:`_copy_tree` returns
+    keeps its type and a deque's ``maxlen``.
     """
-    saved: List[Tuple[object, dict, dict]] = []
+    if isinstance(proto, tuple):
+        return _copy_tree
+    if _flat(proto):
+        return type(proto).copy
+    if type(proto) is dict and all(
+        isinstance(value, _MUTABLE) and _flat(value)
+        for value in proto.values()
+    ):
+        return lambda golden: {k: v.copy() for k, v in golden.items()}
+    return _copy_tree
+
+
+def _compile_host_plan(roots) -> List[tuple]:
+    """Compile the restore of every host object reachable from ``roots``.
+
+    One ``(obj, names, scalars, containers)`` entry per walked object:
+    its attribute names, the scalars one ``dict.update`` puts back, and
+    a ``(name, prototype, copier)`` per container.  Opaque attributes
+    are in neither.  A container is rebuilt only when it differs from
+    its never-handed-out prototype; no walked class defines ``__eq__``,
+    so element equality for object references is identity.
+    """
+    plan = []
     visited = set()
     queue = [root for root in roots if root is not None]
     while queue:
@@ -540,49 +547,40 @@ def _capture_host_state(roots) -> List[Tuple[object, dict, dict]]:
         if id(obj) in visited or not _walkable(obj):
             continue
         visited.add(id(obj))
-        attrs: Dict[str, object] = {}
-        protos: Dict[str, object] = {}
+        scalars = {}
+        containers = []
         for name, value in list(obj.__dict__.items()):
             if isinstance(value, types.GeneratorType):
                 # a half-advanced coroutine cannot be re-entered after a
                 # memory rewind; a finished one is equivalent to never
                 # having started (step() lazily recreates it)
                 if getattr(obj, "done", False):
-                    attrs[name] = None
+                    scalars[name] = None
                     continue
                 raise SnapshotError(
                     f"golden capture found a live coroutine in "
                     f"{type(obj).__name__}.{name}; the ready-to-run point "
                     f"must be quiescent"
                 )
-            frozen = _freeze(value, queue)
-            if frozen is value and not isinstance(
-                value, (int, float, bool, str, bytes, frozenset, enum.Enum)
-            ) and value is not None and not _walkable(value):
-                # opaque at attribute level: do not touch it on restore
-                attrs[name] = _OPAQUE
-            else:
-                attrs[name] = frozen
-                if frozen is not value:
-                    protos[name] = _thaw(frozen)
-        saved.append((obj, attrs, protos))
-    return saved
+            proto = _copy_tree(value, queue)
+            if proto is not value:
+                containers.append((name, proto, _copier(proto)))
+            elif isinstance(value, (_ATOMS, tuple)) or _walkable(value):
+                scalars[name] = value
+        plan.append(
+            (obj, frozenset(obj.__dict__), scalars, tuple(containers)))
+    return plan
 
 
-def _restore_host_state(saved: List[Tuple[object, dict, dict]]) -> None:
-    """Write captured attributes back; drop attributes added since."""
-    for obj, attrs, protos in saved:
+def _restore_host_plan(plan: List[tuple]) -> None:
+    """Put every walked object back; drop attributes added since."""
+    for obj, names, scalars, containers in plan:
         live = obj.__dict__
-        for name in [n for n in live if n not in attrs]:
-            delattr(obj, name)
-        for name, frozen in attrs.items():
-            if frozen is _OPAQUE:
-                continue
-            current = live.get(name, _MISSING)
-            if current is frozen:
-                continue  # unchanged scalar or by-reference object
-            proto = protos.get(name, _MISSING)
-            if proto is not _MISSING and type(current) is type(proto) \
-                    and current == proto:
-                continue  # container holds exactly the golden content
-            setattr(obj, name, _thaw(frozen))
+        if not live.keys() <= names:
+            for name in live.keys() - names:
+                delattr(obj, name)
+        live.update(scalars)
+        for name, proto, copy in containers:
+            current = live.get(name)
+            if type(current) is not type(proto) or current != proto:
+                live[name] = copy(proto)

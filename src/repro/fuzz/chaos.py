@@ -31,6 +31,10 @@ A plan is attached to one side of a connection and consulted once per
 ``disconnect``
     The frame is sent, then the connection is closed — the clean-cut
     worker-death case (the client's reconnect/backoff loop takes over).
+``stall``
+    The sending thread blocks for ``ms=`` milliseconds, then sends the
+    frame — a worker that stops being scheduled and later resumes.
+    Other threads sharing the stream are not blocked.
 
 A compact text DSL mirrors the fault-plan DSL::
 
@@ -41,6 +45,8 @@ A compact text DSL mirrors the fault-plan DSL::
     truncate:nth=7                cut the 7th frame mid-bytes
     reorder:p=0.2                 swap 20% of frames with their successor
     disconnect:nth=9              cut the connection after frame 9
+    stall:kind=started,nth=1,ms=4000
+                                  hold the first ``started`` event 4 s
     seed=7                        reseed the plan's RNG
 
 Clauses are ``;``-separated; ``kind=`` filters a rule to one frame type
@@ -53,12 +59,14 @@ and a plan that ate its own handshake would only test the dialer.
 from __future__ import annotations
 
 import random
+import time
 from typing import List, NamedTuple, Optional
 
 from repro.errors import ReproError
 
 #: actions a rule may take, in documentation order
-ACTIONS = ("drop", "dup", "corrupt", "truncate", "reorder", "disconnect")
+ACTIONS = ("drop", "dup", "corrupt", "truncate", "reorder", "disconnect",
+           "stall")
 
 #: frame types chaos never touches (see module docstring)
 PROTECTED_KINDS = frozenset({"hello", "welcome", "error"})
@@ -76,6 +84,7 @@ class ChaosRule(NamedTuple):
     rate: float  #: probability per eligible frame (used when nth == 0)
     nth: int  #: apply to every nth eligible frame instead of by rate
     limit: int  #: max applications (0 = unlimited)
+    ms: int = 0  #: how long a ``stall`` blocks the sender
 
 
 class ChaosPlan:
@@ -102,6 +111,7 @@ class ChaosPlan:
         self.truncated = 0
         self.reordered = 0
         self.disconnects = 0
+        self.stalls = 0
 
     # ------------------------------------------------------------------
     def decide(self, frame: dict) -> Optional[str]:
@@ -109,6 +119,11 @@ class ChaosPlan:
 
         First matching rule wins — order your clauses accordingly.
         """
+        rule = self.rule_for(frame)
+        return rule.action if rule is not None else None
+
+    def rule_for(self, frame: dict) -> Optional[ChaosRule]:
+        """The rule that fires on one outbound frame (see :meth:`decide`)."""
         kind = frame.get("kind") or frame.get("type")
         if kind in PROTECTED_KINDS:
             return None
@@ -126,7 +141,7 @@ class ChaosPlan:
             if hit:
                 self._applied[index] += 1
                 self._count(rule.action)
-                return rule.action
+                return rule
         return None
 
     def _count(self, action: str) -> None:
@@ -137,6 +152,7 @@ class ChaosPlan:
             "truncate": "truncated",
             "reorder": "reordered",
             "disconnect": "disconnects",
+            "stall": "stalls",
         }[action]
         setattr(self, field, getattr(self, field) + 1)
 
@@ -150,6 +166,7 @@ class ChaosPlan:
             "truncated": self.truncated,
             "reordered": self.reordered,
             "disconnects": self.disconnects,
+            "stalls": self.stalls,
         }
 
     # ------------------------------------------------------------------
@@ -175,6 +192,7 @@ class ChaosPlan:
                 rate = 0.0
                 nth = 0
                 limit = 0
+                ms = 0
                 for chunk in rest.split(","):
                     chunk = chunk.strip()
                     if not chunk:
@@ -198,6 +216,8 @@ class ChaosPlan:
                         kind = val
                     elif key == "limit":
                         limit = int(val, 0)
+                    elif key == "ms" and head == "stall":
+                        ms = int(val, 0)
                     else:
                         raise ChaosPlanError(
                             f"unknown {head} option {key!r} in {clause!r}"
@@ -206,7 +226,9 @@ class ChaosPlan:
                     raise ChaosPlanError(
                         f"clause {clause!r} needs p= or nth="
                     )
-                rules.append(ChaosRule(head, kind, rate, nth, limit))
+                if head == "stall" and ms < 1:
+                    raise ChaosPlanError(f"clause {clause!r} needs ms=")
+                rules.append(ChaosRule(head, kind, rate, nth, limit, ms))
             except ValueError as exc:
                 raise ChaosPlanError(f"bad value in clause {clause!r}: {exc}")
         return cls(rules, seed=seed)
@@ -224,6 +246,8 @@ class ChaosPlan:
                 opts.append(f"p={rule.rate:g}")
             if rule.limit:
                 opts.append(f"limit={rule.limit}")
+            if rule.ms:
+                opts.append(f"ms={rule.ms}")
             parts.append(f"{rule.action}:{','.join(opts)}")
         parts.append(f"seed={self.seed}")
         return ";".join(parts)
@@ -263,7 +287,10 @@ class ChaosFrameStream:
         from repro.errors import TransportError
         from repro.fuzz.transport import encode_frame
 
-        action = self.plan.decide(frame)
+        rule = self.plan.rule_for(frame)
+        action = rule.action if rule is not None else None
+        if action == "stall":
+            time.sleep(rule.ms / 1000)
         if action == "drop":
             self._flush_held()
             return

@@ -11,8 +11,9 @@ firmware whose symbols the Prober cannot rely on.
 
 from __future__ import annotations
 
+import functools
 import inspect
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import FirmwareBuildError
 from repro.guest.context import GuestContext
@@ -97,6 +98,22 @@ class GuestFunction:
         return f"GuestFunction({self.name!r} @ {self.addr:#010x})"
 
 
+@functools.cache
+def _guestfn_table(cls: type) -> Tuple[Tuple[str, Callable], ...]:
+    """``(attr, raw function)`` per ``@guestfn`` method of ``cls``.
+
+    In ``inspect.getmembers`` order, which fixes each function's text
+    address.  Cached per class: every rebuild of a firmware installs
+    the same module classes.
+    """
+    table = []
+    for attr, member in inspect.getmembers(cls, callable):
+        raw = getattr(member, "__func__", member)
+        if getattr(raw, "_guestfn", False):
+            table.append((attr, raw))
+    return tuple(table)
+
+
 class GuestModule:
     """Base class for rehosted kernel modules.
 
@@ -122,10 +139,8 @@ class GuestModule:
             raise FirmwareBuildError(f"module {self.name!r} installed twice")
         self.ctx = ctx
         symbols = {}
-        for attr, method in inspect.getmembers(self, predicate=callable):
-            raw = getattr(method, "__func__", method)
-            if not getattr(raw, "_guestfn", False):
-                continue
+        for attr, raw in _guestfn_table(type(self)):
+            method = getattr(self, attr)
             fn_name = f"{self.name}.{raw._guestfn_name}"
             addr = ctx.layout.alloc_text(fn_name)
             fn = GuestFunction(

@@ -9,7 +9,10 @@ and each class here attacks it from a different angle.
 
 from __future__ import annotations
 
+import enum
 import json
+from collections import Counter, OrderedDict, defaultdict, deque
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,7 +21,7 @@ from repro.emulator.arch import arch_by_name
 from repro.emulator.devices import DMA_CTRL, DMA_DST, DMA_LEN, DMA_SRC
 from repro.emulator.events import EventKind
 from repro.emulator.machine import Machine
-from repro.emulator.snapshot import Checkpoint, ForkServer, take
+from repro.emulator.snapshot import Checkpoint, ForkServer, _walkable, take
 from repro.errors import DmaFault, FuzzerError, SnapshotError
 from repro.fuzz.campaign import run_campaign
 from repro.fuzz.checkpoint import (
@@ -28,6 +31,7 @@ from repro.fuzz.checkpoint import (
 )
 from repro.fuzz.coverage import EmulatorCoverage, KcovCoverage
 from repro.fuzz.engine import EXEC_MODES, FuzzTarget
+from repro.guest.layout import GlobalVar
 from repro.mem.dirty import PAGE_SIZE, DirtySet
 from repro.mem.regions import MemoryRegion
 from repro.sanitizers.runtime.runtime import (
@@ -459,6 +463,318 @@ class TestDifferentialRestore:
             assert runtime.save_state() == fresh_runtime.save_state()
             # restore neither drops nor duplicates a planned probe
             assert _probe_plan(machine) == _probe_plan(fresh)
+
+
+# ----------------------------------------------------------------------
+# host-graph restore: the rehosted kernel's Python objects
+# ----------------------------------------------------------------------
+class _Obj:
+    """A host object the fork server walks (its module makes it so)."""
+
+    __module__ = "repro.os._t"
+
+    def __init__(self, **attrs):
+        self.__dict__.update(attrs)
+
+
+class _Point(NamedTuple):
+    x: int
+    y: list
+
+
+class _Tally(list):
+    pass
+
+
+def _forkserver_fuzzer(firmware):
+    from repro.firmware.registry import firmware_spec
+    from repro.fuzz.syzkaller import SyzkallerFuzzer
+    from repro.fuzz.tardis import TardisFuzzer
+
+    cls = (SyzkallerFuzzer if firmware_spec(firmware).fuzzer == "syzkaller"
+           else TardisFuzzer)
+    fuzzer = cls(firmware, seed=1, exec_mode="forkserver")
+    fuzzer.refresh_interval = 10 ** 9
+    return fuzzer
+
+
+def _host_dump(roots):
+    """Canonical plain-data dump of the walked host graph.
+
+    Returns ``(dump, objects)``.  A walked object is named by the path
+    on which the dump first meets it, and a reference to it is written
+    as that path, so two graphs dump equal exactly when they hold equal
+    data wired the same way.  ``objects`` maps each path to its object.
+    Other objects are written as their type: a fresh build holds fresh
+    machines and functions.  Dicts and sets compare as ``==`` does:
+    only an ``OrderedDict``'s order counts.
+    """
+    paths = {}
+    objects = {}
+    queue = []
+
+    def dump(value, where):
+        if _walkable(value):
+            if id(value) not in paths:
+                paths[id(value)] = where
+                objects[where] = value
+                queue.append(value)
+            return ("ref", paths[id(value)])
+        kind = type(value)
+        name = kind.__qualname__
+        if value is None or isinstance(
+                value, (int, float, str, bytes, enum.Enum)):
+            return (name, value)
+        if isinstance(value, bytearray):
+            return (name, bytes(value))
+        if isinstance(value, (list, tuple, deque)):
+            return (name, getattr(value, "maxlen", None), tuple(
+                dump(item, f"{where}[{i}]") for i, item in enumerate(value)))
+        if isinstance(value, (set, frozenset)):
+            return (name, tuple(sorted(
+                repr(dump(item, f"{where}{{}}")) for item in value)))
+        if isinstance(value, dict):
+            items = [(repr(dump(k, f"{where}{{}}")),
+                      repr(dump(v, f"{where}[{k!r}]")))
+                     for k, v in value.items()]
+            if kind is not OrderedDict:
+                items.sort()
+            return (name, getattr(value, "default_factory", None),
+                    tuple(items))
+        return ("opaque", name)
+
+    for index, root in enumerate(roots):
+        dump(root, f"root{index}")
+    out = {}
+    while queue:
+        obj = queue.pop(0)
+        where = paths[id(obj)]
+        out[where] = (type(obj).__qualname__, tuple(
+            (attr, dump(value, f"{where}.{attr}"))
+            for attr, value in sorted(vars(obj).items())))
+    return out, objects
+
+
+def _host_graph():
+    leaf = _Obj(n=7, tag="leaf")
+    hidden = _Obj(n=1)  # reached only through a container
+    root = _Obj(
+        count=3, name="root", flag=True, ratio=0.5, blob=b"\x01",
+        free_lists={0: [1, 2], 1: [], 2: [7]},
+        nested={"a": {"b": [1, [2, 3]]}},
+        members={1, 2, 3},
+        ring=deque([1, 2], maxlen=4),
+        buf=bytearray(b"abc"),
+        pair=(leaf, "x"),
+        mixed=(leaf, [1, 2]),
+        kids=[hidden, leaf],
+        leaf=leaf,
+        counts=defaultdict(int, a=1),
+        ordered=OrderedDict(a=1, b=2),
+        gvars={"g": GlobalVar("g", 0x100, 4, 8, "m")},
+        handle=object(),
+        hook=lambda: None,
+    )
+    return root, leaf, hidden
+
+
+_DATA_ATTRS = ("count", "name", "flag", "ratio", "blob", "free_lists",
+               "nested", "members", "ring", "buf", "pair", "mixed", "kids",
+               "leaf", "counts", "ordered", "gvars")
+_small = st.integers(-3, 300)
+_key = st.integers(0, 4)
+_host_op = st.one_of(
+    st.tuples(st.just("scalar"),
+              st.sampled_from(["count", "name", "flag", "ratio", "blob"]),
+              st.one_of(_small, st.text(max_size=3), st.none())),
+    st.tuples(st.just("list_append"), _key, _small),
+    st.tuples(st.just("list_pop"), _key),
+    st.tuples(st.just("list_del"), _key),
+    st.tuples(st.just("nested"), _small),
+    st.tuples(st.just("set_add"), _small),
+    st.tuples(st.just("set_discard"), _small),
+    st.tuples(st.just("ring"), _small),
+    st.tuples(st.just("buf"), _key, st.integers(0, 255)),
+    st.tuples(st.just("buf_extend"), st.binary(max_size=4)),
+    st.tuples(st.just("pair")),
+    st.tuples(st.just("mixed"), _small),
+    st.tuples(st.just("kids_append")),
+    st.tuples(st.just("kids_clear")),
+    st.tuples(st.just("retype")),
+    st.tuples(st.just("leaf_n"), _small),
+    st.tuples(st.just("hidden_n"), _small),
+    st.tuples(st.just("retarget")),
+    st.tuples(st.just("counts"), st.sampled_from("abc")),
+    st.tuples(st.just("ordered"), st.sampled_from("abc"), _small),
+    st.tuples(st.just("gvar"), st.sampled_from("gh")),
+    st.tuples(st.just("add_attr"), st.sampled_from("xyz"), _small),
+    st.tuples(st.just("del_attr"), st.sampled_from(_DATA_ATTRS)),
+    st.tuples(st.just("leaf_add_attr"), _small),
+)
+
+
+def _apply_host(root, leaf, hidden, op) -> None:
+    kind = op[0]
+    data = vars(root)
+    if kind == "scalar":
+        setattr(root, op[1], op[2])
+    elif kind == "add_attr":
+        setattr(root, f"extra_{op[1]}", op[2])
+    elif kind == "del_attr":
+        data.pop(op[1], None)
+    elif kind == "leaf_n":
+        leaf.n = op[1]
+    elif kind == "hidden_n":
+        hidden.n = op[1]
+    elif kind == "leaf_add_attr":
+        leaf.extra = op[1]
+    elif kind == "retarget":
+        root.leaf = _Obj(n=5)
+    elif kind == "pair":
+        root.pair = (hidden, "y")
+    elif kind == "retype" and "counts" in data:
+        # equal content, different type: restore must still rebuild
+        root.counts = dict(root.counts)
+    elif kind == "gvar" and "gvars" in data:
+        root.gvars[op[1]] = GlobalVar(op[1], 0x200, 8, 8, "m")
+    elif kind == "counts" and "counts" in data:
+        root.counts[op[1]] = root.counts.get(op[1], 0) + 1
+    elif kind == "ordered" and "ordered" in data:
+        root.ordered[op[1]] = op[2]
+        root.ordered.move_to_end(op[1], last=False)
+    elif kind == "list_append" and "free_lists" in data:
+        root.free_lists.setdefault(op[1], []).append(op[2])
+    elif kind == "list_pop" and root.__dict__.get("free_lists", {}).get(op[1]):
+        root.free_lists[op[1]].pop()
+    elif kind == "list_del" and "free_lists" in data:
+        root.free_lists.pop(op[1], None)
+    elif kind == "nested" and "nested" in data:
+        root.nested["a"]["b"][1].append(op[1])
+    elif kind == "set_add" and "members" in data:
+        root.members.add(op[1])
+    elif kind == "set_discard" and "members" in data:
+        root.members.discard(op[1])
+    elif kind == "ring" and "ring" in data:
+        root.ring.append(op[1])
+    elif kind == "buf" and "buf" in data:
+        root.buf[op[1] % len(root.buf)] = op[2]
+    elif kind == "buf_extend" and "buf" in data:
+        root.buf.extend(op[1])
+    elif kind == "mixed" and "mixed" in data:
+        root.mixed[1].append(op[1])
+    elif kind == "kids_append" and "kids" in data:
+        root.kids.append(_Obj(n=99))
+    elif kind == "kids_clear" and "kids" in data:
+        root.kids.clear()
+
+
+class TestHostGraphRestore:
+    """The host-object half of restore ≡ rebuild."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.lists(_host_op, max_size=12), min_size=1,
+                    max_size=4))
+    def test_restore_equals_capture(self, sessions):
+        root, leaf, hidden = _host_graph()
+        golden, objects = _host_dump([root])
+        handle, hook = root.handle, root.hook
+        fork = ForkServer(_arm_machine(**_DIFF_SIZES), host_roots=(root,))
+        for session in sessions:
+            for op in session:
+                _apply_host(root, leaf, hidden, op)
+            fork.restore()
+            restored, restored_objects = _host_dump([root])
+            assert restored == golden
+            # walkable references keep their identity ...
+            assert restored_objects.keys() == objects.keys()
+            for path, obj in objects.items():
+                assert restored_objects[path] is obj, path
+            # ... and so do opaque attributes
+            assert root.handle is handle and root.hook is hook
+            # container types survive a rebuild, and stay usable
+            assert root.counts.default_factory is int
+            assert root.ring.maxlen == 4
+            assert all(type(v) is GlobalVar for v in root.gvars.values())
+            assert type(root.ordered) is OrderedDict
+
+    def test_defaultdict_keeps_its_factory(self, machine):
+        root = _Obj(counts=defaultdict(int))
+        fork = ForkServer(machine, host_roots=(root,))
+        root.counts["a"] += 1
+        fork.restore()
+        root.counts["b"] += 1  # a plain dict would raise KeyError
+        assert root.counts == {"b": 1}
+
+    def test_namedtuple_in_rebuilt_container_keeps_its_class(self, machine):
+        var = GlobalVar("g", 0x100, 4, 8, "m")
+        root = _Obj(globals={"g": var}, boxed=[(var, [1])])
+        fork = ForkServer(machine, host_roots=(root,))
+        root.globals["h"] = var._replace(name="h")
+        root.boxed[0][1].append(2)
+        fork.restore()
+        assert root.globals == {"g": var}
+        assert root.globals["g"].addr == 0x100
+        assert root.boxed == [(var, [1])]
+        assert root.boxed[0][0] is var
+
+    def test_ordered_dict_and_deque_keep_their_type(self, machine):
+        root = _Obj(ordered=OrderedDict(a=1), ring=deque([1], maxlen=2),
+                    point=_Point(1, [2]))
+        fork = ForkServer(machine, host_roots=(root,))
+        root.ordered["b"] = 2
+        root.ring.extend([5, 6])
+        root.point.y.append(3)
+        fork.restore()
+        assert type(root.ordered) is OrderedDict and root.ordered == {"a": 1}
+        assert root.ring == deque([1]) and root.ring.maxlen == 2
+        assert type(root.point) is _Point and root.point.y == [2]
+
+    @pytest.mark.parametrize("value", [
+        Counter(a=1), _Tally([1]), {"nested": Counter()},
+    ], ids=["counter", "list-subclass", "nested-counter"])
+    def test_unfaithful_container_refused_at_capture(self, machine, value):
+        with pytest.raises(SnapshotError, match="faithfully"):
+            ForkServer(machine, host_roots=(_Obj(value=value),))
+
+    def test_live_coroutine_refused_finished_one_cleared(self, machine):
+        def body():
+            yield
+
+        task = _Obj(done=False, body=body())
+        with pytest.raises(SnapshotError, match="live coroutine"):
+            ForkServer(machine, host_roots=(task,))
+        task.done = True
+        fork = ForkServer(machine, host_roots=(task,))
+        task.body = body()
+        fork.restore()
+        assert task.body is None
+
+    @pytest.mark.parametrize("firmware", ["InfiniTime", "OpenWRT-x86_64"])
+    def test_host_graph_matches_fresh_build(self, firmware):
+        def roots(fuzzer):
+            image = fuzzer.target.image
+            return (image.kernel, image.ctx)
+
+        fresh, _ = _host_dump(roots(_forkserver_fuzzer(firmware)))
+        fuzzer = _forkserver_fuzzer(firmware)
+        target = fuzzer.target
+        plan = target.fork_server._host_plan
+        # restore skips an equal container; that is only sound while
+        # element equality is identity
+        assert all(type(entry[0]).__eq__ is object.__eq__ for entry in plan)
+        assert _host_dump(roots(fuzzer))[0] == fresh
+        touched = 0
+        for _ in range(5):
+            for _ in range(6):
+                fuzzer.step()
+            touched += _host_dump(roots(fuzzer))[0] != fresh
+            restores, rebuilds = target.restores, target.rebuilds
+            target.reset()
+            assert (target.restores, target.rebuilds) == (
+                restores + 1, rebuilds)
+            assert _host_dump(roots(fuzzer))[0] == fresh
+        assert touched  # the sessions did move the host graph
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Unit tests: guest layout, context, modules and frames."""
 
+import inspect
+
 import pytest
 
 from repro.emulator.events import EventKind
 from repro.errors import FirmwareBuildError
 from repro.guest.layout import FUNC_SLOT_SIZE, GuestLayout
-from repro.guest.module import GuestModule, guestfn
+from repro.guest.module import GuestModule, _guestfn_table, guestfn
 
 
 class Counter(GuestModule):
@@ -110,6 +112,31 @@ class TestModule:
         assert fn.allocator == "alloc"
         assert fn.size_arg == 0
         assert module.alloc_fns() == [fn]
+
+    def test_guestfn_table_matches_getmembers(self, monkeypatch):
+        # install reads a per-class cache; it must hold exactly what an
+        # instance-level getmembers scan finds at install time, in the
+        # same order, for every module class the catalog installs
+        from repro.firmware.registry import all_firmware, build_firmware
+
+        seen = set()
+        install = GuestModule.install
+
+        def checked_install(self, ctx):
+            scanned = []
+            for attr, member in inspect.getmembers(self, callable):
+                raw = getattr(member, "__func__", member)
+                if getattr(raw, "_guestfn", False):
+                    scanned.append((attr, raw))
+            assert _guestfn_table(type(self)) == tuple(scanned), type(self)
+            seen.add(type(self))
+            return install(self, ctx)
+
+        monkeypatch.setattr(GuestModule, "install", checked_install)
+        for spec in all_firmware():
+            build_firmware(spec.name,
+                           driver=spec.driver_factory is not None)
+        assert len(seen) >= 20
 
 
 class TestContext:

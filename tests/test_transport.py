@@ -22,6 +22,7 @@ import contextlib
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -143,7 +144,8 @@ class TestFrameCodec:
 # ----------------------------------------------------------------------
 class TestChaosPlan:
     def test_dsl_round_trips(self):
-        spec = "drop:kind=heartbeat,p=1;corrupt:nth=5,limit=2;seed=7"
+        spec = ("drop:kind=heartbeat,p=1;corrupt:nth=5,limit=2;"
+                "stall:kind=started,nth=1,limit=1,ms=4000;seed=7")
         plan = ChaosPlan.parse(spec)
         assert plan.describe() == spec
         again = ChaosPlan.parse(plan.describe())
@@ -156,6 +158,8 @@ class TestChaosPlan:
         "drop:p=lots",          # non-numeric rate
         "dup:nth=0",            # nth below 1
         "corrupt:verbosity=9",  # unknown option
+        "stall:nth=1",          # a stall needs ms=
+        "drop:p=1,ms=5",        # ms= belongs to stall only
     ])
     def test_bad_dsl_raises(self, bad):
         with pytest.raises(ChaosPlanError):
@@ -221,6 +225,20 @@ class TestChaosPlan:
             chaotic.send({"type": "second"})
             assert b.recv(timeout=2.0) == {"type": "second"}
             assert b.recv(timeout=2.0) == {"type": "first"}
+
+    def test_wrapper_stall_delays_then_delivers(self):
+        with _stream_pair() as (a, b):
+            plan = ChaosPlan.parse("stall:kind=slow,nth=1,limit=1,ms=300")
+            chaotic = ChaosFrameStream(a, plan)
+            started = time.monotonic()
+            chaotic.send({"type": "slow"})
+            assert time.monotonic() - started >= 0.3
+            assert b.recv(timeout=2.0) == {"type": "slow"}
+            started = time.monotonic()
+            chaotic.send({"type": "slow"})  # limit reached: no stall
+            assert time.monotonic() - started < 0.3
+            assert b.recv(timeout=2.0) == {"type": "slow"}
+            assert plan.stats()["stalls"] == 1
 
     def test_wrapper_disconnect_and_truncate_cut_the_wire(self):
         with _stream_pair() as (a, b):
@@ -380,19 +398,19 @@ class TestTcpFleet:
         assert worker_stats[0].reconnects >= 1
 
     def test_heartbeat_silence_over_tcp_triggers_reassignment(self):
-        # a chaos plan eating every heartbeat looks exactly like a hung
+        # a worker that stops being scheduled looks exactly like a hung
         # remote: the supervisor's liveness timeout must cut it loose
         # and re-run the job (here: via spawn fallback, since the lone
-        # remote is still busy crunching the stale attempt)
+        # remote is still stalled on the stale attempt).  The chaos
+        # rule holds the client's `started` event, sent before its
+        # heartbeat thread starts, far past the timeout, so the silence
+        # does not depend on how long the campaign takes
         fw = "InfiniTime"
-        reference = run_campaign(fw, budget=800, seed=1)
+        reference = run_campaign(fw, budget=150, seed=1)
         job = CampaignJob(job_id=fw,
-                          spec=CampaignSpec(fw, budget=800, seed=1))
+                          spec=CampaignSpec(fw, budget=150, seed=1))
         transport = TcpJsonlTransport(spawn_fallback=True)
-        # the timeout must be long enough for a replacement attempt to
-        # boot while the stale client still burns CPU, and the drop rule
-        # bounded so a post-reassignment remote attempt could heartbeat
-        chaos = "drop:kind=heartbeat,p=1,limit=50"
+        chaos = "stall:kind=started,nth=1,limit=1,ms=4000"
         with _tcp_workers(transport, [{"name": "mute", "chaos": chaos}]):
             fleet = run_fleet([job], workers=1, heartbeat_interval=0.1,
                               heartbeat_timeout=1.5, backoff_base=0.05,
