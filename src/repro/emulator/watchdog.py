@@ -12,8 +12,9 @@ The watchdog meters two independent budgets:
 
 ``insn_budget``
     ISA instructions retired since the last :meth:`reset`.  Consumed by
-    ``TcgEngine.run`` once per executed translation block and by
-    ``Cpu.run`` per instruction, so a TCG trip overshoots by at most one
+    ``Cpu.run`` per instruction, and metered by ``TcgEngine.run`` once
+    per executed translation block with :meth:`consume`'s exact effects
+    inlined in its block loop, so a TCG trip overshoots by at most one
     block.
 
 ``cycle_budget``

@@ -9,24 +9,31 @@ required arguments reconstructed symbolically (address register + offset,
 access size, pc, task id).  Re-registering probes flushes the TB cache so
 new templates take effect — exactly like a QEMU ``tb_flush``.
 
+A probe may come with a scalar *clean-access test* ``(addr, size) ->
+bool`` (KASAN's inline shadow check).  While it is the only probe, the
+templates call the test first: it does a clean access's whole effect
+itself and returns True, and only when it declines (poisoned or partial
+shadow) does the template build an :class:`Access` for the delegate.
+
 Guest code executed here performs its memory traffic *untraced* on the
 bus: the injected probes are the single notification channel, so an
 attached runtime never sees the same access twice.
 
 ``translate()`` compiles *every* instruction into a closure with its
-operands, immediates and probe set pre-bound, so ``_exec_block`` is a
-tight loop over pre-built thunks with no opcode comparisons or dict
-lookups on the hot path.  ``run()`` additionally chains blocks: a block
-whose terminator has static successors (jump, call, conditional branch,
-fall-through) links directly to the successor ``TranslationBlock``,
-skipping the cache lookup entirely.  Links carry the translation
-generation and die on ``flush_tbs()``; ``invalidate_range()`` (journal
-rollback, fork-server dirty-span restore) drops only the overlapping
-blocks.  Scalar guest stores into translated code flush and exit the
-current block, so self-modifying code re-translates before its next
-instruction executes.  Bulk writes into translated code
-(``write_bytes``/``fill``/``copy``/DMA) flush via a bus write watcher and
-take effect at the next block boundary.
+operands, immediates and probe set pre-bound, and ``run()`` is the one
+block loop: a tight pass over a block's pre-built thunks with no opcode
+comparisons or dict lookups, followed by the block's counter updates and
+the watchdog's per-block metering, inlined.  ``run()`` also chains
+blocks: a block whose terminator has static successors (jump, call,
+conditional branch, fall-through) links directly to the successor
+``TranslationBlock``, skipping the cache lookup entirely.  Links carry
+the translation generation and die on ``flush_tbs()``;
+``invalidate_range()`` (journal rollback, fork-server dirty-span
+restore) drops only the overlapping blocks.  Scalar guest stores into
+translated code flush and exit the current block, so self-modifying
+code re-translates before its next instruction executes.  Bulk writes
+into translated code (``write_bytes``/``fill``/``copy``/DMA) flush via a
+bus write watcher and take effect at the next block boundary.
 
 The engine retires the same architectural state and charges the same
 guest cycles and instruction counts as the reference
@@ -38,7 +45,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import GuestFault, GuestHang, InvalidOpcode
+from repro.emulator.watchdog import CHECK_COST
+from repro.errors import GuestFault, InvalidOpcode
 from repro.isa.cpu import CpuState, HypercallHandler
 from repro.isa.insn import (
     INSN_SIZE,
@@ -53,6 +61,8 @@ from repro.mem.bus import MemoryBus
 
 #: Probe delegate signature: receives a fully reconstructed Access.
 MemProbe = Callable[[Access], None]
+#: Clean-access test: (addr, size) -> True when it handled the access.
+CleanTest = Callable[[int, int], bool]
 #: (pc, target, args, lr) on CALL/CALLR.
 CallProbe = Callable[[int, int, List[int], int], None]
 #: (pc, return_value) on RET.
@@ -145,6 +155,7 @@ class TcgEngine:
         #: cache-miss translation records a span.  Only the miss path
         #: tests it, so cached execution never pays for tracing.
         self.tracer = None
+        #: (probe, clean-access test or None) pairs, in registration order
         self._mem_probes: tuple = ()
         self.call_probes: List[CallProbe] = []
         self.ret_probes: List[RetProbe] = []
@@ -161,9 +172,16 @@ class TcgEngine:
     # ------------------------------------------------------------------
     # probe management (the Runtime's template-modification entry point)
     # ------------------------------------------------------------------
-    def add_mem_probe(self, probe: MemProbe) -> None:
-        """Inject a memory probe into all future translation templates."""
-        self._mem_probes = self._mem_probes + (probe,)
+    def add_mem_probe(self, probe: MemProbe,
+                      clean: Optional[CleanTest] = None) -> None:
+        """Inject a memory probe into all future translation templates.
+
+        ``clean`` is the probe's optional clean-access test: called with
+        the access's address and size, it does everything ``probe`` would
+        do for that access and returns True, or returns False having done
+        nothing.  Templates use it only while ``probe`` is the sole probe.
+        """
+        self._mem_probes = self._mem_probes + ((probe, clean),)
         self.flush_tbs()
 
     def remove_mem_probe(self, probe: MemProbe) -> None:
@@ -172,9 +190,11 @@ class TcgEngine:
         A probe that was never registered is a no-op: the templates
         already lack it, so there is nothing to flush.
         """
-        if not any(p is probe for p in self._mem_probes):
+        if not any(p is probe for p, _ in self._mem_probes):
             return
-        self._mem_probes = tuple(p for p in self._mem_probes if p is not probe)
+        self._mem_probes = tuple(
+            pair for pair in self._mem_probes if pair[0] is not probe
+        )
         self.flush_tbs()
 
     def flush_tbs(self) -> None:
@@ -506,26 +526,31 @@ class TcgEngine:
                             atomic, probes):
         """Specialized probed memory template: notify probes, then access
         the bus silently (the probes are the single notification channel).
+
+        A sole probe's clean-access test runs first; the ``Access`` is
+        built only when it declines.
         """
         eng = self
         state = self.state
         regs = state.regs
         bus = self.bus
         rs1, rs2, rd, imm, op = insn.rs1, insn.rs2, insn.rd, insn.imm, insn.op
-        single = probes[0] if len(probes) == 1 else None
+        single, clean = probes[0] if len(probes) == 1 else (None, None)
+        probes = tuple(probe for probe, _ in probes)
         if is_write:
             store_silent = bus.store_silent
 
             def thunk():
                 state.pc = insn_pc
                 addr = (regs[rs1] + imm) & _M
-                access = Access(addr, size, True, insn_pc, state.task, _DATA,
-                                atomic)
-                if single is not None:
-                    single(access)
-                else:
-                    for probe in probes:
-                        probe(access)
+                if clean is None or not clean(addr, size):
+                    access = Access(addr, size, True, insn_pc, state.task,
+                                    _DATA, atomic)
+                    if single is not None:
+                        single(access)
+                    else:
+                        for probe in probes:
+                            probe(access)
                 store_silent(addr, size, regs[rs2])
                 if addr < eng._code_hi and addr + size > eng._code_lo:
                     eng.flush_tbs()
@@ -540,13 +565,14 @@ class TcgEngine:
         def thunk():
             state.pc = insn_pc
             addr = (regs[rs1] + imm) & _M
-            access = Access(addr, size, False, insn_pc, state.task, _DATA,
-                            atomic)
-            if single is not None:
-                single(access)
-            else:
-                for probe in probes:
-                    probe(access)
+            if clean is None or not clean(addr, size):
+                access = Access(addr, size, False, insn_pc, state.task,
+                                _DATA, atomic)
+                if single is not None:
+                    single(access)
+                else:
+                    for probe in probes:
+                        probe(access)
             value = load_silent(addr, size)
             if signed and value >= bound:
                 value -= adjust
@@ -566,12 +592,19 @@ class TcgEngine:
         and reused directly on later passes (generation-checked), so
         straight-line and loop-heavy firmware stops round-tripping through
         ``translate()`` and the TB cache.
+
+        Each block runs as a tight pass over its thunks (no opcode tests,
+        no dict lookups); then the engine counters advance and the
+        watchdog is metered in line, with exactly the effects of
+        :meth:`Watchdog.consume <repro.emulator.watchdog.Watchdog.consume>`.
         """
         executed = 0
         state = self.state
-        exec_block = self._exec_block
         translate = self.translate
         watchdog = self.watchdog
+        if watchdog is not None:
+            ring_append = watchdog._ring.append
+            wd_machine = watchdog.machine
         prev: Optional[TranslationBlock] = None
         while not state.halted and executed < max_steps:
             pc = state.pc
@@ -598,18 +631,40 @@ class TcgEngine:
                 if (prev is not None and prev.links is not None
                         and len(prev.links) < _MAX_LINKS):
                     prev.links[pc] = block
-            done = exec_block(block)
+            done = 0
+            target = None
+            try:
+                for fn in block.ops:
+                    target = fn()
+                    done += 1
+                    if target is not None:
+                        break
+            except BaseException:
+                # charge retired instructions plus the trapping one's
+                # pre-raise cost
+                self.cycles += block.cum_cycles[done] + block.pre_charge[done]
+                self.insn_count += done
+                self.host_ops += block.host_ops
+                raise
+            state.pc = pc = block.end_pc if target is None else target
+            self.cycles += block.cum_cycles[done]
+            self.insn_count += done
+            self.host_ops += block.host_ops
             executed += done
             if watchdog is not None:
                 # Per-block granularity: a trip overshoots by at most one
                 # block (< MAX_BLOCK_LEN instructions).  On a trip the
                 # engine halts so the hang surfaces once, not on every
                 # subsequent run() call.
-                try:
-                    watchdog.consume(done, state.pc, state.task)
-                except GuestHang:
+                watchdog.insns += done
+                ring_append(pc)
+                if wd_machine is not None:
+                    # Machine.charge_overhead, inlined
+                    wd_machine.overhead_cycles += CHECK_COST
+                budget = watchdog.insn_budget
+                if budget is not None and watchdog.insns > budget:
                     state.halted = True
-                    raise
+                    watchdog._trip("insn", pc, state.task)
             prev = block
         return executed
 
@@ -631,36 +686,6 @@ class TcgEngine:
             "jit_deopts": 0,
             "jit_trace_execs": 0,
         }
-
-    def step_block(self) -> int:
-        """Execute exactly one translation block; returns instructions run."""
-        if self.state.halted:
-            return 0
-        return self._exec_block(self.translate(self.state.pc))
-
-    def _exec_block(self, block: TranslationBlock) -> int:
-        """Tight thunk loop: no opcode tests, no dict lookups."""
-        state = self.state
-        done = 0
-        target = None
-        try:
-            for fn in block.ops:
-                target = fn()
-                done += 1
-                if target is not None:
-                    break
-        except BaseException:
-            # charge retired instructions plus the trapping one's
-            # pre-raise cost
-            self.cycles += block.cum_cycles[done] + block.pre_charge[done]
-            self.insn_count += done
-            self.host_ops += block.host_ops
-            raise
-        state.pc = block.end_pc if target is None else target
-        self.cycles += block.cum_cycles[done]
-        self.insn_count += done
-        self.host_ops += block.host_ops
-        return done
 
 
 def _nop_thunk() -> None:

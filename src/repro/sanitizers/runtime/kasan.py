@@ -9,7 +9,8 @@ which is precisely the paper's argument for a common runtime.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from bisect import bisect_left, bisect_right, insort
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.mem.access import Access, AccessKind
 from repro.sanitizers.runtime.quarantine import FreedObject, QuarantineLog
@@ -22,6 +23,9 @@ HEAP_REDZONE = 16
 STACK_REDZONE = 16
 
 _PAGE_CACHE_ID = 0xFFFF
+
+#: above every guest base: ``(end, _NO_BASE)`` sorts after each ``(end, base)``
+_NO_BASE = 1 << 64
 
 _CODE_TO_BUG = {
     int(ShadowCode.FREED): BugType.UAF,
@@ -51,10 +55,10 @@ class KasanEngine:
         self.shadow = shadow
         self.sink = sink
         self._live: Dict[int, AllocInfo] = {}
-        #: object end address -> bases of the live objects ending there;
-        #: the index behind :meth:`_object_before`, built lazily (None
-        #: until first needed, and again after :attr:`live` is replaced)
-        self._ends: Optional[Dict[int, List[int]]] = None
+        #: sorted ``(end, base)`` pairs of the live objects; the index
+        #: behind :meth:`_object_before`, built lazily (None until first
+        #: needed, and again after :attr:`live` is replaced)
+        self._ends: Optional[List[Tuple[int, int]]] = None
         self.freed = QuarantineLog()
         #: raised by the runtime while allocator internals execute
         self.suppress_depth = 0
@@ -98,8 +102,8 @@ class KasanEngine:
         if ends is not None:
             prior = live.get(addr)
             if prior is not None:
-                _unindex(ends, addr, prior.size)
-            ends.setdefault(addr + size, []).append(addr)
+                del ends[bisect_left(ends, (addr + prior.size, addr))]
+            insort(ends, (addr + size, addr))
         live[addr] = AllocInfo(size, cache, pc, task)
         self.shadow.unpoison(addr, size)
         if cache != _PAGE_CACHE_ID:
@@ -124,7 +128,8 @@ class KasanEngine:
         self.frees += 1
         info = self._live.pop(addr, None)
         if info is not None and self._ends is not None:
-            _unindex(self._ends, addr, info.size)
+            ends = self._ends
+            del ends[bisect_left(ends, (addr + info.size, addr))]
         if info is None:
             bug = (
                 BugType.DOUBLE_FREE
@@ -213,30 +218,20 @@ class KasanEngine:
         """The live object whose redzone ``addr`` most plausibly is.
 
         That is the one with the largest base among those whose end
-        lies in ``[addr - HEAP_REDZONE, addr]``, found by probing the
-        end-address index at those ``HEAP_REDZONE + 1`` ends.
+        lies in ``[addr - HEAP_REDZONE, addr]``: a bisect of the sorted
+        end-address index finds that slice.
         """
         ends = self._ends
         if ends is None:
-            ends = self._ends = {}
-            for base, info in self._live.items():
-                ends.setdefault(base + info.size, []).append(base)
-        best_base = -1
-        for end in range(addr - HEAP_REDZONE, addr + 1):
-            bases = ends.get(end)
-            if bases:
-                top = max(bases)
-                if top > best_base:
-                    best_base = top
-        return self._live[best_base] if best_base >= 0 else None
+            ends = self._ends = sorted(
+                (base + info.size, base) for base, info in self._live.items()
+            )
+        lo = bisect_left(ends, (addr - HEAP_REDZONE,))
+        hi = bisect_right(ends, (addr, _NO_BASE))
+        if lo == hi:
+            return None
+        return self._live[max(base for _end, base in ends[lo:hi])]
 
     def live_count(self) -> int:
         """Number of live tracked allocations (diagnostic)."""
         return len(self._live)
-
-
-def _unindex(ends: Dict[int, List[int]], base: int, size: int) -> None:
-    bases = ends[base + size]
-    bases.remove(base)
-    if not bases:
-        del ends[base + size]

@@ -88,10 +88,6 @@ class RuntimeConfig:
     ready: ReadySpec = field(default_factory=ReadySpec)
     panic_on_report: bool = False
     costs: CostModel = DEFAULT_COSTS
-    #: inline the addressable-granule shadow test in the injected probe
-    #: (the paper's inline-mode ablation); False forces every access
-    #: through the full callback-mode validation path
-    inline_fastpath: bool = True
 
     def validate(self) -> None:
         """Reject configurations the runtime cannot honor."""
@@ -157,9 +153,10 @@ class CommonSanitizerRuntime:
             "interception": 0.0, "checks": 0.0, "allocator": 0.0,
             "range": 0.0,
         }
-        #: the delegate injected into TCG templates and observing the bus;
-        #: either the plain handler or the combined fast-path probe
-        self._probe_cb: Callable[[Access], None] = self._make_probe()
+        #: the delegate injected into TCG templates and observing the bus,
+        #: and its clean-access test for the templates (None when the
+        #: sanitizer set has no inline fast path)
+        self._probe_cb, self._clean_cb = self._make_probe()
 
     # ------------------------------------------------------------------
     # attachment
@@ -195,24 +192,32 @@ class CommonSanitizerRuntime:
     def _inject_probe(self, engine) -> None:
         add_probe = getattr(engine, "add_mem_probe", None)
         if add_probe is not None:
-            add_probe(self._probe_cb)
+            add_probe(self._probe_cb, clean=self._clean_cb)
 
-    def _make_probe(self) -> Callable[[Access], None]:
-        """Build the combined probe compiled into translation templates.
+    def _make_probe(self) -> Tuple[Callable[[Access], None],
+                                   Optional[Callable[[int, int], bool]]]:
+        """Build the combined probe and its clean-access test.
 
-        When KASAN is active and :attr:`RuntimeConfig.inline_fastpath` is
-        on, scalar DATA traffic first takes an inlined addressable-granule
-        test against the unified shadow; only non-zero shadow bytes fall
-        into the full validation walk (report classification, partial
-        granules, quarantine lookups).  KCSAN still observes *every* data
-        access — races live on perfectly addressable memory — and all
-        cycle charges and counters are identical to the callback path, so
-        the fast path changes wall-clock cost only, never the modeled
-        overhead or the detection behaviour.
+        Returns ``(probe, clean)``.  When KASAN is active (without
+        KMSAN), scalar DATA traffic first takes an inlined
+        addressable-granule test against the unified shadow; only
+        non-zero shadow bytes fall into the full validation walk (report
+        classification, partial granules, quarantine lookups).  KCSAN
+        still observes *every* data access — races live on perfectly
+        addressable memory — and all cycle charges and counters are
+        identical to the callback path, so the fast path changes
+        wall-clock cost only, never the modeled overhead or the
+        detection behaviour.
+
+        ``clean(addr, size)`` is that fast path with no ``Access`` at
+        all, for TCG templates: on an access the probe would settle
+        without the full walk it does the probe's exact work (gates,
+        counters, the same two charges in the same order) and returns
+        True; otherwise it does nothing and returns False.  It exists
+        only for KASAN alone, and is None otherwise.
         """
-        if (not self.config.inline_fastpath or self.kasan is None
-                or self.kmsan is not None):
-            return self._on_access
+        if self.kasan is None or self.kmsan is not None:
+            return self._on_access, None
         kasan = self.kasan
         kcsan = self.kcsan
         data = AccessKind.DATA
@@ -247,7 +252,28 @@ class CommonSanitizerRuntime:
                 charge(kcsan_check, "checks")
                 kcsan.check(access)
 
-        return probe
+        if kcsan is not None:
+            return probe, None
+        machine = self.machine
+
+        def clean(addr: int, size: int) -> bool:
+            if not self.enabled or self._suppress:
+                return True
+            if not kasan.suppress_depth:
+                if not clear_for(addr, size):
+                    return False
+                kasan.checks += 1
+            self.events_handled += 1
+            # the probe's two charge() calls, inlined: the same float adds
+            # in the same order, so overhead totals stay bit-identical
+            breakdown = self.breakdown
+            machine.overhead_cycles += kasan_intercept
+            breakdown["interception"] += kasan_intercept
+            machine.overhead_cycles += kasan_check
+            breakdown["checks"] += kasan_check
+            return True
+
+        return probe, clean
 
     def detach(self) -> None:
         """Unsubscribe everything (end of a testing campaign)."""

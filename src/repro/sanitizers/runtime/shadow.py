@@ -49,11 +49,12 @@ _DUMP_ROW = 16
 class _RegionShadow:
     """Shadow bytes for one guest memory region."""
 
-    __slots__ = ("base", "size", "bytes", "dirty", "golden")
+    __slots__ = ("base", "size", "end", "bytes", "dirty", "golden")
 
     def __init__(self, base: int, size: int, fill: int):
         self.base = base
         self.size = size
+        self.end = base + size
         granules = (size + GRANULE - 1) // GRANULE
         # a large zero table is an mmap (see filled_buffer): bytearray(n)
         # would memset all of it up front and keep it resident
@@ -130,15 +131,14 @@ class ShadowMemory:
 
     def __init__(self, bus: MemoryBus):
         self._shadows: List[_RegionShadow] = []
-        self._bases: List[int] = []
         for region in bus.regions:
             if isinstance(region, MmioRegion) or region.kind == "device":
                 continue
             shadow = _RegionShadow(region.base, region.size, 0)
             self._shadows.append(shadow)
-            self._bases.append(region.base)
         self._shadows.sort(key=lambda s: s.base)
-        self._bases.sort()
+        #: the region :meth:`_find` resolved last (an empty one at first)
+        self._last = _RegionShadow(0, 0, 0)
         self.poison_ops = 0
         self.check_ops = 0
         #: clean accesses proven addressable by :meth:`clear_for` alone
@@ -188,9 +188,13 @@ class ShadowMemory:
 
     # ------------------------------------------------------------------
     def _find(self, addr: int) -> Optional[_RegionShadow]:
+        last = self._last
+        if last.base <= addr < last.end:
+            return last
         # linear scan: machines map < 8 RAM regions
         for shadow in self._shadows:
-            if shadow.base <= addr < shadow.base + shadow.size:
+            if shadow.base <= addr < shadow.end:
+                self._last = shadow
                 return shadow
         return None
 
@@ -211,7 +215,7 @@ class ShadowMemory:
         if shadow is None:
             return
         self.poison_ops += 1
-        end = min(start + size, shadow.base + shadow.size)
+        end = min(start + size, shadow.end)
         first = (start - shadow.base) // GRANULE
         last = (end - shadow.base + GRANULE - 1) // GRANULE
         shadow.mark_dirty(first, max(last - 1, first))
@@ -231,7 +235,7 @@ class ShadowMemory:
         if shadow is None:
             return
         self.poison_ops += 1
-        end = min(start + size, shadow.base + shadow.size)
+        end = min(start + size, shadow.end)
         first = (start - shadow.base) // GRANULE
         full_last = (end - shadow.base) // GRANULE
         shadow.mark_dirty(first, max(full_last, first))
@@ -299,10 +303,12 @@ class ShadowMemory:
         """
         if size <= 0:
             return True
-        shadow = self._find(addr)
-        if shadow is None:
-            # device/out-of-shadow traffic: the bus polices it, not us
-            return True
+        shadow = self._last
+        if not shadow.base <= addr < shadow.end:
+            shadow = self._find(addr)
+            if shadow is None:
+                # device/out-of-shadow traffic: the bus polices it, not us
+                return True
         base = shadow.base
         table = shadow.bytes
         first = (addr - base) >> 3

@@ -260,6 +260,11 @@ class TestObjectBefore:
             else:
                 # snapshot restore replaces the map wholesale
                 engine.live = dict(saved)
+            if engine._ends is not None:
+                # a live index moves in step with the map it indexes
+                assert engine._ends == sorted(
+                    (base + info.size, base)
+                    for base, info in engine.live.items())
             # probe between ops too, so the index is live while mutating
             probe = BASE + probes[len(ops) % len(probes)]
             assert engine._object_before(probe) == linear_object_before(

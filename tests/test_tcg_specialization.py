@@ -9,7 +9,7 @@ accounting, from single programs up to whole firmware replays.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bugs.catalog import table4_bugs_for
@@ -460,6 +460,27 @@ patch_target:
 """
 
 
+#: the hot loop's inner-loop block and the blocks that leave and
+#: re-enter it (ret, addi/blt, call, body prologue)
+_INNER, _RET, _OUTER, _CALL, _BODY = (
+    0x8000058, 0x80000A8, 0x8000030, 0x8000028, 0x8000048)
+_OUTER_EXIT = (_RET, _OUTER, _CALL, _BODY)
+
+#: insn budget -> (trip pc, GuestHang.insns, 16-entry backtrace,
+#: machine.overhead_cycles) of the 50-iteration hot loop: literal values
+#: that pin the per-block watchdog metering inlined in TcgEngine.run
+WATCHDOG_GOLDEN = {
+    1: (_BODY, 6, (_BODY,), 1),
+    6: (_INNER, 18, (_BODY, _INNER), 2),
+    19: (_INNER, 28, (_BODY, _INNER, _INNER), 3),
+    257: (_INNER, 264, (_INNER,) * 11 + _OUTER_EXIT + (_INNER,), 29),
+    4999: (_INNER, 5008,
+           (_INNER,) * 4 + _OUTER_EXIT + (_INNER,) * 8, 549),
+    6000: (_INNER, 6002,
+           (_INNER,) * 3 + _OUTER_EXIT + (_INNER,) * 9, 658),
+}
+
+
 class TestCpuOracle:
     """The TCG engine against the reference ``Cpu`` on the events that
     tear translations down or stop a run part-way: self-modifying code,
@@ -484,19 +505,30 @@ class TestCpuOracle:
 
     @settings(max_examples=25, deadline=None)
     @given(budget=st.integers(1, 6000))
+    @example(budget=1)
+    @example(budget=6)
+    @example(budget=19)
+    @example(budget=257)
+    @example(budget=4999)
+    @example(budget=6000)
     def test_watchdog_trip_matches_cpu(self, budget):
         """TCG charges the watchdog once per block, so it trips at the
         end of the block that crosses the budget: never early, less than
         one block late, in exactly the state ``Cpu`` reaches after the
-        same number of instructions."""
+        same number of instructions.  At the budgets in
+        ``WATCHDOG_GOLDEN`` the trip matches a recorded one exactly."""
         from repro.bench.tcg_profile import _make_machine
 
         machine, core = _make_machine("tcg", False, iterations=50)
         machine.set_watchdog(insn_budget=budget)
-        with pytest.raises(GuestHang):
+        with pytest.raises(GuestHang) as info:
             core.run(max_steps=1_000_000)
         assert machine.watchdog.trips == 1
         assert core.state.halted
+        if budget in WATCHDOG_GOLDEN:
+            hang = info.value
+            assert (hang.pc, hang.insns, hang.backtrace,
+                    machine.overhead_cycles) == WATCHDOG_GOLDEN[budget]
 
         ref_machine, ref = _make_machine("interp", False, iterations=50)
         ref_machine.set_watchdog(insn_budget=budget)
@@ -596,3 +628,111 @@ class TestShadowFastPath:
         before = shadow.check_ops
         assert shadow.clear_for(0xDEAD0000, 4)
         assert shadow.check_ops == before
+
+
+#: sram offsets of the heap objects the differential programs address:
+#: (offset, size, freed).  Each object leaves clean granules, a partial
+#: tail granule and a trailing redzone; the freed one is poisoned whole.
+_DIFF_HEAP = ((0x100, 13, False), (0x140, 30, False), (0x180, 24, True))
+_DIFF_MEM_OPS = ("ld8", "ld8s", "ld16", "ld16s", "ld32", "lda32",
+                 "st8", "st16", "st32", "sta32")
+
+_diff_op = st.one_of(
+    # offsets span clean memory, partial granules, redzones, freed
+    # memory and accesses straddling two granules
+    st.tuples(st.sampled_from(_DIFF_MEM_OPS), st.integers(0xF0, 0x1C0),
+              st.integers(0, 0xFFFF)),
+    # a hypercall that flips one runtime gate mid-run
+    st.tuples(st.just("vmcall"), st.integers(0, 2), st.just(0)),
+)
+
+
+def _diff_source(ops):
+    lines = ["    lui a0, 0x2000"]  # sram base 0x20000000
+    for mnemonic, arg, value in ops:
+        if mnemonic == "vmcall":
+            lines.append(f"    vmcall {arg}")
+        elif mnemonic.startswith("st"):
+            lines.append(f"    movi t0, {value}")
+            lines.append(f"    {mnemonic} t0, [a0 + {arg}]")
+        else:
+            lines.append(f"    {mnemonic} t1, [a0 + {arg}]")
+            lines.append("    add t2, t2, t1")
+    lines.append("    hlt")
+    return "\n".join(lines)
+
+
+def _diff_run(source, sanitizers, gates, with_clean):
+    """Run ``source`` on a fresh machine whose TCG engine carries the
+    runtime's delegate, with or without its clean-access test."""
+    from repro.emulator.arch import arch_by_name
+    from repro.emulator.machine import Machine
+    from repro.fuzz.checkpoint import _report_to_json
+    from repro.sanitizers.runtime.runtime import (
+        CommonSanitizerRuntime,
+        RuntimeConfig,
+    )
+
+    machine = Machine(arch_by_name("arm"), name="tcg-diff")
+    program = assemble(source, base=0x0800_0000)
+    with machine.bus.untraced():
+        machine.bus.region_named("flash").write(0x0800_0000, program.image)
+    runtime = CommonSanitizerRuntime(
+        machine, RuntimeConfig(sanitizers=sanitizers, mode="d"))
+    kasan = runtime.kasan
+    for offset, size, freed in _DIFF_HEAP:
+        kasan.on_alloc(0x2000_0000 + offset, size, 1, pc=offset)
+        if freed:
+            kasan.on_free(0x2000_0000 + offset, pc=offset + 1)
+    runtime.enabled, runtime._suppress, kasan.suppress_depth = gates
+    # a start that is no multiple of the charges, so a different order of
+    # the same charges rounds differently
+    machine.overhead_cycles = 1 / 3
+
+    def flip(engine, number):
+        if number == 0:
+            runtime.enabled = not runtime.enabled
+        elif number == 1:
+            runtime._suppress ^= 1
+        else:
+            kasan.suppress_depth ^= 1
+
+    core = machine.add_cpu(pc=0x0800_0000, sp=0x2000_4000)
+    core.hypercall = flip
+    if with_clean:
+        assert (runtime._clean_cb is None) == ("kcsan" in sanitizers)
+        core.add_mem_probe(runtime._probe_cb, clean=runtime._clean_cb)
+    else:
+        core.add_mem_probe(runtime._probe_cb)
+    core.run()
+    assert core.state.halted
+    with machine.bus.untraced():
+        sram = machine.bus.read_bytes(0x2000_0000, 0x200)
+    return {
+        "state": (tuple(core.state.regs), core.state.pc, core.cycles,
+                  core.insn_count, sram),
+        "reports": [_report_to_json(r) for r in runtime.sink.reports],
+        "overhead": machine.overhead_cycles.hex(),
+        "breakdown": {k: float(v).hex() for k, v in runtime.breakdown.items()},
+        "counters": (runtime.events_handled, kasan.checks,
+                     runtime.shadow.check_ops, runtime.shadow.fastpath_hits),
+    }
+
+
+class TestCleanAccessTest:
+    """Templates that take the runtime's clean-access test first behave
+    exactly like templates that hand every access to its ``Access``
+    delegate: same state, same reports, bit-identical charges, same
+    counters."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(_diff_op, min_size=1, max_size=40),
+           gates=st.sampled_from([(True, 0, 0)] * 4 + [
+               (False, 0, 0), (True, 1, 0), (True, 0, 1)]),
+           kcsan=st.booleans())
+    def test_clean_test_matches_access_delegate(self, ops, gates, kcsan):
+        sanitizers = ("kasan", "kcsan") if kcsan else ("kasan",)
+        source = _diff_source(ops)
+        fast = _diff_run(source, sanitizers, gates, with_clean=True)
+        slow = _diff_run(source, sanitizers, gates, with_clean=False)
+        assert fast == slow
