@@ -46,24 +46,32 @@ class ProbeTable:
 
     ``keyed[key]`` holds every handler registered for ``key`` plus every
     catch-all handler; ``default`` holds the catch-all handlers alone and
-    serves every key nobody registered for.  Both are rebuilt on each
-    :meth:`add` and :meth:`remove` from the registration list, so each
-    tuple keeps registration order and removing a handler restores the
-    tables exactly as they were before it was added.
+    serves every key nobody registered for.  ``clean[key]`` is a
+    handler's clean test for ``key`` (see :meth:`add`), present only
+    while that handler is the sole handler ``key`` dispatches to.  All
+    three are rebuilt on each :meth:`add` and :meth:`remove` from the
+    registration list, so each tuple keeps registration order and
+    removing a handler restores the tables exactly as they were before
+    it was added.
     """
 
-    __slots__ = ("keyed", "default", "_entries")
+    __slots__ = ("keyed", "default", "clean", "_entries")
 
     def __init__(self):
         self.keyed: Dict[int, tuple] = {}
         self.default: tuple = ()
-        self._entries: List[Tuple[Callable, Optional[frozenset]]] = []
+        self.clean: Dict[int, Callable] = {}
+        self._entries: List[Tuple[Callable, Optional[frozenset], dict]] = []
 
     def add(self, handler: Callable,
-            keys: Optional[Iterable[int]] = None) -> None:
-        """Register ``handler`` for ``keys``, or for every key when None."""
+            keys: Optional[Iterable[int]] = None,
+            clean: Optional[Dict[int, Callable]] = None) -> None:
+        """Register ``handler`` for ``keys``, or for every key when None;
+        ``clean`` maps keys to its clean tests (a caller offers the event
+        to ``clean[key]`` first and dispatches only if it declines)."""
         scope = None if keys is None else frozenset(int(key) for key in keys)
-        self._entries.append((handler, scope))
+        tests = {int(key): test for key, test in (clean or {}).items()}
+        self._entries.append((handler, scope, tests))
         self._rebuild()
 
     def remove(self, handler: Callable) -> None:
@@ -76,19 +84,25 @@ class ProbeTable:
     def _rebuild(self) -> None:
         entries = self._entries
         keys = set()
-        for _handler, scope in entries:
+        for _handler, scope, _clean in entries:
             if scope is not None:
                 keys |= scope
         self.keyed = {
             key: tuple(
-                handler for handler, scope in entries
+                handler for handler, scope, _clean in entries
                 if scope is None or key in scope
             )
             for key in sorted(keys)
         }
         self.default = tuple(
-            handler for handler, scope in entries if scope is None
+            handler for handler, scope, _clean in entries if scope is None
         )
+        self.clean = {
+            key: test
+            for handler, _scope, clean in entries
+            for key, test in clean.items()
+            if self.keyed.get(key, self.default) == (handler,)
+        }
 
 
 class HookRegistry:

@@ -156,7 +156,7 @@ class Machine:
         attached = fanout in bus._observers
         if self.hooks.has_handlers(EventKind.MEM_ACCESS):
             if not attached:
-                bus._observers = (fanout,) + bus._observers
+                bus._set_observers((fanout,) + bus._observers)
         elif attached:
             bus.remove_observer(fanout)
 
@@ -411,7 +411,10 @@ class Machine:
         self._charged_guest_cycles += cycles
         watchdog = self.watchdog
         if watchdog is not None:
-            watchdog.consume_cycles(cycles, task=self.current_task)
+            watchdog.cycles += cycles
+            budget = watchdog.cycle_budget
+            if budget is not None and watchdog.cycles > budget:
+                watchdog.trip_cycles(self.current_task)
 
     def charge_overhead(self, cycles: int) -> None:
         """Account sanitizer-added work (host checks or translated routines)."""

@@ -18,10 +18,11 @@ The watchdog meters two independent budgets:
     block.
 
 ``cycle_budget``
-    Guest cycles charged since the last :meth:`reset`.  Consumed by
-    ``Machine.charge_guest``, which is how rehosted Python kernels
-    account their work — a kernel spinning in a scheduler loop trips
-    this budget even though no ISA engine is running.
+    Guest cycles charged since the last :meth:`reset`.  Metered in line
+    by ``Machine.charge_guest`` and by the guest context's scalar
+    loads and stores, which is how rehosted Python kernels account
+    their work — a kernel spinning in a scheduler loop trips this
+    budget even though no ISA engine is running.
 
 Watchdog bookkeeping is sanitizer-style overhead, not guest work: each
 check charges :data:`CHECK_COST` overhead cycles to the machine so the
@@ -91,15 +92,13 @@ class Watchdog:
         if budget is not None and self.insns > budget:
             self._trip("insn", pc, task)
 
-    def consume_cycles(self, cycles: float, pc: int = 0, task: int = 0) -> None:
-        """Account ``cycles`` of charged guest work (rehosted kernels)."""
-        self.cycles += cycles
-        budget = self.cycle_budget
-        if budget is not None and self.cycles > budget:
-            machine = self.machine
-            if machine is not None:
-                machine.charge_overhead(CHECK_COST)
-            self._trip("cycle", pc, task)
+    def trip_cycles(self, task: int = 0) -> None:
+        """Raise the cycle-budget :class:`GuestHang`, charging the check;
+        callers meter ``cycles`` against the budget in line."""
+        machine = self.machine
+        if machine is not None:
+            machine.charge_overhead(CHECK_COST)
+        self._trip("cycle", 0, task)
 
     # ------------------------------------------------------------------
     def _trip(self, kind: str, pc: int, task: int) -> None:

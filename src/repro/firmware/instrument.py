@@ -20,6 +20,9 @@ import enum
 from repro.emulator.hypercalls import Hypercall
 from repro.guest.context import GuestContext, SanHooks
 
+_SAN_LOAD = int(Hypercall.SAN_LOAD)
+_SAN_STORE = int(Hypercall.SAN_STORE)
+
 
 class InstrumentationMode(enum.Enum):
     """How a firmware build was produced."""
@@ -46,25 +49,39 @@ class CompileTimeInstrumentation(SanHooks):
         self.emitted = 0
 
     # -- scalar accesses ------------------------------------------------
+    # the vmcall plan's clean test settles a clean access, leaving only
+    # vmcall's interrupt tick; a fault plan's irq storm draws per call
     def on_load(self, ctx: GuestContext, addr: int, size: int,
                 atomic: bool = False) -> None:
         if not self.check_reads:
             return
         self.emitted += 1
-        ctx.machine.vmcall(
-            Hypercall.SAN_LOAD, [addr, size, int(atomic)],
-            pc=ctx.current_pc(), task=ctx.machine.current_task,
-        )
+        machine = ctx.machine
+        clean = machine.vmcalls.clean.get(_SAN_LOAD)
+        if (clean is None or machine.fault_plan is not None
+                or not clean(addr, size)):
+            machine.vmcall(
+                Hypercall.SAN_LOAD, [addr, size, int(atomic)],
+                pc=ctx.current_pc(), task=machine.current_task,
+            )
+        elif machine._pending_irqs:
+            machine.tick_irqs()
 
     def on_store(self, ctx: GuestContext, addr: int, size: int,
                  atomic: bool = False) -> None:
         if not self.check_writes:
             return
         self.emitted += 1
-        ctx.machine.vmcall(
-            Hypercall.SAN_STORE, [addr, size, int(atomic)],
-            pc=ctx.current_pc(), task=ctx.machine.current_task,
-        )
+        machine = ctx.machine
+        clean = machine.vmcalls.clean.get(_SAN_STORE)
+        if (clean is None or machine.fault_plan is not None
+                or not clean(addr, size)):
+            machine.vmcall(
+                Hypercall.SAN_STORE, [addr, size, int(atomic)],
+                pc=ctx.current_pc(), task=machine.current_task,
+            )
+        elif machine._pending_irqs:
+            machine.tick_irqs()
 
     # -- bulk interceptors ------------------------------------------------
     def on_range(self, ctx: GuestContext, addr: int, size: int,

@@ -16,6 +16,13 @@ Sanitizer build hooks
   routine directly (charged as translated guest cycles);
 * an EMBSAN-D build installs no hooks at all — the runtime watches the
   bus and probes the allocator entry points in the machine's call plan.
+
+With KASAN alone, a checked scalar access meets one clean-shadow test:
+EMBSAN-C hooks offer it to the vmcall plan's clean test before issuing
+the hypercall, and the EMBSAN-D bus to its sole observer's before
+building an ``Access``.  ``_load``/``_store`` meter guest cycles and the
+watchdog and advance the pc in line; ``raw_ld32``/``raw_st32`` use the
+bus's silent scalar paths (exactly an untraced access).
 """
 
 from __future__ import annotations
@@ -251,27 +258,51 @@ class GuestContext:
     # ------------------------------------------------------------------
     # scalar memory operations
     # ------------------------------------------------------------------
+    # _load and _store inline Machine.charge_guest(2) (watchdog metering
+    # included) and _advance_pc(); keep the three in step
     def _load(self, addr: int, size: int, atomic: bool = False) -> int:
         addr &= 0xFFFFFFFF
         if not self.in_allocator:
             for hook in self.san_hooks:
                 hook.on_load(self, addr, size, atomic)
-        self.machine.charge_guest(2)
-        return self.bus.load(
-            addr, size, pc=self._advance_pc(),
-            task=self.machine.current_task, atomic=atomic,
-        )
+        machine = self.machine
+        machine._charged_guest_cycles += 2
+        watchdog = machine.watchdog
+        if watchdog is not None:
+            watchdog.cycles += 2
+            budget = watchdog.cycle_budget
+            if budget is not None and watchdog.cycles > budget:
+                watchdog.trip_cycles(machine.current_task)
+        frames = self._frames
+        if frames:
+            frame = frames[-1]
+            pc = frame.fn_addr + 8 * (frame.counter % _PC_SLOTS)
+            frame.counter += 1
+        else:
+            pc = 0
+        return self.bus.load(addr, size, pc, machine.current_task, atomic)
 
     def _store(self, addr: int, size: int, value: int, atomic: bool = False) -> None:
         addr &= 0xFFFFFFFF
         if not self.in_allocator:
             for hook in self.san_hooks:
                 hook.on_store(self, addr, size, atomic)
-        self.machine.charge_guest(2)
-        self.bus.store(
-            addr, size, value, pc=self._advance_pc(),
-            task=self.machine.current_task, atomic=atomic,
-        )
+        machine = self.machine
+        machine._charged_guest_cycles += 2
+        watchdog = machine.watchdog
+        if watchdog is not None:
+            watchdog.cycles += 2
+            budget = watchdog.cycle_budget
+            if budget is not None and watchdog.cycles > budget:
+                watchdog.trip_cycles(machine.current_task)
+        frames = self._frames
+        if frames:
+            frame = frames[-1]
+            pc = frame.fn_addr + 8 * (frame.counter % _PC_SLOTS)
+            frame.counter += 1
+        else:
+            pc = 0
+        self.bus.store(addr, size, value, pc, machine.current_task, atomic)
 
     def ld8(self, addr: int) -> int:
         """Load an unsigned byte."""
@@ -285,10 +316,6 @@ class GuestContext:
         """Load an unsigned word."""
         return self._load(addr, 4)
 
-    def ld64(self, addr: int) -> int:
-        """Load an unsigned doubleword."""
-        return self._load(addr, 8)
-
     def st8(self, addr: int, value: int) -> None:
         """Store a byte."""
         self._store(addr, 1, value)
@@ -300,14 +327,6 @@ class GuestContext:
     def st32(self, addr: int, value: int) -> None:
         """Store a word."""
         self._store(addr, 4, value)
-
-    def st64(self, addr: int, value: int) -> None:
-        """Store a doubleword."""
-        self._store(addr, 8, value)
-
-    def atomic_ld32(self, addr: int) -> int:
-        """Atomic (marked) word load; KCSAN treats it as synchronized."""
-        return self._load(addr, 4, atomic=True)
 
     def atomic_st32(self, addr: int, value: int) -> None:
         """Atomic (marked) word store."""
@@ -354,16 +373,6 @@ class GuestContext:
         """Guest memcpy (a bulk read then a bulk write)."""
         self.write_bytes(dst, self.read_bytes(src, size))
 
-    def cstring(self, addr: int, max_len: int = 4096) -> bytes:
-        """Read a NUL-terminated guest string byte-by-byte (each checked)."""
-        out = bytearray()
-        for offset in range(max_len):
-            byte = self.ld8(addr + offset)
-            if byte == 0:
-                break
-            out.append(byte)
-        return bytes(out)
-
     # ------------------------------------------------------------------
     # raw (host-side, unobserved) access — loader/debugger use only
     # ------------------------------------------------------------------
@@ -379,13 +388,11 @@ class GuestContext:
 
     def raw_ld32(self, addr: int) -> int:
         """Untraced word load (allocator metadata helper)."""
-        with self.bus.untraced():
-            return self.bus.load(addr & 0xFFFFFFFF, 4)
+        return self.bus.load_untraced(addr & 0xFFFFFFFF, 4)
 
     def raw_st32(self, addr: int, value: int) -> None:
         """Untraced word store (allocator metadata helper)."""
-        with self.bus.untraced():
-            self.bus.store(addr & 0xFFFFFFFF, 4, value)
+        self.bus.store_silent(addr & 0xFFFFFFFF, 4, value)
 
     # ------------------------------------------------------------------
     # sanitizer-hook helpers

@@ -118,16 +118,6 @@ class GuestLayout:
                 return blob_name
         return f"0x{pc:08x}"
 
-    def text_span(self) -> tuple:
-        """The (base, end) of text actually used so far."""
-        flash = self.machine.arch.region("flash")
-        return flash.base, self._text_next
-
-    def data_span(self) -> tuple:
-        """The (base, end) of global data actually used so far."""
-        sram = self.machine.arch.region("sram")
-        return sram.base, self._data_next
-
 
 def _align(value: int, boundary: int) -> int:
     return (value + boundary - 1) // boundary * boundary

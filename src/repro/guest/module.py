@@ -182,10 +182,6 @@ class GuestModule:
         ctx.register_global(var.addr, var.size, var.redzone)
         return var.addr
 
-    def fn_addrs(self) -> Dict[str, int]:
-        """name -> guest address for every installed function."""
-        return {name: fn.addr for name, fn in self.functions.items()}
-
     def alloc_fns(self) -> List[GuestFunction]:
         """The module's allocator entry points (ground truth for tests)."""
         return [fn for fn in self.functions.values() if fn.allocator]

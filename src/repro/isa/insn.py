@@ -163,10 +163,6 @@ class Instruction(NamedTuple):
     rs2: int = 0
     imm: int = 0
 
-    def is_mem(self) -> bool:
-        """True for data-memory opcodes."""
-        return self.op in MEM_OPS
-
     def is_terminator(self) -> bool:
         """True when this instruction ends a basic block."""
         return self.op in BLOCK_TERMINATORS

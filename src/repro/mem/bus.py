@@ -12,7 +12,9 @@ resolved to and tests that first, falling back to a bisect over region
 bases on a miss; permissions are tested as ``int`` masks, with the
 ``Perm`` name rendered only for an error message; and an ``Access`` is
 built only when some observer will receive it, i.e. never inside
-:meth:`MemoryBus.untraced` and never on a bus nobody observes.
+:meth:`MemoryBus.untraced`, never on a bus nobody observes, and not on a
+scalar access the sole observer's clean-access test settles (see
+:meth:`MemoryBus.add_observer`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from repro.mem.access import Access, AccessKind
 from repro.mem.regions import MemoryRegion, Perm, check_no_overlap
 
 Observer = Callable[[Access], None]
+#: Clean-access test: (addr, size) -> True when it handled the access.
+CleanTest = Callable[[int, int], bool]
 
 _SCALAR_SIZES = frozenset((1, 2, 4, 8))
 
@@ -73,6 +77,10 @@ class MemoryBus:
         self._regions: List[MemoryRegion] = []
         self._bases: List[int] = []
         self._observers: tuple = ()
+        #: observer -> its clean-access test; ``_clean`` is the sole
+        #: observer's test, or None (see add_observer)
+        self._cleans: dict = {}
+        self._clean: Optional[CleanTest] = None
         self._write_watchers: tuple = ()
         self._silent_depth = 0
         self._untraced = _Untraced(self)
@@ -158,13 +166,28 @@ class MemoryBus:
     # ------------------------------------------------------------------
     # observers
     # ------------------------------------------------------------------
-    def add_observer(self, observer: Observer) -> None:
-        """Attach an access observer (sanitizer probe, tracer, ...)."""
-        self._observers = self._observers + (observer,)
+    def add_observer(self, observer: Observer,
+                     clean: Optional[CleanTest] = None) -> None:
+        """Attach an access observer (sanitizer probe, tracer, ...).
+
+        ``clean(addr, size)`` is its optional clean-access test, as in
+        ``TcgEngine.add_mem_probe``; :meth:`load` and :meth:`store` call
+        it first while ``observer`` is the sole observer.
+        """
+        if clean is not None:
+            self._cleans[observer] = clean
+        self._set_observers(self._observers + (observer,))
 
     def remove_observer(self, observer: Observer) -> None:
         """Detach a previously attached observer."""
-        self._observers = tuple(o for o in self._observers if o is not observer)
+        self._cleans.pop(observer, None)
+        self._set_observers(
+            tuple(o for o in self._observers if o is not observer))
+
+    def _set_observers(self, observers: tuple) -> None:
+        self._observers = observers
+        self._clean = (self._cleans.get(observers[0])
+                       if len(observers) == 1 else None)
 
     def add_write_watcher(self, watcher: Callable[[int, int], None]) -> None:
         """Attach a ``(addr, size)`` callback fired on every bulk write.
@@ -177,12 +200,6 @@ class MemoryBus:
         scalar stores.
         """
         self._write_watchers = self._write_watchers + (watcher,)
-
-    def remove_write_watcher(self, watcher: Callable[[int, int], None]) -> None:
-        """Detach a previously attached bulk-write watcher."""
-        self._write_watchers = tuple(
-            w for w in self._write_watchers if w is not watcher
-        )
 
     def untraced(self) -> _Untraced:
         """Suppress observer notification inside the ``with`` block.
@@ -309,9 +326,11 @@ class MemoryBus:
             raise BusError(f"invalid scalar load size {size}", addr=addr)
         region = self._resolve(addr, size, _R)
         if self._observers and not self._silent_depth:
-            access = Access(addr, size, False, pc, task, atomic=atomic)
-            for observer in self._observers:
-                observer(access)
+            clean = self._clean
+            if clean is None or not clean(addr, size):
+                access = Access(addr, size, False, pc, task, atomic=atomic)
+                for observer in self._observers:
+                    observer(access)
         value = int.from_bytes(region.read(addr, size), "little")
         # fault injection applies to guest traffic only; untraced host
         # reads (report generators, the Prober) see pristine memory
@@ -333,9 +352,11 @@ class MemoryBus:
             raise BusError(f"invalid scalar store size {size}", addr=addr)
         region = self._resolve(addr, size, _W)
         if self._observers and not self._silent_depth:
-            access = Access(addr, size, True, pc, task, atomic=atomic)
-            for observer in self._observers:
-                observer(access)
+            clean = self._clean
+            if clean is None or not clean(addr, size):
+                access = Access(addr, size, True, pc, task, atomic=atomic)
+                for observer in self._observers:
+                    observer(access)
         if region.kind != "device":
             if self._journal is not None:
                 off = addr - region.base
@@ -360,6 +381,12 @@ class MemoryBus:
             # this path carries only guest (EVM32 template) loads
             value = self.fault_plan.mutate_load(addr, size, value)
         return value
+
+    def load_untraced(self, addr: int, size: int) -> int:
+        """Scalar load exactly as inside :meth:`untraced`: no observer,
+        no fault plan (host-side reads such as allocator metadata)."""
+        region = self._resolve(addr, size, _R)
+        return int.from_bytes(region.read(addr, size), "little")
 
     def store_silent(self, addr: int, size: int, value: int) -> None:
         """Scalar store with no observer notification (see load_silent)."""
@@ -457,7 +484,3 @@ class MemoryBus:
                     break
                 out += byte
         return bytes(out)
-
-    def total_mapped(self) -> int:
-        """Total number of mapped guest bytes."""
-        return sum(region.size for region in self._regions)

@@ -121,13 +121,6 @@ class Scheduler:
         self.machine.switch_task(1)
         return steps
 
-    def run_all(self, ctx: GuestContext, max_ticks: int = 10_000) -> None:
-        """Tick until every task finishes (bounded)."""
-        for _ in range(max_ticks):
-            if not self.tasks:
-                return
-            self.tick(ctx)
-
 
 class KernelBase(GuestModule):
     """Common behaviour for all rehosted kernels.
@@ -169,13 +162,6 @@ class KernelBase(GuestModule):
         """Attach (and, post-install, wire up) a kernel module."""
         self.modules.append(module)
         return module
-
-    def module_named(self, name: str) -> GuestModule:
-        """Look up an attached module."""
-        for module in self.modules:
-            if module.name == name:
-                return module
-        raise KeyError(f"kernel has no module {name!r}")
 
     # ------------------------------------------------------------------
     def boot(self, ctx: GuestContext) -> None:

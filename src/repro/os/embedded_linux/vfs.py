@@ -115,10 +115,6 @@ class Vfs(GuestModule):
         """Attach a driver's device node at ``dev_id``."""
         self.devices[dev_id] = node
 
-    def file_of(self, fd: int) -> int:
-        """Guest struct-file address for ``fd``, or 0."""
-        return self.fd_table.get(fd, 0)
-
     # ------------------------------------------------------------------
     @guestfn(name="do_open")
     def do_open(self, ctx: GuestContext, dev_id: int) -> int:
@@ -200,13 +196,3 @@ class Vfs(GuestModule):
             return ENODEV
         ctx.cov(5)
         return node.dev_ioctl(ctx, file, cmd, a2, a3)
-
-    # ------------------------------------------------------------------
-    def close_all(self, ctx: GuestContext) -> None:
-        """Release every open fd (end-of-program cleanup)."""
-        for fd in sorted(self.fd_table):
-            self.filp_close(ctx, fd)
-
-    def open_fds(self):
-        """Currently open fds (diagnostic)."""
-        return sorted(self.fd_table)

@@ -170,13 +170,6 @@ class ReportSink:
         """Distinct bugs after dedup."""
         return len(self.unique)
 
-    def by_type(self) -> Dict[str, int]:
-        """Unique-bug census keyed by bug-type value."""
-        out: Dict[str, int] = {}
-        for report in self.unique.values():
-            out[report.bug_type.value] = out.get(report.bug_type.value, 0) + 1
-        return out
-
     def locations(self) -> List[str]:
         """Locations of unique reports, sorted."""
         return sorted(report.location for report in self.unique.values())

@@ -170,9 +170,12 @@ class CommonSanitizerRuntime:
         self._subscribe(hooks, EventKind.READY, self._on_ready)
         if self.config.mode == "c":
             self._vmcall_handlers = self._compile_vmcalls()
-            self._plan(machine.vmcalls, self._on_vmcall)
+            clean = self._make_vm_clean()
+            tests = None if clean is None else {
+                Hypercall.SAN_LOAD: clean, Hypercall.SAN_STORE: clean}
+            self._plan(machine.vmcalls, self._on_vmcall, clean=tests)
         else:
-            machine.bus.add_observer(self._probe_cb)
+            machine.bus.add_observer(self._probe_cb, clean=self._clean_cb)
             allocators = tuple(self._alloc_map)
             self._plan(machine.calls, self._on_call, allocators)
             self._plan(machine.rets, self._on_ret, allocators)
@@ -476,8 +479,8 @@ class CommonSanitizerRuntime:
         hooks.add(kind, handler)
         self._handlers.append((kind, handler))
 
-    def _plan(self, table, handler: Callable, keys=None) -> None:
-        table.add(handler, keys)
+    def _plan(self, table, handler: Callable, keys=None, clean=None) -> None:
+        table.add(handler, keys, clean)
         self._probes.append((table, handler))
 
     # ------------------------------------------------------------------
@@ -545,6 +548,51 @@ class CommonSanitizerRuntime:
         if self.kmsan is not None:
             table[Hypercall.SAN_MARK_INIT] = cls._vm_mark_init
         return {int(number): method for number, method in table.items()}
+
+    def _make_vm_clean(self) -> Optional[Callable[[int, int], bool]]:
+        """The ``SAN_LOAD``/``SAN_STORE`` clean test (KASAN alone), or None.
+
+        ``clean(addr, size)`` does the hypercall path's whole work for an
+        access it settles without a report and returns True; on a
+        poisoned or partial granule it does nothing and returns False.
+        Like that path, and unlike the EMBSAN-D test, it counts no
+        ``fastpath_hits``.
+        """
+        if self.kasan is None or self.kcsan is not None or self.kmsan is not None:
+            return None
+        kasan = self.kasan
+        shadow = self.shadow
+        machine = self.machine
+        trap = self.costs.kasan_c_trap
+        check = self.costs.kasan_c_check
+
+        def clean(addr: int, size: int) -> bool:
+            if self.enabled:
+                if not kasan.suppress_depth:
+                    # ShadowMemory.check of an all-zero span, inlined
+                    region = shadow._last
+                    if not region.base <= addr < region.end:
+                        region = shadow._find(addr)
+                    if region is not None:
+                        table = region.bytes
+                        first = (addr - region.base) >> 3
+                        last = (addr + size - 1 - region.base) >> 3
+                        if (table[first] if first == last
+                                else any(table[first:last + 1])):
+                            return False
+                        shadow.check_ops += 1
+                    kasan.checks += 1
+                # _run_checks' two charge() calls: the same float adds in
+                # the same order, so overhead totals stay bit-identical
+                breakdown = self.breakdown
+                machine.overhead_cycles += trap
+                breakdown["interception"] += trap
+                machine.overhead_cycles += check
+                breakdown["checks"] += check
+            self.events_handled += 1
+            return True
+
+        return clean
 
     def _on_vmcall(self, number: int, args: List[int], pc: int,
                    task: int) -> None:

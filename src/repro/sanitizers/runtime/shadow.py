@@ -224,8 +224,7 @@ class ShadowMemory:
             # the object sharing this granule keeps its first bytes
             shadow.bytes[first] = valid_prefix
             first += 1
-        for idx in range(first, last):
-            shadow.bytes[idx] = int(code)
+        shadow.bytes[first:last] = bytes((code,)) * (last - first)
 
     def unpoison(self, start: int, size: int) -> None:
         """Mark ``[start, start+size)`` addressable (partial tail encoded)."""
@@ -239,8 +238,7 @@ class ShadowMemory:
         first = (start - shadow.base) // GRANULE
         full_last = (end - shadow.base) // GRANULE
         shadow.mark_dirty(first, max(full_last, first))
-        for idx in range(first, full_last):
-            shadow.bytes[idx] = 0
+        shadow.bytes[first:full_last] = bytes(full_last - first)
         tail = end % GRANULE
         if tail and full_last < len(shadow.bytes):
             shadow.bytes[full_last] = tail
