@@ -352,9 +352,7 @@ class Machine:
             self.panicked = args[0] if args else 0
             raise GuestPanic(f"guest panic code {self.panicked:#x} at pc {pc:#x}")
         elif number == _PUTC and self.uart is not None:
-            with self.bus.untraced():
-                self.uart.region.write(self.uart.base, bytes([args[0] & 0xFF]))
-                self.uart.output.append(args[0] & 0xFF)
+            self.uart.region.write(self.uart.base, bytes([args[0] & 0xFF]))
         return None
 
     def mark_ready(self) -> None:

@@ -10,7 +10,7 @@ bare paths ship the kernel untouched.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.emulator.arch import arch_by_name
 from repro.emulator.machine import Machine
@@ -55,16 +55,8 @@ def build_image(
     """
     if mode is InstrumentationMode.NATIVE and not native_sanitizers:
         native_sanitizers = ("kasan",)
-
-    def rebuild() -> FirmwareImage:
-        # clones always boot: they exist to reproduce crashes or dry-run;
-        # the driver surface survives cloning so crash reproduction and
-        # EMBSAN-D dry runs see the same address layout
-        return build_image(
-            name, arch, kernel_factory, mode=mode, bug_ids=bug_ids,
-            native_sanitizers=native_sanitizers, kcov=kcov, boot=True,
-            driver_factory=driver_factory,
-        )
+    recipe = (name, arch, kernel_factory, mode, tuple(bug_ids),
+              tuple(native_sanitizers), kcov, driver_factory)
 
     machine = Machine(arch_by_name(arch), name=name)
     ctx = GuestContext(machine)
@@ -97,7 +89,7 @@ def build_image(
 
     image = FirmwareImage(
         name, machine, ctx, kernel, mode,
-        rebuild=rebuild, native_hooks=native_hooks,
+        recipe=recipe, native_hooks=native_hooks,
     )
     if boot:
         image.boot()
@@ -127,6 +119,10 @@ def ground_truth_alloc_specs(kernel: KernelBase) -> Tuple[AllocFnSpec, ...]:
     return tuple(specs)
 
 
+#: build recipe -> allocator specs harvested by that recipe's dry run
+_DRY_RUN_SPECS: Dict[tuple, Tuple[AllocFnSpec, ...]] = {}
+
+
 def attach_runtime(
     image: FirmwareImage,
     sanitizers: Sequence[str] = ("kasan",),
@@ -154,8 +150,12 @@ def attach_runtime(
             # guest function addresses only exist after install; harvest
             # them from a dry-run boot of an identical build (the layout
             # is deterministic, so addresses match) — the same way the
-            # Prober's pre-testing dry run learns them behaviourally
-            specs = ground_truth_alloc_specs(image.clone().kernel)
+            # Prober's pre-testing dry run learns them behaviourally, and
+            # like it, once per recipe for the whole process
+            specs = _DRY_RUN_SPECS.get(image.recipe)
+            if specs is None:
+                specs = ground_truth_alloc_specs(image.clone().kernel)
+                _DRY_RUN_SPECS[image.recipe] = specs
         config = RuntimeConfig(
             sanitizers=tuple(sanitizers), mode="d", alloc_fns=specs,
             ready=ReadySpec(kind="banner", banner=image.banner_bytes),

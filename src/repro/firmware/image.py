@@ -4,12 +4,13 @@ An image is one *build* of one firmware: the same firmware can be built
 bare (overhead baseline), with compile-time EMBSAN instrumentation
 (EMBSAN-C), unmodified for dynamic interception (EMBSAN-D), or with a
 native sanitizer compiled in.  Experiments that need a pristine target
-(reproducing a crash, measuring overhead) rebuild via :meth:`clone`.
+(reproducing a crash, measuring overhead) rebuild via :meth:`clone`,
+which replays the image's build :attr:`FirmwareImage.recipe`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.emulator.machine import Machine
 from repro.errors import FirmwareBuildError
@@ -28,7 +29,7 @@ class FirmwareImage:
         ctx: GuestContext,
         kernel: KernelBase,
         mode: InstrumentationMode,
-        rebuild: Optional[Callable[[], "FirmwareImage"]] = None,
+        recipe: Optional[Tuple] = None,
         native_hooks: Optional[List[object]] = None,
     ):
         self.name = name
@@ -36,7 +37,9 @@ class FirmwareImage:
         self.ctx = ctx
         self.kernel = kernel
         self.mode = mode
-        self._rebuild = rebuild
+        #: hashable build recipe: ``(name, arch, kernel_factory, mode,
+        #: bug_ids, native_sanitizers, kcov, driver_factory)``
+        self.recipe = recipe
         self.native_hooks = native_hooks or []
         self.booted = False
 
@@ -50,12 +53,21 @@ class FirmwareImage:
         return self
 
     def clone(self) -> "FirmwareImage":
-        """Build a pristine copy of this image (same spec, same mode)."""
-        if self._rebuild is None:
+        """Build and boot a pristine copy of this image (same recipe).
+
+        Clones always boot: they exist to reproduce crashes or dry-run.
+        The driver surface is part of the recipe, so crash reproduction
+        and EMBSAN-D dry runs see the same address layout.
+        """
+        if self.recipe is None:
             raise FirmwareBuildError(
                 f"firmware {self.name!r} was built without a rebuild recipe"
             )
-        return self._rebuild()
+        from repro.firmware.builder import build_image
+
+        name, arch, factory, mode, bugs, native, kcov, driver = self.recipe
+        return build_image(name, arch, factory, mode, bugs, native, kcov,
+                           boot=True, driver_factory=driver)
 
     # ------------------------------------------------------------------
     @property

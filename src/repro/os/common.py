@@ -216,18 +216,19 @@ class KernelBase(GuestModule):
 
     # ------------------------------------------------------------------
     def printk(self, ctx: GuestContext, text: str) -> None:
-        """Write to the console UART through the bus, byte by byte."""
-        uart = self.machine.uart
+        """Write to the console UART's data register, byte by byte."""
+        machine = self.machine
+        uart = machine.uart
         if uart is None:
             for byte in text.encode():
-                self.machine.vmcall(Hypercall.PUTC, [byte])
+                machine.vmcall(Hypercall.PUTC, [byte])
             return
-        data_reg = uart.base + UART_DATA
+        # device stores are uncached/uninstrumented in real kernels, so
+        # each byte goes straight to the UART model's MMIO write
+        mmio_write = uart.region.on_write
         for byte in text.encode():
-            ctx.machine.charge_guest(2)
-            with ctx.bus.untraced():
-                # device stores are uncached/uninstrumented in real kernels
-                ctx.bus.store(data_reg, 1, byte)
+            machine.charge_guest(2)
+            mmio_write(UART_DATA, 1, byte)
 
     def panic(self, ctx: GuestContext, code: int) -> None:
         """Guest panic: raises :class:`repro.emulator.machine.GuestPanic`."""

@@ -22,6 +22,7 @@ dhcpsd (BOOTP/DHCP)::
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict
 
 from repro.isa.assembler import assemble
@@ -95,16 +96,25 @@ halt_pad:
 """
 
 
+@lru_cache(maxsize=None)
+def _assemble_blob(source: str, base: int, entry_label: str) -> tuple:
+    """Assemble one formatted blob source at ``base``, once per process."""
+    result = assemble(source, base=base)
+    return (result.image, base, result.symbols[entry_label])
+
+
 def assemble_services(pppoed_base: int, dhcpsd_base: int,
                       pad_base: int) -> Dict[str, tuple]:
-    """Assemble all three blobs; returns name -> (image, base, entry)."""
-    out = {}
-    for name, source, base in (
-        ("pppoed", PPPOED_SOURCE, pppoed_base),
-        ("dhcpsd", DHCPSD_SOURCE, dhcpsd_base),
-        ("halt_pad", HALT_PAD_SOURCE, pad_base),
-    ):
-        result = assemble(source.format(base=hex(base)), base=base)
-        entry = result.symbols[f"{name}_entry" if name != "halt_pad" else "halt_pad"]
-        out[name] = (result.image, base, entry)
-    return out
+    """Assemble all three blobs; returns name -> (image, base, entry).
+
+    Each blob is assembled once per source text and origin; the dict is
+    fresh on every call, so no two kernels share one.
+    """
+    return {
+        name: _assemble_blob(source.format(base=hex(base)), base, label)
+        for name, source, base, label in (
+            ("pppoed", PPPOED_SOURCE, pppoed_base, "pppoed_entry"),
+            ("dhcpsd", DHCPSD_SOURCE, dhcpsd_base, "dhcpsd_entry"),
+            ("halt_pad", HALT_PAD_SOURCE, pad_base, "halt_pad"),
+        )
+    }
