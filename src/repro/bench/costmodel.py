@@ -17,11 +17,15 @@ The constants encode the paper's §4.3 profiling findings directly:
 
 KCSAN-functionality checks cost several times a KASAN check (watchpoint
 set-up/scan), which produces the paper's ~5-6x band.
+
+Every constant is a whole number of centi-cycles, so a machine keeps its
+sanitizer-added cycles in an :class:`OverheadLedger` of integer counts
+and no sum ever rounds.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 #: translation expansion: host ops emitted per guest op (QEMU/TCG-like).
 TCG_EXPANSION = 2.4
@@ -98,12 +102,80 @@ class CostModel(NamedTuple):
             "native": self.kasan_native_alloc,
         }[mode]
 
-    def range_cost(self, size: int, mode: str, sanitizer: str = "kasan") -> float:
-        """Added cycles for a checked bulk operation of ``size`` bytes."""
+    def range_centi(self, size: int, mode: str, sanitizer: str = "kasan") -> int:
+        """Added centi-cycles for a checked bulk operation of ``size`` bytes."""
         base = {"c": 2.0, "d": 3.6, "native": 2.5 * TCG_EXPANSION}[mode]
         per_byte = getattr(self, f"{sanitizer}_range_{mode}")
-        return base + per_byte * min(size, 4096)
+        return centi(base) + centi(per_byte) * min(size, 4096)
 
 
 #: the calibrated instance used everywhere unless a bench overrides it.
 DEFAULT_COSTS = CostModel()
+
+#: the §4.3 composition: the categories the sanitizer runtime charges
+BREAKDOWN = ("interception", "checks", "allocator", "range")
+
+
+def centi(cycles: float) -> int:
+    """``cycles`` as integer centi-cycles, the ledger's unit.
+
+    Raises :class:`ValueError` unless ``cycles`` is a whole number of
+    centi-cycles (up to float representation error): the ledger never
+    rounds a charge.
+    """
+    value = round(cycles * 100)
+    if abs(cycles * 100 - value) > 1e-6:
+        raise ValueError(f"{cycles!r} is not a whole number of centi-cycles")
+    return value
+
+
+class OverheadLedger:
+    """One machine's sanitizer-added cycles, kept as integer counts.
+
+    A *slot* is one kind of charged event, declared once with its cost
+    per category: a :data:`BREAKDOWN` category for the sanitizer
+    runtime, ``native`` for in-guest sanitizers, ``watchdog`` for budget
+    checks.  A hot path then adds 1 to ``counts[slot]``; a variable
+    charge (a range check) declares a slot of one centi-cycle and adds
+    its exact centi-cycle amount.  Totals are computed when read, so the
+    order of charges never matters.  ``counts`` is only ever changed in
+    place, because hot paths hold it.
+    """
+
+    __slots__ = ("counts", "_costs", "_slots")
+
+    def __init__(self) -> None:
+        self.counts: List[int] = []
+        #: per slot: ((category, centi-cycles per count), ...)
+        self._costs: List[Tuple[Tuple[str, int], ...]] = []
+        self._slots: Dict[Tuple[Tuple[str, int], ...], int] = {}
+
+    def slot(self, **cycles: float) -> int:
+        """The slot whose every count charges ``cycles`` per category."""
+        key = tuple((category, centi(cost)) for category, cost in cycles.items())
+        index = self._slots.get(key)
+        if index is None:
+            index = self._slots[key] = len(self.counts)
+            self.counts.append(0)
+            self._costs.append(key)
+        return index
+
+    def total(self, category: Optional[str] = None) -> int:
+        """Centi-cycles charged, in all or in one category."""
+        return sum(
+            count * cost
+            for count, costs in zip(self.counts, self._costs) if count
+            for name, cost in costs if category is None or name == category
+        )
+
+    def reset(self) -> None:
+        """Zero every count (start of a measured workload)."""
+        self.counts[:] = [0] * len(self.counts)
+
+    def save(self) -> List[int]:
+        """The counts, for :meth:`load`."""
+        return list(self.counts)
+
+    def load(self, saved: List[int]) -> None:
+        """Rewind to saved counts; a slot declared since counts 0."""
+        self.counts[:] = saved + [0] * (len(self.counts) - len(saved))

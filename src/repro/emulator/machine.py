@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.bench.costmodel import OverheadLedger
 from repro.emulator.arch import Arch
 from repro.emulator.devices import DMA_IRQ, DmaEngine, Timer, Uart
 from repro.emulator.events import (
@@ -25,6 +26,7 @@ from repro.emulator.events import (
 )
 from repro.emulator.hooks import HookRegistry, ProbeTable
 from repro.emulator.hypercalls import Hypercall
+from repro.emulator.watchdog import Watchdog
 from repro.errors import GuestFault
 from repro.isa.cpu import Cpu
 from repro.isa.tcg import TcgEngine
@@ -77,7 +79,7 @@ class Machine:
 
         # cycle accounting: guest work vs sanitizer-added overhead
         self._charged_guest_cycles = 0
-        self.overhead_cycles = 0
+        self.ledger = OverheadLedger()
 
         #: optional hang guard shared by every engine and charge_guest
         self.watchdog = None
@@ -182,8 +184,6 @@ class Machine:
         future) and by :meth:`charge_guest`, so both EVM32 code and
         rehosted Python kernels are guarded.  Passing no budgets disarms.
         """
-        from repro.emulator.watchdog import Watchdog
-
         if insn_budget is None and cycle_budget is None:
             self.clear_watchdog()
             return None
@@ -414,10 +414,6 @@ class Machine:
             if budget is not None and watchdog.cycles > budget:
                 watchdog.trip_cycles(self.current_task)
 
-    def charge_overhead(self, cycles: int) -> None:
-        """Account sanitizer-added work (host checks or translated routines)."""
-        self.overhead_cycles += cycles
-
     @property
     def guest_cycles(self) -> int:
         """Guest work: ISA engine cycles plus charged rehosted cycles."""
@@ -426,14 +422,19 @@ class Machine:
         )
 
     @property
-    def total_cycles(self) -> int:
+    def overhead_cycles(self) -> float:
+        """Sanitizer-added work (host checks or translated routines)."""
+        return self.ledger.total() / 100
+
+    @property
+    def total_cycles(self) -> float:
         """Guest work plus sanitizer overhead; Figure 2 divides these."""
         return self.guest_cycles + self.overhead_cycles
 
     def reset_counters(self) -> None:
         """Zero all cycle counters (start of a measured workload)."""
         self._charged_guest_cycles = 0
-        self.overhead_cycles = 0
+        self.ledger.reset()
         for engine in self.engines:
             engine.cycles = 0
             engine.insn_count = 0

@@ -276,7 +276,7 @@ class ForkServer:
         self._panicked = machine.panicked
         self._task = machine.current_task
         self._charged = machine._charged_guest_cycles
-        self._overhead = machine.overhead_cycles
+        self._ledger = machine.ledger.save()
         self._irqs_delivered = machine.irqs_delivered
         self._pending_irqs = [list(entry) for entry in machine._pending_irqs]
         self._engine_listeners = list(machine.engine_listeners)
@@ -388,7 +388,7 @@ class ForkServer:
         machine.panicked = self._panicked
         machine.current_task = self._task
         machine._charged_guest_cycles = self._charged
-        machine.overhead_cycles = self._overhead
+        machine.ledger.load(self._ledger)
         machine.irqs_delivered = self._irqs_delivered
         machine._pending_irqs = [list(entry) for entry in self._pending_irqs]
         machine.engine_listeners[:] = self._engine_listeners

@@ -25,8 +25,9 @@ The watchdog meters two independent budgets:
     budget even though no ISA engine is running.
 
 Watchdog bookkeeping is sanitizer-style overhead, not guest work: each
-check charges :data:`CHECK_COST` overhead cycles to the machine so the
-Figure-2 cost split stays honest (see ``docs/cost_model.md``).
+check counts one :data:`CHECK_COST` charge in the machine's overhead
+ledger so the Figure-2 cost split stays honest (see
+``docs/cost_model.md``).
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
+from repro.bench.costmodel import OverheadLedger
 from repro.errors import GuestHang
 
-#: overhead cycles charged per watchdog consume() call (one compare + add)
+#: overhead cycles charged per watchdog check (one compare + add)
 CHECK_COST = 1
 
 #: default number of recent block PCs retained for hang backtraces
@@ -61,6 +63,11 @@ class Watchdog:
         self.insn_budget = insn_budget or None
         self.cycle_budget = cycle_budget or None
         self.machine = machine
+        #: each check adds 1 to this slot of the machine's overhead
+        #: ledger (a machine-less watchdog keeps a ledger of its own)
+        ledger = machine.ledger if machine is not None else OverheadLedger()
+        self.ledger_counts = ledger.counts
+        self.check_slot = ledger.slot(watchdog=CHECK_COST)
         self.insns = 0
         self.cycles = 0.0
         self.trips = 0
@@ -85,9 +92,7 @@ class Watchdog:
         """
         self.insns += insns
         self._ring.append(pc)
-        machine = self.machine
-        if machine is not None:
-            machine.charge_overhead(CHECK_COST)
+        self.ledger_counts[self.check_slot] += 1
         budget = self.insn_budget
         if budget is not None and self.insns > budget:
             self._trip("insn", pc, task)
@@ -95,9 +100,7 @@ class Watchdog:
     def trip_cycles(self, task: int = 0) -> None:
         """Raise the cycle-budget :class:`GuestHang`, charging the check;
         callers meter ``cycles`` against the budget in line."""
-        machine = self.machine
-        if machine is not None:
-            machine.charge_overhead(CHECK_COST)
+        self.ledger_counts[self.check_slot] += 1
         self._trip("cycle", 0, task)
 
     # ------------------------------------------------------------------

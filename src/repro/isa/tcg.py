@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.emulator.watchdog import CHECK_COST
 from repro.errors import GuestFault, InvalidOpcode
 from repro.isa.cpu import CpuState, HypercallHandler
 from repro.isa.insn import (
@@ -604,7 +603,8 @@ class TcgEngine:
         watchdog = self.watchdog
         if watchdog is not None:
             ring_append = watchdog._ring.append
-            wd_machine = watchdog.machine
+            wd_counts = watchdog.ledger_counts
+            wd_slot = watchdog.check_slot
         prev: Optional[TranslationBlock] = None
         while not state.halted and executed < max_steps:
             pc = state.pc
@@ -658,9 +658,7 @@ class TcgEngine:
                 # subsequent run() call.
                 watchdog.insns += done
                 ring_append(pc)
-                if wd_machine is not None:
-                    # Machine.charge_overhead, inlined
-                    wd_machine.overhead_cycles += CHECK_COST
+                wd_counts[wd_slot] += 1
                 budget = watchdog.insn_budget
                 if budget is not None and watchdog.insns > budget:
                     state.halted = True

@@ -24,6 +24,7 @@ import os
 from contextlib import contextmanager
 from typing import Optional
 
+from repro.bench.costmodel import BREAKDOWN
 from repro.obs.metrics import MetricsRegistry, format_metrics
 from repro.obs.trace import DEFAULT_CAPACITY, Tracer
 
@@ -170,7 +171,10 @@ class Observer:
             if cache is not None:
                 cache_blocks.set(len(cache))
         counter("machine.guest_cycles").inc(getattr(machine, "guest_cycles", 0))
-        counter("machine.overhead_cycles").inc(getattr(machine, "overhead_cycles", 0))
+        # whole cycles, floored from the exact integer ledger
+        ledger = getattr(machine, "ledger", None)
+        counter("machine.overhead_cycles").inc(
+            ledger.total() // 100 if ledger is not None else 0)
         watchdog = getattr(machine, "watchdog", None)
         if watchdog is not None:
             counter("machine.watchdog_trips").inc(getattr(watchdog, "trips", 0))
@@ -205,8 +209,10 @@ class Observer:
         gauge = self.registry.gauge
         try:
             counter("runtime.events").inc(runtime.events_handled)
-            for category, cycles in runtime.breakdown.items():
-                counter(f"runtime.cycles.{category}").inc(int(cycles))
+            ledger = runtime.machine.ledger
+            for category in BREAKDOWN:
+                counter(f"runtime.cycles.{category}").inc(
+                    ledger.total(category) // 100)
             sink = runtime.sink
             counter("runtime.reports").inc(sink.count())
             gauge("runtime.unique_reports").set(sink.unique_count())

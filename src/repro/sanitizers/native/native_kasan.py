@@ -18,8 +18,8 @@ class NativeKasan(SanHooks):
 
     The engine logic is shared with the Common Sanitizer Runtime; what
     differs is where the cost lands — every check executes as translated
-    guest code, charged via :meth:`Machine.charge_overhead` with the
-    native (expansion-multiplied) constants.
+    guest code, counted in the machine's overhead ledger at the native
+    (expansion-multiplied) constants.
     """
 
     def __init__(
@@ -35,13 +35,19 @@ class NativeKasan(SanHooks):
         self.sink = ReportSink(panic_on_report=panic_on_report, symbolizer=symbolizer)
         self.engine = KasanEngine(self.shadow, self.sink)
         self.enabled = True
+        ledger = machine.ledger
+        self._counts = ledger.counts
+        self._check = ledger.slot(native=costs.kasan_native_check)
+        self._alloc = ledger.slot(native=costs.kasan_native_alloc)
+        self._stack_var = ledger.slot(native=costs.kasan_native_alloc / 2)
+        self._range = ledger.slot(native=0.01)
 
     # -- scalar accesses ------------------------------------------------
     def on_load(self, ctx: GuestContext, addr: int, size: int,
                 atomic: bool = False) -> None:
         if not self.enabled:
             return
-        self.machine.charge_overhead(self.costs.kasan_native_check)
+        self._counts[self._check] += 1
         self.engine.check(
             Access(addr, size, False, ctx.current_pc(), self.machine.current_task)
         )
@@ -50,7 +56,7 @@ class NativeKasan(SanHooks):
                  atomic: bool = False) -> None:
         if not self.enabled:
             return
-        self.machine.charge_overhead(self.costs.kasan_native_check)
+        self._counts[self._check] += 1
         self.engine.check(
             Access(addr, size, True, ctx.current_pc(), self.machine.current_task)
         )
@@ -59,9 +65,8 @@ class NativeKasan(SanHooks):
                  is_write: bool) -> None:
         if not self.enabled:
             return
-        self.machine.charge_overhead(
-            self.costs.range_cost(size, "native", "kasan")
-        )
+        self._counts[self._range] += self.costs.range_centi(
+            size, "native", "kasan")
         self.engine.check(
             Access(addr, size, is_write, ctx.current_pc(),
                    self.machine.current_task, kind=AccessKind.RANGE)
@@ -69,16 +74,16 @@ class NativeKasan(SanHooks):
 
     # -- allocator hooks ---------------------------------------------------
     def on_alloc(self, ctx: GuestContext, addr: int, size: int, cache: int) -> None:
-        self.machine.charge_overhead(self.costs.kasan_native_alloc)
+        self._counts[self._alloc] += 1
         self.engine.on_alloc(addr, size, cache, ctx.caller_pc(),
                              self.machine.current_task)
 
     def on_free(self, ctx: GuestContext, addr: int) -> None:
-        self.machine.charge_overhead(self.costs.kasan_native_alloc)
+        self._counts[self._alloc] += 1
         self.engine.on_free(addr, ctx.caller_pc(), self.machine.current_task)
 
     def on_slab_page(self, ctx: GuestContext, addr: int, size: int) -> None:
-        self.machine.charge_overhead(self.costs.kasan_native_alloc)
+        self._counts[self._alloc] += 1
         self.engine.on_slab_page(addr, size)
 
     # -- compile-time object registration ----------------------------------
@@ -87,7 +92,7 @@ class NativeKasan(SanHooks):
         self.engine.register_global(addr, size, redzone)
 
     def on_stack_var(self, ctx: GuestContext, addr: int, size: int) -> None:
-        self.machine.charge_overhead(self.costs.kasan_native_alloc / 2)
+        self._counts[self._stack_var] += 1
         self.engine.stack_var(addr, size)
 
     def on_stack_leave(self, ctx: GuestContext, base: int, size: int) -> None:

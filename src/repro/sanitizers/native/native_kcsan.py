@@ -27,12 +27,16 @@ class NativeKcsan(SanHooks):
         self.sink = ReportSink(panic_on_report=panic_on_report, symbolizer=symbolizer)
         self.engine = KcsanEngine(self.sink)
         self.enabled = True
+        ledger = machine.ledger
+        self._counts = ledger.counts
+        self._check = ledger.slot(native=costs.kcsan_native_check)
+        self._range = ledger.slot(native=0.01)
 
     def on_load(self, ctx: GuestContext, addr: int, size: int,
                 atomic: bool = False) -> None:
         if not self.enabled:
             return
-        self.machine.charge_overhead(self.costs.kcsan_native_check)
+        self._counts[self._check] += 1
         self.engine.check(
             Access(addr, size, False, ctx.current_pc(),
                    self.machine.current_task, atomic=atomic)
@@ -42,7 +46,7 @@ class NativeKcsan(SanHooks):
                  atomic: bool = False) -> None:
         if not self.enabled:
             return
-        self.machine.charge_overhead(self.costs.kcsan_native_check)
+        self._counts[self._check] += 1
         self.engine.check(
             Access(addr, size, True, ctx.current_pc(),
                    self.machine.current_task, atomic=atomic)
@@ -54,9 +58,8 @@ class NativeKcsan(SanHooks):
             return
         from repro.mem.access import AccessKind
 
-        self.machine.charge_overhead(
-            self.costs.range_cost(size, "native", "kcsan")
-        )
+        self._counts[self._range] += self.costs.range_centi(
+            size, "native", "kcsan")
         self.engine.check(
             Access(addr, size, is_write, ctx.current_pc(),
                    self.machine.current_task, kind=AccessKind.RANGE)

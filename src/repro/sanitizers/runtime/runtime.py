@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bench.costmodel import CostModel, DEFAULT_COSTS
+from repro.bench.costmodel import BREAKDOWN, CostModel, DEFAULT_COSTS
 from repro.emulator.events import ConsoleEvent, EventKind
 from repro.emulator.hypercalls import Hypercall
 from repro.emulator.machine import Machine
@@ -125,14 +125,35 @@ class CommonSanitizerRuntime:
         self.kasan: Optional[KasanEngine] = None
         self.kcsan: Optional[KcsanEngine] = None
         self.kmsan = None
+        # every charge is one count in a slot of the machine's overhead
+        # ledger; a scalar check charges its mode's interception + check
+        ledger = machine.ledger
+        costs = self.costs
+        mode = config.mode
+        intercept = "trap" if mode == "c" else "intercept"
+
+        def scalar_slot(name: str) -> int:
+            return ledger.slot(
+                interception=getattr(costs, f"{name}_{mode}_{intercept}"),
+                checks=getattr(costs, f"{name}_{mode}_check"))
+
+        self._counts = ledger.counts
+        #: range checks add their exact centi-cycles here
+        self._range_slot = ledger.slot(range=0.01)
         if "kasan" in config.sanitizers:
             self.kasan = KasanEngine(self.shadow, self.sink)
+            self._kasan_slot = scalar_slot("kasan")
+            self._alloc_slot = ledger.slot(allocator=costs.alloc_cost(mode))
         if "kcsan" in config.sanitizers:
             self.kcsan = KcsanEngine(self.sink)
+            self._kcsan_slot = scalar_slot("kcsan")
         if "kmsan" in config.sanitizers:
             from repro.sanitizers.runtime.kmsan import KmsanEngine
 
             self.kmsan = KmsanEngine(self.sink)
+            self._kmsan_slot = scalar_slot("kmsan")
+            self._kmsan_alloc_slot = ledger.slot(allocator=costs.kmsan_c_alloc)
+            self._kmsan_range_slot = ledger.slot(range=costs.kmsan_c_check)
         self.enabled = False
         self.attached = False
         self._alloc_map: Dict[int, AllocFnSpec] = {
@@ -148,11 +169,6 @@ class CommonSanitizerRuntime:
         #: EMBSAN-C hypercall number -> method, compiled at attach
         self._vmcall_handlers: Dict[int, Callable] = {}
         self.events_handled = 0
-        #: §4.3 composition: where the added cycles go
-        self.breakdown: Dict[str, float] = {
-            "interception": 0.0, "checks": 0.0, "allocator": 0.0,
-            "range": 0.0,
-        }
         #: the delegate injected into TCG templates and observing the bus,
         #: and its clean-access test for the templates (None when the
         #: sanitizer set has no inline fast path)
@@ -207,7 +223,7 @@ class CommonSanitizerRuntime:
         non-zero shadow bytes fall into the full validation walk (report
         classification, partial granules, quarantine lookups).  KCSAN
         still observes *every* data access — races live on perfectly
-        addressable memory — and all cycle charges and counters are
+        addressable memory — and all ledger counts and counters are
         identical to the callback path, so the fast path changes
         wall-clock cost only, never the modeled overhead or the
         detection behaviour.
@@ -215,9 +231,9 @@ class CommonSanitizerRuntime:
         ``clean(addr, size)`` is that fast path with no ``Access`` at
         all, for TCG templates: on an access the probe would settle
         without the full walk it does the probe's exact work (gates,
-        counters, the same two charges in the same order) and returns
-        True; otherwise it does nothing and returns False.  It exists
-        only for KASAN alone, and is None otherwise.
+        counters, the ledger count) and returns True; otherwise it does
+        nothing and returns False.  It exists only for KASAN alone, and
+        is None otherwise.
         """
         if self.kasan is None or self.kmsan is not None:
             return self._on_access, None
@@ -225,13 +241,10 @@ class CommonSanitizerRuntime:
         kcsan = self.kcsan
         data = AccessKind.DATA
         clear_for = self.shadow.clear_for
-        charge = self._charge
-        costs = self.costs
-        kasan_intercept = costs.kasan_d_intercept
-        kasan_check = costs.kasan_d_check
+        counts = self._counts
+        kasan_slot = self._kasan_slot
         if kcsan is not None:
-            kcsan_intercept = costs.kcsan_d_intercept
-            kcsan_check = costs.kcsan_d_check
+            kcsan_slot = self._kcsan_slot
 
         def probe(access: Access) -> None:
             if not self.enabled or self._suppress:
@@ -242,8 +255,7 @@ class CommonSanitizerRuntime:
                 self._on_access(access)
                 return
             self.events_handled += 1
-            charge(kasan_intercept, "interception")
-            charge(kasan_check, "checks")
+            counts[kasan_slot] += 1
             if kasan.suppress_depth:
                 pass
             elif clear_for(access.addr, access.size):
@@ -251,13 +263,11 @@ class CommonSanitizerRuntime:
             else:
                 kasan.check(access)
             if kcsan is not None:
-                charge(kcsan_intercept, "interception")
-                charge(kcsan_check, "checks")
+                counts[kcsan_slot] += 1
                 kcsan.check(access)
 
         if kcsan is not None:
             return probe, None
-        machine = self.machine
 
         def clean(addr: int, size: int) -> bool:
             if not self.enabled or self._suppress:
@@ -267,13 +277,7 @@ class CommonSanitizerRuntime:
                     return False
                 kasan.checks += 1
             self.events_handled += 1
-            # the probe's two charge() calls, inlined: the same float adds
-            # in the same order, so overhead totals stay bit-identical
-            breakdown = self.breakdown
-            machine.overhead_cycles += kasan_intercept
-            breakdown["interception"] += kasan_intercept
-            machine.overhead_cycles += kasan_check
-            breakdown["checks"] += kasan_check
+            counts[kasan_slot] += 1
             return True
 
         return probe, clean
@@ -303,9 +307,9 @@ class CommonSanitizerRuntime:
     def save_state(self) -> dict:
         """Capture semantic sanitizer state for a machine Snapshot.
 
-        Diagnostic counters (checks, events_handled, cycle breakdown) are
-        deliberately excluded: they are monotonic telemetry, not guest
-        state, and restoring them would hide work the machine really did.
+        Diagnostic counters (checks, events_handled) are deliberately
+        excluded: they are monotonic telemetry, not guest state, and
+        restoring them would hide work the machine really did.
         """
         state = self._save_semantic()
         state["shadow"] = self.shadow.save_state()
@@ -389,7 +393,7 @@ class CommonSanitizerRuntime:
         in-flight allocator bookkeeping shows up in the suppress depth
         and pending stacks.  Equal epochs therefore mean the semantic
         state is byte-identical, letting a delta restore skip the reload
-        entirely.  Pure telemetry (check counters, the cycle breakdown)
+        entirely.  Pure telemetry (check counters, the overhead ledger)
         deliberately moves nothing here.
         """
         pending = tuple(
@@ -429,7 +433,6 @@ class CommonSanitizerRuntime:
         """
         telemetry = {
             "events_handled": self.events_handled,
-            "breakdown": dict(self.breakdown),
             "shadow": (
                 self.shadow.poison_ops,
                 self.shadow.check_ops,
@@ -454,7 +457,6 @@ class CommonSanitizerRuntime:
     def load_telemetry(self, telemetry: dict) -> None:
         """Rewind counters and the report sink to a captured state."""
         self.events_handled = telemetry["events_handled"]
-        self.breakdown = dict(telemetry["breakdown"])
         (
             self.shadow.poison_ops,
             self.shadow.check_ops,
@@ -562,9 +564,8 @@ class CommonSanitizerRuntime:
             return None
         kasan = self.kasan
         shadow = self.shadow
-        machine = self.machine
-        trap = self.costs.kasan_c_trap
-        check = self.costs.kasan_c_check
+        counts = self._counts
+        kasan_slot = self._kasan_slot
 
         def clean(addr: int, size: int) -> bool:
             if self.enabled:
@@ -582,13 +583,7 @@ class CommonSanitizerRuntime:
                             return False
                         shadow.check_ops += 1
                     kasan.checks += 1
-                # _run_checks' two charge() calls: the same float adds in
-                # the same order, so overhead totals stay bit-identical
-                breakdown = self.breakdown
-                machine.overhead_cycles += trap
-                breakdown["interception"] += trap
-                machine.overhead_cycles += check
-                breakdown["checks"] += check
+                counts[kasan_slot] += 1
             self.events_handled += 1
             return True
 
@@ -611,30 +606,28 @@ class CommonSanitizerRuntime:
             pc=pc, task=task,
             atomic=bool(args[2]) if len(args) > 2 else False,
         )
-        self._run_checks(access, mode="c")
+        self._run_checks(access)
 
     def _vm_range(self, number: int, args: List[int], pc: int,
                   task: int) -> None:
         if self.enabled:
             self._check_range(
-                args[0], args[1], number == _SAN_RANGE_WRITE,
-                pc, task, mode="c",
-            )
+                args[0], args[1], number == _SAN_RANGE_WRITE, pc, task)
 
     def _vm_alloc(self, number: int, args: List[int], pc: int,
                   task: int) -> None:
         if self.kasan is not None:
             self.kasan.on_alloc(args[0], args[1], args[2], pc, task)
-            self._charge(self.costs.alloc_cost("c"), "allocator")
+            self._counts[self._alloc_slot] += 1
         if self.kmsan is not None:
             self.kmsan.on_alloc(args[0], args[1], args[2], pc, task)
-            self._charge(self.costs.kmsan_c_alloc, "allocator")
+            self._counts[self._kmsan_alloc_slot] += 1
 
     def _vm_free(self, number: int, args: List[int], pc: int,
                  task: int) -> None:
         if self.kasan is not None:
             self.kasan.on_free(args[0], pc, task)
-            self._charge(self.costs.alloc_cost("c"), "allocator")
+            self._counts[self._alloc_slot] += 1
         if self.kmsan is not None:
             self.kmsan.on_free(args[0], pc, task)
 
@@ -669,9 +662,9 @@ class CommonSanitizerRuntime:
         self.events_handled += 1
         if access.kind is AccessKind.RANGE:
             self._check_range(access.addr, access.size, access.is_write,
-                              access.pc, access.task, mode="d")
+                              access.pc, access.task)
             return
-        self._run_checks(access, mode="d")
+        self._run_checks(access)
 
     # _on_call/_on_ret are planned on exactly the allocator entry points,
     # so every call they see is to an AllocFnSpec address
@@ -692,7 +685,7 @@ class CommonSanitizerRuntime:
             # event (e.g. kfree of a large object forwarding to the buddy)
             if not nested and self.kasan is not None:
                 self.kasan.on_free(addr, pc, task)
-                self._charge(self.costs.alloc_cost("d"), "allocator")
+                self._counts[self._alloc_slot] += 1
 
     def _on_ret(self, target: int, retval: int, task: int) -> None:
         stack = self._pending.get(task)
@@ -711,52 +704,51 @@ class CommonSanitizerRuntime:
                         retval, value, pending_spec.cache_hint,
                         target, task,
                     )
-                self._charge(self.costs.alloc_cost("d"), "allocator")
+                self._counts[self._alloc_slot] += 1
 
     # ------------------------------------------------------------------
     def _check_range(self, addr: int, size: int, is_write: bool,
-                     pc: int, task: int, mode: str) -> None:
+                     pc: int, task: int) -> None:
         access = Access(addr, size, is_write, pc, task, kind=AccessKind.RANGE)
+        counts = self._counts
+        mode = self.config.mode
         if self.kasan is not None:
-            self._charge(self.costs.range_cost(size, mode, "kasan"), "range")
+            counts[self._range_slot] += self.costs.range_centi(size, mode, "kasan")
             self.kasan.check(access)
         if self.kcsan is not None:
-            self._charge(self.costs.range_cost(size, mode, "kcsan"), "range")
+            counts[self._range_slot] += self.costs.range_centi(size, mode, "kcsan")
             self.kcsan.check(access)
         if self.kmsan is not None:
-            self._charge(self.costs.kmsan_c_check, "range")
+            counts[self._kmsan_range_slot] += 1
             self.kmsan.check(access)
 
-    def _run_checks(self, access: Access, mode: str) -> None:
-        costs = self.costs
+    def _run_checks(self, access: Access) -> None:
+        counts = self._counts
         if self.kasan is not None:
-            intercept = costs.kasan_c_trap if mode == "c" else costs.kasan_d_intercept
-            check = costs.kasan_c_check if mode == "c" else costs.kasan_d_check
-            self._charge(intercept, "interception")
-            self._charge(check, "checks")
+            counts[self._kasan_slot] += 1
             self.kasan.check(access)
         if self.kcsan is not None:
-            intercept = costs.kcsan_c_trap if mode == "c" else costs.kcsan_d_intercept
-            check = costs.kcsan_c_check if mode == "c" else costs.kcsan_d_check
-            self._charge(intercept, "interception")
-            self._charge(check, "checks")
+            counts[self._kcsan_slot] += 1
             self.kcsan.check(access)
         if self.kmsan is not None:
-            self._charge(costs.kmsan_c_trap, "interception")
-            self._charge(costs.kmsan_c_check, "checks")
+            counts[self._kmsan_slot] += 1
             self.kmsan.check(access)
 
-    def _charge(self, cycles: float, category: str) -> None:
-        self.machine.charge_overhead(cycles)
-        self.breakdown[category] += cycles
+    @property
+    def breakdown(self) -> Dict[str, float]:
+        """The §4.3 composition: added cycles per category, read from the
+        machine's overhead ledger."""
+        ledger = self.machine.ledger
+        return {key: ledger.total(key) / 100 for key in BREAKDOWN}
 
     def profile(self) -> Dict[str, float]:
         """The §4.3 composition analysis: fraction of added cycles per
         category (interception / checks / allocator / range)."""
-        total = sum(self.breakdown.values())
-        if total == 0:
-            return {key: 0.0 for key in self.breakdown}
-        return {key: value / total for key, value in self.breakdown.items()}
+        ledger = self.machine.ledger
+        centi = {key: ledger.total(key) for key in BREAKDOWN}
+        total = sum(centi.values())
+        return {key: value / total if total else 0.0
+                for key, value in centi.items()}
 
     # ------------------------------------------------------------------
     @property

@@ -10,6 +10,7 @@ a single guest-visible outcome.
 import json
 from types import SimpleNamespace
 
+from repro.bench.costmodel import OverheadLedger
 from repro.fuzz.campaign import run_campaign
 from repro.fuzz.checkpoint import result_to_json
 from repro.obs import (
@@ -19,7 +20,7 @@ from repro.obs import (
     Tracer,
     format_metrics,
 )
-from repro.obs.metrics import SCHEMA, Histogram
+from repro.obs.metrics import SCHEMA, Histogram, MetricsRegistry
 
 
 class TestMetrics:
@@ -193,10 +194,12 @@ class TestObserver:
         # a machine with no TCG engines still yields the tcg.* family
         # (at zero) so every --metrics document has the same catalog
         observer = Observer(trace=False)
+        ledger = OverheadLedger()
+        ledger.counts[ledger.slot(watchdog=3.5)] += 1
         machine = SimpleNamespace(
             engines=(),
             guest_cycles=7,
-            overhead_cycles=3,
+            ledger=ledger,
             watchdog=None,
         )
         observer.harvest_machine(machine)
@@ -205,6 +208,18 @@ class TestObserver:
         assert counters["tcg.tb_chain_hits"] == 0
         assert counters["machine.guest_cycles"] == 7
         assert counters["machine.overhead_cycles"] == 3
+
+    def test_campaign_counters_are_ints_and_merge_exactly(self):
+        # a fleet merge folds counters through int(): a float cycle count
+        # would lose its fraction and the merged document would disagree
+        observer = Observer(trace=False)
+        run_campaign("InfiniTime", budget=50, seed=1000, observer=observer)
+        document = observer.registry.to_json()
+        for name, value in document["counters"].items():
+            assert type(value) is int, name
+        merged = MetricsRegistry()
+        merged.merge_json(document)
+        assert merged.to_json() == document
 
     def test_write_sinks_create_parent_dirs(self, tmp_path):
         observer = Observer()

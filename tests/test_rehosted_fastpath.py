@@ -80,10 +80,6 @@ def _build(firmware: str, sanitizers, reference: bool,
         machine.bus.add_observer(_noop)
         machine.hooks.add(EventKind.VMCALL, _noop)
     machine.set_watchdog(insn_budget=None, cycle_budget=cycle_budget)
-    # a start that is no multiple of the charges, so a different order of
-    # the same float adds rounds differently
-    machine.overhead_cycles = 1 / 3
-    runtime.breakdown = {key: 1 / 3 for key in runtime.breakdown}
     dirty = DirtySet()
     machine.bus.attach_dirty(dirty)
     return image, runtime, dirty
@@ -163,11 +159,7 @@ def _run(firmware: str, sanitizers, sizes, ops, reference: bool,
             for report in runtime.sink.reports
         ],
         "stats": runtime.stats(),
-        "overhead": float(machine.overhead_cycles).hex(),
-        "breakdown": {
-            key: float(value).hex()
-            for key, value in runtime.breakdown.items()
-        },
+        "ledger": machine.ledger.save(),
         "watchdog": (watchdog.cycles, watchdog.trips),
         "guest_cycles": machine._charged_guest_cycles,
         "irqs": (machine.irqs_delivered, list(map(list,
@@ -394,7 +386,6 @@ class TestInlineMetering:
             machine, ctx = image.machine, image.ctx
             addr = image.kernel.mm.pvPortMalloc(ctx, 16)
             watchdog = machine.set_watchdog(cycle_budget=budget)
-            machine.overhead_cycles = 1 / 3
             start = machine._charged_guest_cycles
             done = 0
             with ctx.kthread_frame(0x0800_1000) as frame:
@@ -406,7 +397,7 @@ class TestInlineMetering:
                     trip = (hang.kind, hang.pc, hang.cycles)
             return (done, trip, watchdog.cycles, watchdog.trips,
                     machine._charged_guest_cycles - start,
-                    machine.overhead_cycles.hex(), frame.counter)
+                    machine.ledger.save(), frame.counter)
 
         def inline(ctx, machine, addr):
             if op == "ld32":

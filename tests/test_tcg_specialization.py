@@ -467,17 +467,18 @@ _INNER, _RET, _OUTER, _CALL, _BODY = (
 _OUTER_EXIT = (_RET, _OUTER, _CALL, _BODY)
 
 #: insn budget -> (trip pc, GuestHang.insns, 16-entry backtrace,
-#: machine.overhead_cycles) of the 50-iteration hot loop: literal values
-#: that pin the per-block watchdog metering inlined in TcgEngine.run
+#: overhead ledger total in centi-cycles) of the 50-iteration hot loop:
+#: literal values that pin the per-block watchdog metering inlined in
+#: TcgEngine.run
 WATCHDOG_GOLDEN = {
-    1: (_BODY, 6, (_BODY,), 1),
-    6: (_INNER, 18, (_BODY, _INNER), 2),
-    19: (_INNER, 28, (_BODY, _INNER, _INNER), 3),
-    257: (_INNER, 264, (_INNER,) * 11 + _OUTER_EXIT + (_INNER,), 29),
+    1: (_BODY, 6, (_BODY,), 100),
+    6: (_INNER, 18, (_BODY, _INNER), 200),
+    19: (_INNER, 28, (_BODY, _INNER, _INNER), 300),
+    257: (_INNER, 264, (_INNER,) * 11 + _OUTER_EXIT + (_INNER,), 2900),
     4999: (_INNER, 5008,
-           (_INNER,) * 4 + _OUTER_EXIT + (_INNER,) * 8, 549),
+           (_INNER,) * 4 + _OUTER_EXIT + (_INNER,) * 8, 54900),
     6000: (_INNER, 6002,
-           (_INNER,) * 3 + _OUTER_EXIT + (_INNER,) * 9, 658),
+           (_INNER,) * 3 + _OUTER_EXIT + (_INNER,) * 9, 65800),
 }
 
 
@@ -528,7 +529,7 @@ class TestCpuOracle:
         if budget in WATCHDOG_GOLDEN:
             hang = info.value
             assert (hang.pc, hang.insns, hang.backtrace,
-                    machine.overhead_cycles) == WATCHDOG_GOLDEN[budget]
+                    machine.ledger.total()) == WATCHDOG_GOLDEN[budget]
 
         ref_machine, ref = _make_machine("interp", False, iterations=50)
         ref_machine.set_watchdog(insn_budget=budget)
@@ -685,9 +686,6 @@ def _diff_run(source, sanitizers, gates, with_clean):
         if freed:
             kasan.on_free(0x2000_0000 + offset, pc=offset + 1)
     runtime.enabled, runtime._suppress, kasan.suppress_depth = gates
-    # a start that is no multiple of the charges, so a different order of
-    # the same charges rounds differently
-    machine.overhead_cycles = 1 / 3
 
     def flip(engine, number):
         if number == 0:
@@ -712,8 +710,7 @@ def _diff_run(source, sanitizers, gates, with_clean):
         "state": (tuple(core.state.regs), core.state.pc, core.cycles,
                   core.insn_count, sram),
         "reports": [_report_to_json(r) for r in runtime.sink.reports],
-        "overhead": machine.overhead_cycles.hex(),
-        "breakdown": {k: float(v).hex() for k, v in runtime.breakdown.items()},
+        "ledger": machine.ledger.save(),
         "counters": (runtime.events_handled, kasan.checks,
                      runtime.shadow.check_ops, runtime.shadow.fastpath_hits),
     }
@@ -722,8 +719,8 @@ def _diff_run(source, sanitizers, gates, with_clean):
 class TestCleanAccessTest:
     """Templates that take the runtime's clean-access test first behave
     exactly like templates that hand every access to its ``Access``
-    delegate: same state, same reports, bit-identical charges, same
-    counters."""
+    delegate: same state, same reports, same overhead ledger counts,
+    same counters."""
 
     @settings(max_examples=60, deadline=None)
     @given(ops=st.lists(_diff_op, min_size=1, max_size=40),
