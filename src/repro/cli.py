@@ -174,24 +174,17 @@ def _cmd_fuzz(args) -> int:
     return 3 if degraded else 0
 
 
-def _install_drain_handlers(state):
+def _install_drain_handlers(supervisor):
     """SIGTERM/SIGINT -> graceful drain for long sweeps.
 
-    While a fleet supervisor is registered in ``state["sup"]`` the
-    signal interrupts it (running attempts are killed, checkpoints
-    stay, ``run()`` returns with ``interrupted=True``); otherwise the
-    sequential path's ``KeyboardInterrupt`` handling takes over.
+    The signal interrupts the fleet: running attempts stop, their
+    checkpoints stay, and ``run()`` returns with ``interrupted=True``.
     Returns the previous handlers for restoration.
     """
     import signal
 
     def _graceful(_signum, _frame):
-        state["hit"] = True
-        sup = state.get("sup")
-        if sup is not None:
-            sup.interrupt()
-        else:
-            raise KeyboardInterrupt
+        supervisor.interrupt()
 
     previous = {}
     for sig in (signal.SIGTERM, signal.SIGINT):
@@ -211,199 +204,125 @@ def _restore_handlers(previous) -> None:
 
 def _cmd_fuzz_all(args) -> int:
     import json
+    import os
+    import tempfile
+    from dataclasses import replace
 
     from repro.fuzz.checkpoint import result_to_json
     from repro.fuzz.spec import CATALOG
     from repro.fuzz.supervisor import FleetSupervisor, make_jobs
     from repro.obs.observer import ensure_parent
 
+    if args.shard and (not args.firmware or len(args.firmware) != 1):
+        print("--shard fuzzes ONE firmware with N cooperating workers; "
+              "pass exactly one --firmware NAME", file=sys.stderr)
+        return 2
     observer = _make_observer(args)
-    if args.shard:
-        return _fuzz_sharded(args, observer)
-    jobs = make_jobs(
-        template=_spec_from_args(args, CATALOG),
-        firmware=args.firmware or None,
-        checkpoint_dir=args.checkpoint_dir,
-    )
-    fleet = None
-    interrupted = False
-    unfinished = []
-    drain_state = {"sup": None, "hit": False}
-    previous_handlers = _install_drain_handlers(drain_state)
-    try:
-        if args.workers <= 1:
-            # sequential reference path: same jobs, no worker processes —
-            # the fleet's determinism contract is that --workers N output
-            # is byte-identical to this
-            from repro.fuzz.campaign import run_job
+    template = _spec_from_args(args, CATALOG)
+    with tempfile.TemporaryDirectory(prefix="repro-fuzz-all-") as scratch:
+        checkpoint_dir, corpus_dir = args.checkpoint_dir, args.corpus_dir
+        if args.shard:
+            # shards sync at their checkpoints, through a shared store;
+            # both live in a temporary directory unless given
+            template = replace(template, checkpoint_every=args.sync_every)
+            checkpoint_dir = checkpoint_dir or os.path.join(scratch, "ck")
+            corpus_dir = corpus_dir or os.path.join(scratch, "corpus")
+        jobs = make_jobs(template=template, firmware=args.firmware or None,
+                         checkpoint_dir=checkpoint_dir, shards=args.shard,
+                         corpus_dir=corpus_dir)
+        transport = None
+        if args.listen:
+            from repro.fuzz.transport import TcpJsonlTransport
 
-            results = []
+            host, _, port = args.listen.rpartition(":")
+            transport = TcpJsonlTransport(
+                host or "127.0.0.1", int(port), token=args.token,
+                spawn_fallback=not args.no_spawn_fallback,
+            )
+            print(f"listening for remote workers on {transport.address}")
+        try:
+            supervisor = FleetSupervisor(
+                jobs,
+                workers=args.workers,
+                heartbeat_timeout=args.heartbeat_timeout,
+                max_retries=args.max_retries,
+                backoff_base=args.backoff,
+                events_path=args.events_log,
+                observer=observer,
+                transport=transport,
+            )
+            previous_handlers = _install_drain_handlers(supervisor)
             try:
-                for job in jobs:
-                    results.append(run_job(job, observer=observer))
-            except KeyboardInterrupt:
-                # the drain contract: the last full checkpoint of the
-                # in-flight campaign is already on disk; a rerun with
-                # the same flags resumes it mid-budget
-                interrupted = True
-            unfinished = [job.job_id for job in jobs[len(results):]]
-            results = results + [None] * len(unfinished)
-        else:
-            transport = None
-            if args.listen:
-                from repro.fuzz.transport import TcpJsonlTransport
-
-                host, _, port = args.listen.rpartition(":")
-                transport = TcpJsonlTransport(
-                    host or "127.0.0.1", int(port), token=args.token,
-                    spawn_fallback=not args.no_spawn_fallback,
-                )
-                print(f"listening for remote workers on {transport.address}")
-                if args.wait_remote:
-                    if not transport.wait_for_workers(
+                if transport is not None and args.wait_remote and \
+                        not transport.wait_for_workers(
                             args.wait_remote,
                             timeout=args.wait_remote_timeout):
-                        print(f"only some of the {args.wait_remote} remote "
-                              f"worker(s) arrived within "
-                              f"{args.wait_remote_timeout}s", file=sys.stderr)
-                        transport.close()
-                        return 2
-            try:
-                supervisor = FleetSupervisor(
-                    jobs,
-                    workers=args.workers,
-                    heartbeat_timeout=args.heartbeat_timeout,
-                    max_retries=args.max_retries,
-                    backoff_base=args.backoff,
-                    events_path=args.events_log,
-                    observer=observer,
-                    transport=transport,
-                )
-                drain_state["sup"] = supervisor
-                if drain_state["hit"]:  # signal raced the registration
-                    supervisor.interrupt()
+                    print(f"only some of the {args.wait_remote} remote "
+                          f"worker(s) arrived within "
+                          f"{args.wait_remote_timeout}s", file=sys.stderr)
+                    return 2
                 fleet = supervisor.run()
             finally:
-                drain_state["sup"] = None
-                if transport is not None:
-                    transport.close()
-            results = fleet.results
-            interrupted = fleet.interrupted
-            unfinished = fleet.unfinished
-    finally:
-        _restore_handlers(previous_handlers)
+                _restore_handlers(previous_handlers)
+        finally:
+            if transport is not None:
+                transport.close()
 
     degraded = False
-    print(f"{'Firmware':24s} {'Execs':>6s} {'Crashes':>8s} {'Found':>6s}")
-    for job, result in zip(jobs, results):
+    label = "Shard" if args.shard else "Firmware"
+    print(f"{label:24s} {'Execs':>6s} {'Crashes':>8s} {'Found':>6s}")
+    for job, result in zip(jobs, fleet.results):
+        name = str(job.shard[0]) if job.shard else job.spec.firmware
         if result is None:
-            if interrupted and job.job_id in unfinished:
-                print(f"{job.spec.firmware:24s} {'-':>6s} {'-':>8s} {'-':>6s}  "
+            if job.job_id in fleet.unfinished:
+                print(f"{name:24s} {'-':>6s} {'-':>8s} {'-':>6s}  "
                       f"INTERRUPTED (checkpoint resumes it)")
                 continue
             degraded = True
-            print(f"{job.spec.firmware:24s} {'-':>6s} {'-':>8s} {'-':>6s}  "
+            print(f"{name:24s} {'-':>6s} {'-':>8s} {'-':>6s}  "
                   f"DEGRADED (abandoned after retries)")
             continue
         total = result.found_count() + len(result.missed)
-        print(f"{result.firmware:24s} {result.execs:6d} "
+        print(f"{name:24s} {result.execs:6d} "
               f"{result.crashes:8d} {result.found_count():3d}/{total:d}")
         if result.diagnostics is not None:
             if result.diagnostics.checkpoint_discarded:
                 print(f"  checkpoint discarded as corrupt: "
                       f"{result.diagnostics.checkpoint_discarded}")
             degraded = degraded or result.diagnostics.degraded
-    if fleet is not None:
-        print(f"fleet: {fleet.diagnostics.summary()}")
-        if args.events_log:
-            print(f"events written to {args.events_log}")
-    if args.diagnostics and fleet is not None:
-        with open(ensure_parent(args.diagnostics), "w",
-                  encoding="utf-8") as fh:
-            json.dump(fleet.diagnostics.to_json(), fh, indent=2)
-        print(f"fleet diagnostics written to {args.diagnostics}")
-    if args.results:
-        payload = [
-            None if result is None else result_to_json(result)
-            for result in results
-        ]
-        with open(ensure_parent(args.results), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        print(f"results written to {args.results}")
-    _write_observer(observer, args)
-    if interrupted:
-        print(f"interrupted: {len(unfinished)} campaign(s) unfinished; "
-              f"re-run with the same flags to resume from checkpoints")
-        return 4
-    return 3 if degraded else 0
-
-
-def _fuzz_sharded(args, observer) -> int:
-    """``fuzz-all --shard N``: one firmware, N cooperating shards."""
-    import json
-
-    from repro.fuzz.checkpoint import result_to_json
-    from repro.fuzz.supervisor import run_sharded_fleet
-    from repro.obs.observer import ensure_parent
-
-    if not args.firmware or len(args.firmware) != 1:
-        print("--shard fuzzes ONE firmware with N cooperating workers; "
-              "pass exactly one --firmware NAME", file=sys.stderr)
-        return 2
-    sharded = run_sharded_fleet(
-        _spec_from_args(args, args.firmware[0]),
-        shards=args.shard,
-        workers=args.workers,
-        sync_every=args.sync_every,
-        corpus_dir=args.corpus_dir,
-        checkpoint_dir=args.checkpoint_dir,
-        observer=observer,
-        events_path=args.events_log,
-        fleet_options=dict(
-            heartbeat_timeout=args.heartbeat_timeout,
-            max_retries=args.max_retries,
-            backoff_base=args.backoff,
-        ),
-    )
-    print(f"{'Shard':>5s} {'Execs':>6s} {'Crashes':>8s} {'Found':>6s}")
-    for index, result in enumerate(sharded.shard_results):
-        if result is None:
-            print(f"{index:5d} {'-':>6s} {'-':>8s} {'-':>6s}  "
-                  f"DEGRADED (abandoned after retries)")
-            continue
-        total = result.found_count() + len(result.missed)
-        print(f"{index:5d} {result.execs:6d} {result.crashes:8d} "
-              f"{result.found_count():3d}/{total:d}")
-    merged = sharded.result
-    if merged is not None:
+    if args.shard and fleet.merged[0] is not None:
+        merged = fleet.merged[0]
         total = merged.found_count() + len(merged.missed)
-        syncs = sum(1 for e in sharded.events
-                    if e["event"] == "corpus_synced")
-        print(f"merged: {merged.execs} execs over {sharded.shards} "
-              f"shard(s), {sharded.rounds} round(s), {syncs} corpus "
-              f"sync(s), found {merged.found_count()}/{total}")
+        syncs = sum(1 for e in fleet.events if e["event"] == "corpus_synced")
+        print(f"merged: {merged.execs} execs over {args.shard} shard(s), "
+              f"{syncs} sync round(s), found {merged.found_count()}/{total}")
         if merged.matched:
             print(f"catalog rows matched: {sorted(merged.matched)}")
+    print(f"fleet: {fleet.diagnostics.summary()}")
     if args.events_log:
         print(f"events written to {args.events_log}")
     if args.diagnostics:
         with open(ensure_parent(args.diagnostics), "w",
                   encoding="utf-8") as fh:
-            json.dump(sharded.diagnostics.to_json(), fh, indent=2)
+            json.dump(fleet.diagnostics.to_json(), fh, indent=2)
         print(f"fleet diagnostics written to {args.diagnostics}")
     if args.results:
-        payload = {
-            "merged": None if merged is None else result_to_json(merged),
-            "shards": [
-                None if result is None else result_to_json(result)
-                for result in sharded.shard_results
-            ],
-        }
+        def _json(results):
+            return [None if r is None else result_to_json(r) for r in results]
+
+        payload = _json(fleet.results)
+        if args.shard:
+            payload = {"merged": _json(fleet.merged)[0], "shards": payload}
         with open(ensure_parent(args.results), "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)
         print(f"results written to {args.results}")
     _write_observer(observer, args)
-    return 3 if sharded.degraded or merged is None else 0
+    if fleet.interrupted:
+        print(f"interrupted: {len(fleet.unfinished)} campaign(s) "
+              f"unfinished; re-run with the same flags to resume from "
+              f"checkpoints")
+        return 4
+    return 3 if degraded else 0
 
 
 def _cmd_worker(args) -> int:
@@ -782,7 +701,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every firmware's campaign, optionally as a worker fleet",
     )
     fuzz_all.add_argument("--workers", type=int, default=1,
-                          help="worker processes (1 = in-process sequential)")
+                          help="jobs run at once (1 = in this process, "
+                               "unless --listen sends them to remote "
+                               "workers)")
     _add_spec_args(fuzz_all)
     fuzz_all.add_argument("--firmware", action="append", default=None,
                           metavar="NAME",

@@ -148,9 +148,9 @@ def run_campaign(
 def run_job(job, observer=None, on_checkpoint_saved=None) -> CampaignResult:
     """Run one :class:`~repro.fuzz.supervisor.CampaignJob` in this process.
 
-    The one execution path of a job: fleet workers (spawn and TCP), the
-    sequential ``fuzz-all`` sweep and :func:`run_all_campaigns` all call
-    it, which is what keeps their results byte-identical.
+    The one execution path of a job: every fleet worker (in-process,
+    spawn and TCP) calls it, which is what keeps their results
+    byte-identical.
     """
     return run_spec(job.spec, checkpoint_path=job.checkpoint_path,
                     corpus_dir=job.corpus_dir, shard=job.shard,
@@ -429,24 +429,35 @@ def _run_repeated(spec, carry_corpus, runtime):
             result.diagnostics.inherited_corpus = [
                 stats.get("imported", 0)
             ]
-        if merged is None:
-            merged = result
-        else:
-            merged.execs += result.execs
-            merged.crashes += result.crashes
-            merged.coverage = max(merged.coverage, result.coverage)
-            merged.findings.extend(result.findings)
-            for bug_id, finding in result.matched.items():
-                merged.matched.setdefault(bug_id, finding)
-            merged.missed = [
-                record for record in merged.missed
-                if record.bug_id not in merged.matched
-            ]
-            if merged.diagnostics is not None and \
-                    result.diagnostics is not None:
-                merged.diagnostics.merge(result.diagnostics)
+        merged = result if merged is None else merge_into(merged, result)
         if not merged.missed:
             break
+    return merged
+
+
+def merge_into(merged: CampaignResult,
+               result: CampaignResult) -> CampaignResult:
+    """Fold another campaign of the same firmware into ``merged``.
+
+    The one census merge, shared by repeated campaigns and shard
+    fleets: counters sum, coverage takes the widest frontier, findings
+    concatenate, catalog matches union, ``missed`` shrinks to the rows
+    neither found and diagnostics merge.  ``budget`` is left alone (a
+    repeated campaign reports its per-seed budget; the shard merge sums
+    it).  Returns ``merged``.
+    """
+    merged.execs += result.execs
+    merged.crashes += result.crashes
+    merged.coverage = max(merged.coverage, result.coverage)
+    merged.findings.extend(result.findings)
+    for bug_id, finding in result.matched.items():
+        merged.matched.setdefault(bug_id, finding)
+    merged.missed = [
+        record for record in merged.missed
+        if record.bug_id not in merged.matched
+    ]
+    if merged.diagnostics is not None and result.diagnostics is not None:
+        merged.diagnostics.merge(result.diagnostics)
     return merged
 
 
@@ -457,10 +468,9 @@ def run_all_campaigns(
     checkpoint_dir: Optional[str] = None,
     workers: int = 1,
     faults: Optional[str] = None,
-    fleet_options: Optional[dict] = None,
     observer=None,
     **options,
-) -> List[CampaignResult]:
+) -> List[Optional[CampaignResult]]:
     """Run every Table-1 firmware's campaign (the full Table-3 sweep).
 
     ``options`` are further :class:`~repro.fuzz.spec.CampaignSpec`
@@ -471,19 +481,18 @@ def run_all_campaigns(
     interruption-safe: re-running the sweep resumes each firmware from
     its last checkpoint instead of starting over.
 
-    With ``workers > 1`` the sweep is delegated to the
-    :mod:`repro.fuzz.supervisor` fleet: one job per firmware across
-    ``workers`` supervised processes, with heartbeat liveness checks and
-    checkpoint-driven restart of killed or hung workers.  Results come
-    back in catalog order and are byte-identical to the sequential sweep
-    (per-job RNG isolation is the determinism contract); a job that
-    exhausts its retry budget yields ``None`` in its slot instead of
-    aborting the sweep.  ``faults`` is a fault-plan DSL string, compiled
-    to a fresh per-firmware plan in either mode so worker count never
-    changes which faults fire; ``fleet_options`` passes supervisor
-    knobs (``heartbeat_timeout``, ``max_retries``, ``events_path``...).
+    The sweep is one job per firmware under the
+    :mod:`repro.fuzz.supervisor` fleet entry, ``workers`` at a time:
+    one runs them in this process, more in supervised worker processes
+    with heartbeat liveness checks and checkpoint-driven restart of
+    killed or hung workers.  Results come back in catalog order and
+    are byte-identical whatever the worker count (per-job RNG isolation
+    is the determinism contract); a job that exhausts its retry budget
+    yields ``None`` in its slot instead of aborting the sweep.
+    ``faults`` is a fault-plan DSL string, compiled to a fresh
+    per-firmware plan, so worker count never changes which faults fire.
     """
-    from repro.fuzz.supervisor import make_jobs, run_fleet
+    from repro.fuzz.supervisor import FleetSupervisor, make_jobs
 
     if options.pop("fault_plan", None) is not None:
         raise FuzzerError(
@@ -493,7 +502,5 @@ def run_all_campaigns(
     template = CampaignSpec(firmware=CATALOG, budget=budget, seed=seed,
                             seeds=seeds, faults=faults, **options)
     jobs = make_jobs(template, checkpoint_dir=checkpoint_dir)
-    if workers > 1:
-        return run_fleet(jobs, workers=workers, observer=observer,
-                         **(fleet_options or {})).results
-    return [run_job(job, observer=observer) for job in jobs]
+    fleet = FleetSupervisor(jobs, workers=workers, observer=observer).run()
+    return fleet.results

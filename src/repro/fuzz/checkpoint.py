@@ -308,8 +308,7 @@ def result_to_json(result) -> dict:
     """Serialize a :class:`~repro.fuzz.campaign.CampaignResult`.
 
     Used by fleet workers to ship results over the supervisor's queue
-    and by the determinism tests: two campaign runs are byte-identical
-    iff their ``json.dumps(result_to_json(r), sort_keys=True)`` agree.
+    and by ``--results`` files; :func:`result_digest` hashes it.
     """
     return {
         "firmware": result.firmware,
@@ -330,6 +329,24 @@ def result_to_json(result) -> dict:
             else result.diagnostics.to_json()
         ),
     }
+
+
+def result_digest(result) -> str:
+    """The determinism contract's one comparison: a result's digest.
+
+    The sha256 of the canonical (``sort_keys``) :func:`result_to_json`
+    document, with the wall-clock ``diagnostics.phase_timings`` that
+    only observed runs carry dropped.  Two runs of a campaign agree iff
+    their digests do, whatever path ran them (see the "Determinism
+    contract" section of ``docs/robustness.md``).
+    """
+    import hashlib
+
+    doc = result_to_json(result)
+    if doc["diagnostics"] is not None:
+        doc["diagnostics"].pop("phase_timings", None)
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def result_from_json(data: dict):

@@ -55,38 +55,19 @@ from repro.fuzz.queue import (
     QueueJob,
 )
 from repro.fuzz.supervisor import (
-    CampaignJob,
     DEFAULT_BACKOFF_BASE,
     DEFAULT_HEARTBEAT_TIMEOUT,
     DEFAULT_MAX_RETRIES,
     FleetSupervisor,
+    make_jobs,
 )
 from repro.fuzz.spec import CampaignSpec
-from repro.fuzz.transport import FrameStream
+from repro.fuzz.transport import FrameStream, SpawnTransport
 
 #: control-API revision spoken in the ``hello`` handshake; independent
 #: of the worker transport's ``PROTOCOL_VERSION``, so a worker job-frame
 #: change never locks out existing ``repro submit`` clients
 API_VERSION = 1
-
-
-def build_campaign_job(job: QueueJob, checkpoint_dir: str) -> CampaignJob:
-    """Materialize a queue job into a fleet CampaignJob.
-
-    The checkpoint path is derived from the *queue* job id, not the
-    firmware: two jobs fuzzing the same firmware are distinct tenants
-    with distinct resume state.
-    """
-    spec = CampaignSpec.from_json(job.spec)
-    os.makedirs(checkpoint_dir, exist_ok=True)
-    return CampaignJob(
-        job_id=job.job_id,
-        spec=spec,
-        checkpoint_path=(
-            None if spec.seeds is not None
-            else os.path.join(checkpoint_dir, f"{job.job_id}.json")
-        ),
-    )
 
 
 def normalized_findings(payload: dict) -> List[dict]:
@@ -155,6 +136,7 @@ class FuzzService:
         self.log = log or (lambda line: None)
         self.checkpoint_dir = os.path.join(state_dir, "checkpoints")
         os.makedirs(self.checkpoint_dir, exist_ok=True)
+        self._spawn = SpawnTransport()
         self.queue = JobQueue(
             os.path.join(state_dir, "queue"),
             max_pending=max_pending,
@@ -339,13 +321,22 @@ class FuzzService:
                 running = len(self._running) + 1
             self._gauge("serve.running", running)
             gauge_set = True
-            cjob = build_campaign_job(job, self.checkpoint_dir)
+            # checkpoints and the supervision event log live under the
+            # *queue* job id: two jobs fuzzing the same firmware are
+            # distinct tenants with distinct resume state
             supervisor = FleetSupervisor(
-                [cjob],
+                make_jobs(CampaignSpec.from_json(job.spec),
+                          checkpoint_dir=os.path.join(self.checkpoint_dir,
+                                                      job.job_id)),
                 workers=self.workers_per_job,
                 heartbeat_timeout=self.heartbeat_timeout,
                 max_retries=self.max_retries,
                 backoff_base=self.backoff_base,
+                events_path=os.path.join(self.state_dir, "events",
+                                         f"{job.job_id}.jsonl"),
+                # always supervised: drain and cancel interrupt a job
+                # from another thread, which only a worker process allows
+                transport=self._spawn,
             )
             with self._lock:
                 drain_won = self._draining.is_set()

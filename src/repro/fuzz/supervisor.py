@@ -1,28 +1,40 @@
-"""Supervised multi-process campaign fleet.
+"""The one fleet entry: every campaign job runs through a supervisor.
 
-``run_all_campaigns`` sweeps the Table-1 catalog; this module makes
-that sweep survivable and parallel.  A :class:`FleetSupervisor` shards
-``(firmware, seed)`` campaign jobs across up to ``workers`` spawned
-processes (``spawn`` context, so a wedged worker can be SIGKILLed
-outright without corrupting shared state), watches per-worker
-heartbeats on a result queue, and treats worker death — crash, OOM
-kill, operator SIGKILL, heartbeat silence — as a routine, recoverable
-event: the job restarts with exponential backoff and resumes from its
-last checkpoint file.  After ``max_retries`` restarts the job is
-marked *degraded* and the fleet moves on, so one pathological firmware
-can never stall the sweep.
+:class:`FleetSupervisor` (function form: :func:`run_fleet`) runs a list
+of :class:`CampaignJob` records built by :func:`make_jobs`.  The catalog
+sweep (``run_all_campaigns``, ``repro fuzz-all`` with or without
+``--shard``) and the serve daemon all go through it, so there is one
+scheduling loop, one retry policy and one result merge.
 
-Determinism contract (CI-enforced): because every job re-runs
-``run_campaign`` with identical arguments and owns its RNG stream, the
-fleet's merged result list — ordered by job submission, never by
-completion — is byte-identical to a sequential sweep with the same
-seeds, regardless of worker count, interleaving, or how many times
-workers were killed and resumed mid-job.
+``workers`` is how many jobs run at once.  Where they run is the
+transport: with none given, one worker runs each job in this process
+(:class:`~repro.fuzz.transport.InlineTransport`) and more workers run
+them in supervised ``spawn`` processes; a passed-in transport (a
+:class:`~repro.fuzz.transport.SpawnTransport` or a TCP listener for
+``repro worker --connect`` peers) is used as is.  Supervised workers
+heartbeat over their channel, and worker death — crash, OOM kill,
+operator SIGKILL, heartbeat silence — is a routine, recoverable event:
+the job restarts with exponential backoff and resumes from its last
+checkpoint file.  After ``max_retries`` restarts the job is marked
+*degraded* and the fleet moves on, so one pathological firmware can
+never stall the sweep.
+
+Shard jobs (``make_jobs(..., shards=N)``) run in sync rounds of
+``spec.checkpoint_every`` per-shard execs: between rounds every shard
+has flushed its corpus segment, so each round starts from the same
+shared store however the shards were scheduled.  Their results come
+back folded into one record per firmware (:attr:`FleetResult.merged`).
+
+Determinism contract: every job runs ``run_job`` on the same spec and
+owns its RNG stream, so a job's result is byte-identical whatever the
+worker count, transport, interleaving, or how many times workers were
+killed and resumed mid-job.  ``tests/test_determinism.py`` checks it
+cell by cell against one result digest (see ``docs/robustness.md``).
 
 Observability: every supervision decision is appended to a structured
 JSONL event log (``job_started``, ``heartbeat``, ``worker_died``,
 ``job_resumed``, ``checkpoint_discarded``, ``job_degraded``,
-``job_done``, ``fleet_done``) and aggregated into a
+``job_done``, ``corpus_synced``, ``fleet_done``) and aggregated into a
 :class:`~repro.fuzz.diagnostics.FleetDiagnostics` record that nests
 each completed campaign's own ``CampaignDiagnostics``.
 """
@@ -38,11 +50,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import CheckpointError, CorpusError, FuzzerError
 from repro.fuzz.diagnostics import FleetDiagnostics, JobDiagnostics
-from repro.fuzz.spec import CampaignSpec
+from repro.fuzz.spec import CATALOG, CampaignSpec
 from repro.fuzz.transport import (
+    InlineTransport,
     SpawnTransport,
     WorkerTransport,
-    exit_cause_of,
 )
 
 #: seconds between worker heartbeats
@@ -123,6 +135,11 @@ class FleetResult:
     interrupted: bool = False
     #: job ids that were still waiting or running at interrupt time
     unfinished: List[str] = field(default_factory=list)
+    #: one result per campaign, submission order: a job's own result,
+    #: or every shard job of one firmware folded into one census record
+    #: (:func:`~repro.fuzz.campaign.merge_into`, budgets summed);
+    #: ``None`` where every contributing job degraded
+    merged: List[Optional[object]] = field(default_factory=list)
 
     @property
     def degraded(self) -> bool:
@@ -182,12 +199,12 @@ class _JobState:
 
 
 class FleetSupervisor:
-    """Shard campaign jobs across supervised worker processes."""
+    """Run campaign jobs, in this process or on supervised workers."""
 
     def __init__(
         self,
         jobs: Sequence[CampaignJob],
-        workers: int = 2,
+        workers: int = 1,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         max_retries: int = DEFAULT_MAX_RETRIES,
@@ -208,6 +225,7 @@ class FleetSupervisor:
                 raise FuzzerError(f"duplicate job id {job.job_id!r}")
             seen.add(job.job_id)
         self.jobs = list(jobs)
+        #: jobs running at once, whatever the transport
         self.workers = workers
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
@@ -216,27 +234,27 @@ class FleetSupervisor:
         self.backoff_factor = backoff_factor
         self.events_path = events_path
         #: observation hook, called with every event record as it is
-        #: logged — the test suite and the CI chaos job use it to
-        #: inject failures (SIGKILL/SIGSTOP) at precise fleet states;
-        #: exceptions it raises abort the fleet
+        #: logged — the test suite uses it to inject failures
+        #: (SIGKILL/SIGSTOP) at precise fleet states; exceptions it
+        #: raises abort the fleet
         self.on_event = on_event
         #: optional :class:`repro.obs.Observer`.  The supervisor feeds
         #: it fleet-level counters/spans and asks each worker (via the
         #: job payload's ``observe`` flag) to ship its own metrics and
-        #: trace back over the event queue for merging, so one document
-        #: covers the whole fleet
+        #: trace back for merging, so one document covers the whole fleet
         self.observer = observer
-        #: worker channel; ``None`` means a supervisor-owned
-        #: :class:`~repro.fuzz.transport.SpawnTransport` (today's
-        #: byte-identical default).  Pass a
-        #: :class:`~repro.fuzz.transport.TcpJsonlTransport` to dispatch
-        #: jobs to ``repro worker --connect`` peers; the caller keeps
-        #: ownership (and must ``close()``) of transports it passes in.
+        #: worker channel; ``None`` means a supervisor-owned one — an
+        #: :class:`~repro.fuzz.transport.InlineTransport` for one worker,
+        #: a :class:`~repro.fuzz.transport.SpawnTransport` for more.  The
+        #: caller keeps ownership (and must ``close()``) of transports it
+        #: passes in.
         self.transport = transport
         self._transport: Optional[WorkerTransport] = None
         self._events: List[dict] = []
         self._events_fh = None
         self._interrupted = threading.Event()
+        #: the thread running jobs in-process (inline transport only)
+        self._inline_thread: Optional[threading.Thread] = None
 
     def interrupt(self) -> None:
         """Ask a running fleet to stop at the next scheduling round.
@@ -246,9 +264,14 @@ class FleetSupervisor:
         jobs stay waiting, and :meth:`run` returns a
         :class:`FleetResult` with ``interrupted=True`` listing the
         unfinished job ids.  Checkpoints written so far stay on disk,
-        so a rerun of the same jobs resumes rather than restarts.
+        so a rerun of the same jobs resumes rather than restarts.  On
+        the thread running an in-process job (a signal handler) it
+        raises ``KeyboardInterrupt`` to unwind that job; :meth:`run`
+        absorbs it.
         """
         self._interrupted.set()
+        if self._inline_thread is threading.current_thread():
+            raise KeyboardInterrupt
 
     # ------------------------------------------------------------------
     def run(self) -> FleetResult:
@@ -256,9 +279,14 @@ class FleetSupervisor:
         transport = self.transport
         owned = transport is None
         if owned:
-            transport = SpawnTransport()
+            transport = (InlineTransport() if self.workers == 1
+                         else SpawnTransport())
+        if isinstance(transport, InlineTransport):
+            self._inline_thread = threading.current_thread()
         self._transport = transport
-        states = [_JobState(job) for job in self.jobs]
+        final = {job.job_id: _JobState(job) for job in self.jobs}
+        states: List[_JobState] = []
+        synced = {}  # shared corpus store -> entries at the last barrier
         started_wall = time.time()
         started = time.monotonic()
         if self.events_path:
@@ -268,35 +296,53 @@ class FleetSupervisor:
                                    encoding="utf-8")
         transport_stats = None
         try:
-            self._emit("fleet_started", jobs=len(states),
+            self._emit("fleet_started", jobs=len(self.jobs),
                        workers=self.workers,
                        heartbeat_timeout=self.heartbeat_timeout,
                        max_retries=self.max_retries)
             if self.observer is not None:
                 self.observer.gauge("fleet.workers").set(self.workers)
-                self.observer.gauge("fleet.jobs").set(len(states))
-            while (not self._interrupted.is_set()
-                   and any(s.status in ("waiting", "running")
-                           for s in states)):
-                self._fill_slots(states)
-                self._pump(states)
-                self._check_liveness(states)
-            unfinished = [s.job.job_id for s in states
+                self.observer.gauge("fleet.jobs").set(len(self.jobs))
+            rounds = max(_rounds(job) for job in self.jobs)
+            try:
+                for round_index in range(rounds):
+                    states = [_JobState(_round_job(job, round_index))
+                              for job in self.jobs
+                              if round_index < _rounds(job)]
+                    final.update((s.job.job_id, s) for s in states)
+                    while (not self._interrupted.is_set()
+                           and any(s.status in ("waiting", "running")
+                                   for s in states)):
+                        self._fill_slots(states)
+                        self._pump(states)
+                        self._check_liveness(states)
+                    if self._interrupted.is_set():
+                        break
+                    self._sync_shards(states, round_index + 1, synced)
+            except KeyboardInterrupt:
+                # interrupt() unwinding an in-process job: its last
+                # checkpoint is on disk and a rerun resumes it
+                if not self._interrupted.is_set():
+                    raise
+            self._inline_thread = None
+            unfinished = [s.job.job_id for s in final.values()
                           if s.status in ("waiting", "running")]
             transport_stats = transport.stats()
             self._emit(
                 "fleet_interrupted" if unfinished else "fleet_done",
-                jobs=len(states),
-                completed=sum(1 for s in states if s.status == "done"),
-                degraded=[s.job.job_id for s in states
+                jobs=len(self.jobs),
+                completed=sum(1 for s in final.values()
+                              if s.status == "done"),
+                degraded=[s.job.job_id for s in final.values()
                           if s.status == "degraded"],
                 unfinished=unfinished,
-                restarts=sum(len(s.diag.restarts) for s in states),
+                restarts=sum(len(s.diag.restarts) for s in final.values()),
                 wall_time=round(time.monotonic() - started, 3),
                 transport=transport_stats,
             )
             self._absorb_transport_stats(transport_stats)
         finally:
+            self._inline_thread = None
             for state in states:
                 if state.handle is not None:
                     state.handle.kill()
@@ -307,24 +353,55 @@ class FleetSupervisor:
             if self._events_fh is not None:
                 self._events_fh.close()
                 self._events_fh = None
+        final_states = list(final.values())
         diagnostics = FleetDiagnostics(
             workers=self.workers,
             heartbeat_timeout=self.heartbeat_timeout,
             max_retries=self.max_retries,
             backoff_base=self.backoff_base,
-            jobs=[state.diag for state in states],
+            jobs=[state.diag for state in final_states],
             wall_time=time.time() - started_wall,
             events_logged=len(self._events),
             transport=transport_stats,
         )
+        results = [state.result for state in final_states]
         return FleetResult(
-            results=[state.result for state in states],
+            results=results,
             diagnostics=diagnostics,
             events=list(self._events),
             interrupted=self._interrupted.is_set(),
-            unfinished=[s.job.job_id for s in states
-                        if s.status in ("waiting", "running")],
+            unfinished=unfinished,
+            merged=_merge_shards(self.jobs, results),
         )
+
+    def _sync_shards(self, states: List[_JobState], round_number: int,
+                     synced: dict) -> None:
+        """Log the corpus-sync barrier that closes a round of shard jobs.
+
+        Every shard of the round has flushed its segment and gone idle,
+        so each shared store is exactly what the next round's resumes
+        import from.
+        """
+        from repro.corpus import CorpusStore
+
+        planned = {job.job_id: job for job in self.jobs}
+        stores = {}
+        for state in states:
+            job = planned[state.job.job_id]
+            if job.shard is not None:
+                stores.setdefault((job.corpus_dir, job.spec.firmware), job)
+        for (corpus_dir, firmware), job in stores.items():
+            store = CorpusStore(corpus_dir, firmware=firmware)
+            previous = synced.get(corpus_dir, 0)
+            synced[corpus_dir] = len(store)
+            self._emit("corpus_synced", firmware=firmware,
+                       round=round_number, rounds=_rounds(job),
+                       entries=len(store), new_entries=len(store) - previous)
+            if self.observer is not None:
+                self.observer.counter("corpus.syncs").inc()
+                self.observer.counter("corpus.sync_volume").inc(
+                    len(store) - previous)
+                self.observer.gauge("corpus.size").set(len(store))
 
     def _absorb_transport_stats(self, stats: Optional[dict]) -> None:
         if stats is None or self.observer is None:
@@ -373,17 +450,15 @@ class FleetSupervisor:
             if observer.tracer is not None:
                 state.span_start = observer.tracer.now()
         path = state.job.checkpoint_path
+        where = dict(job=state.job.job_id, pid=handle.pid,
+                     where=handle.where,
+                     from_checkpoint=bool(path and os.path.exists(path)))
         if state.attempt == 1:
             spec = state.job.spec
-            self._emit("job_started", job=state.job.job_id,
-                       firmware=spec.firmware, seed=spec.seed,
-                       budget=spec.budget, pid=handle.pid,
-                       where=handle.where)
+            self._emit("job_started", firmware=spec.firmware,
+                       seed=spec.seed, budget=spec.budget, **where)
         else:
-            self._emit("job_resumed", job=state.job.job_id,
-                       attempt=state.attempt, pid=handle.pid,
-                       where=handle.where,
-                       from_checkpoint=bool(path and os.path.exists(path)))
+            self._emit("job_resumed", attempt=state.attempt, **where)
         return True
 
     # ------------------------------------------------------------------
@@ -639,118 +714,87 @@ class FleetSupervisor:
             self.on_event(record)
 
 
-#: backwards-compatible alias; the classification lives with the
-#: transports now (spawn exit codes are a transport detail)
-_exit_cause = exit_cause_of
-
-
 # ----------------------------------------------------------------------
-# catalog-level conveniences
+# the one job builder, shard rounds and the per-firmware merge
 # ----------------------------------------------------------------------
 def make_jobs(
     template: CampaignSpec,
     firmware: Optional[Sequence[str]] = None,
     checkpoint_dir: Optional[str] = None,
+    shards: int = 0,
+    corpus_dir: Optional[str] = None,
 ) -> List[CampaignJob]:
-    """One job per Table-1 firmware (or per ``firmware`` subset).
+    """The jobs that run ``template``, one per firmware or per shard.
 
-    Each job runs ``template`` with its own firmware (the template's
-    firmware, typically :data:`~repro.fuzz.spec.CATALOG`, is replaced).
-    With ``surface="driver"`` the default firmware set shrinks to the
-    entries that model peripherals (have a ``driver_factory``); an
-    explicit ``firmware`` list is taken as-is and a member without a
-    driver surface fails in its worker at build time.
+    The firmware set is ``firmware``, else the template's own firmware,
+    else (a :data:`~repro.fuzz.spec.CATALOG` template) every Table-1
+    entry — with ``surface="driver"``, only those that model
+    peripherals (have a ``driver_factory``).  An explicit list is taken
+    as-is: a member without a driver surface fails at build time.
+
+    With ``checkpoint_dir`` each job checkpoints into its own file
+    there, which is what it resumes from after a worker death or a
+    rerun (repeated campaigns, ``seeds`` set, restart from scratch).
+
+    ``shards=N`` fuzzes ONE firmware with N cooperating shard jobs:
+    ``template.budget`` is the total, split evenly; shard ``i`` seeds
+    its RNG with ``seed + i``, starts from its disjoint slice of the
+    spec seed corpus, checkpoints into its own file and writes its own
+    manifest segment of the shared store at ``corpus_dir``.
+    ``template.checkpoint_every`` is the corpus-sync cadence in
+    per-shard execs (0: one round, syncing only through the seed
+    slices and the final merge); the supervisor runs shard jobs in
+    rounds of that many execs.
     """
     from repro.firmware.registry import all_firmware, firmware_spec
 
-    if firmware is None:
+    if firmware is not None:
+        names = [firmware_spec(name).name for name in firmware]
+    elif template.firmware != CATALOG:
+        names = [firmware_spec(template.firmware).name]
+    else:
         names = [
             spec.name for spec in all_firmware()
             if template.surface != "driver" or spec.driver_factory is not None
         ]
-    else:
-        names = [firmware_spec(name).name for name in firmware]
+    if checkpoint_dir is not None:
+        os.makedirs(checkpoint_dir, exist_ok=True)
 
-    def _path(name: str) -> Optional[str]:
+    def _path(stem: str) -> Optional[str]:
         if checkpoint_dir is None or template.seeds is not None:
             return None
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        safe = name.replace("/", "_")
-        return os.path.join(checkpoint_dir, f"campaign_{safe}.json")
+        return os.path.join(checkpoint_dir, stem.replace("/", "_") + ".json")
 
-    return [
-        CampaignJob(job_id=name, spec=replace(template, firmware=name),
-                    checkpoint_path=_path(name))
-        for name in names
-    ]
-
-
-def run_fleet(jobs: Sequence[CampaignJob], workers: int = 2,
-              **supervisor_kwargs) -> FleetResult:
-    """Run ``jobs`` under a :class:`FleetSupervisor` and return its result."""
-    return FleetSupervisor(jobs, workers=workers, **supervisor_kwargs).run()
-
-
-# ----------------------------------------------------------------------
-# sharded intra-firmware fleet (one firmware, N cooperating shards)
-# ----------------------------------------------------------------------
-@dataclass
-class ShardedFleetResult:
-    """One firmware fuzzed by ``shards`` cooperating workers."""
-
-    #: the shard results merged into a single campaign-shaped record
-    #: (execs/crashes sum, coverage is the max frontier, findings and
-    #: catalog matches union); ``None`` only if every shard degraded
-    result: Optional[object]
-    #: per-shard final-round results, shard order; ``None`` = degraded
-    shard_results: List[Optional[object]]
-    rounds: int
-    shards: int
-    #: the final round's supervision record
-    diagnostics: FleetDiagnostics
-    #: all rounds' supervision events plus the ``corpus_synced``
-    #: barrier events, in order
-    events: List[dict] = field(default_factory=list)
-
-    @property
-    def degraded(self) -> bool:
-        """True when any shard exhausted its retry budget."""
-        return any(result is None for result in self.shard_results)
-
-
-def make_shard_jobs(
-    template: CampaignSpec,
-    shards: int,
-    corpus_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
-) -> List[CampaignJob]:
-    """One job per shard of ``template``'s firmware; its budget is per shard.
-
-    Shard ``i`` of ``n`` seeds its RNG with ``seed + i``, starts from
-    its disjoint slice of the spec seed corpus, checkpoints into its
-    own file and writes its own manifest segment of the shared store
-    at ``corpus_dir`` — both are what lets a shard die and resume
-    without touching its siblings.
-    """
-    from repro.firmware.registry import firmware_spec
-
-    name = firmware_spec(template.firmware).name
+    if not shards:
+        return [
+            CampaignJob(job_id=name, spec=replace(template, firmware=name),
+                        checkpoint_path=_path(f"campaign_{name}"))
+            for name in names
+        ]
     if shards < 1:
         raise FuzzerError(f"need >= 1 shard, got {shards}")
+    if len(names) != 1:
+        raise FuzzerError("shards fuzz exactly one firmware")
     if corpus_dir is None or checkpoint_dir is None:
         raise FuzzerError(
             "sharded jobs need corpus_dir (the sync medium) and "
             "checkpoint_dir (the resume medium)"
         )
-    os.makedirs(checkpoint_dir, exist_ok=True)
-    safe = name.replace("/", "_")
+    if template.budget < shards:
+        raise FuzzerError(
+            f"budget {template.budget} cannot be split across {shards} "
+            f"shards"
+        )
+    name = names[0]
+    per_shard = template.budget // shards
     return [
         CampaignJob(
             job_id=f"{name}#s{index}",
-            spec=replace(template, firmware=name, seed=template.seed + index),
-            checkpoint_path=os.path.join(
-                checkpoint_dir, f"shard_{safe}_{index:02d}.json"
-            ),
+            spec=replace(template, firmware=name, seed=template.seed + index,
+                         budget=per_shard,
+                         checkpoint_every=template.checkpoint_every
+                         or per_shard),
+            checkpoint_path=_path(f"shard_{name}_{index:02d}"),
             corpus_dir=corpus_dir,
             shard=(index, shards),
         )
@@ -758,169 +802,58 @@ def make_shard_jobs(
     ]
 
 
-def merge_shard_results(results: Sequence[Optional[object]]):
-    """Fold per-shard campaign results into one census record.
+def _rounds(job: CampaignJob) -> int:
+    """Sync rounds a job runs in: one, or one per cadence for a shard."""
+    every = job.spec.checkpoint_every
+    if job.shard is None or not every:
+        return 1
+    return -(-job.spec.budget // every)
 
-    Mirrors :func:`repro.fuzz.campaign.run_campaign_repeated`'s merge:
-    counters sum, coverage takes the widest frontier, catalog matches
-    union, and ``missed`` shrinks to the rows no shard found.  Returns
-    ``None`` when every slot is ``None`` (all shards degraded).
+
+def _round_job(job: CampaignJob, round_index: int) -> CampaignJob:
+    """``job`` cut to the exec budget its ``round_index`` ends at.
+
+    A shard checkpoints only at sync boundaries, so a kill mid-round
+    resumes from the round start, where the import watermark sees the
+    same store every uninterrupted run saw.
     """
+    if _rounds(job) == 1:
+        return job
+    budget = min(job.spec.budget,
+                 (round_index + 1) * job.spec.checkpoint_every)
+    return replace(job, spec=replace(job.spec, budget=budget))
+
+
+def _merge_shards(jobs: Sequence[CampaignJob],
+                  results: Sequence[Optional[object]]) -> List[Optional[object]]:
+    """One result per campaign: shard results fold per firmware."""
     import copy
 
-    merged = None
-    for result in results:
+    from repro.fuzz.campaign import merge_into
+
+    merged: List[Optional[object]] = []
+    slot = {}
+    for job, result in zip(jobs, results):
+        if job.shard is None:
+            merged.append(result)
+            continue
+        key = job.spec.firmware
+        if key not in slot:
+            slot[key] = len(merged)
+            merged.append(None)
         if result is None:
             continue
-        if merged is None:
+        into = merged[slot[key]]
+        if into is None:
             # deep copy: callers keep the per-shard results alongside
-            # the merge, so folding in place would corrupt slot 0
-            merged = copy.deepcopy(result)
-            continue
-        merged.execs += result.execs
-        merged.crashes += result.crashes
-        merged.coverage = max(merged.coverage, result.coverage)
-        merged.budget += result.budget
-        merged.findings.extend(result.findings)
-        for bug_id, finding in result.matched.items():
-            merged.matched.setdefault(bug_id, finding)
-        merged.missed = [
-            record for record in merged.missed
-            if record.bug_id not in merged.matched
-        ]
-        if merged.diagnostics is not None and \
-                result.diagnostics is not None:
-            merged.diagnostics.merge(result.diagnostics)
+            merged[slot[key]] = copy.deepcopy(result)
+        else:
+            merge_into(into, result)
+            into.budget += result.budget
     return merged
 
 
-def run_sharded_fleet(
-    spec: CampaignSpec,
-    shards: int = 2,
-    workers: Optional[int] = None,
-    sync_every: int = 0,
-    corpus_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
-    observer=None,
-    events_path: Optional[str] = None,
-    fleet_options: Optional[dict] = None,
-) -> ShardedFleetResult:
-    """Fuzz ``spec``'s firmware with ``shards`` cooperating workers.
-
-    ``spec.budget`` is the *total* execution budget, split evenly across
-    shards — a 2-shard fleet at budget 1500 spends the same 1500 execs
-    a single campaign would, so censuses are comparable.
-
-    ``sync_every`` sets the corpus-sync cadence in per-shard execs.
-    The fleet runs in rounds: each round every shard resumes from its
-    checkpoint, imports what sibling shards persisted up to the round
-    boundary (watermarked by insertion exec count), fuzzes
-    ``sync_every`` more execs through the shared store, and
-    checkpoints.  Rounds are barriers — the supervisor returns between
-    them — so for a fixed ``(seed, shards, sync_every)`` schedule the
-    merged result is deterministic regardless of worker count, OS
-    scheduling, or how many times workers were killed and resumed.
-    The rounds set the checkpoint cadence, so ``spec.checkpoint_every``
-    is replaced.  ``sync_every=0`` means a single round (shards sync
-    only through their disjoint seed slices and the final merge).
-
-    ``workers`` caps concurrent shard processes (default: one per
-    shard); ``fleet_options`` passes supervisor knobs
-    (``heartbeat_timeout``, ``max_retries``, ``on_event``, ...).
-    """
-    import tempfile
-
-    from repro.firmware.registry import firmware_spec
-
-    fleet_options = dict(fleet_options or {})
-    if "events_path" in fleet_options:
-        # rounds reuse the supervisor, which truncates its events file
-        # per run(); route the stream through the combined writer below
-        events_path = events_path or fleet_options.pop("events_path")
-        fleet_options.pop("events_path", None)
-    name = firmware_spec(spec.firmware).name
-    if shards < 1:
-        raise FuzzerError(f"need >= 1 shard, got {shards}")
-    if spec.budget < shards:
-        raise FuzzerError(
-            f"budget {spec.budget} cannot be split across {shards} shards"
-        )
-    per_shard = spec.budget // shards
-    if sync_every < 0:
-        raise FuzzerError(f"sync_every must be >= 0, got {sync_every}")
-    if sync_every and sync_every < per_shard:
-        rounds = -(-per_shard // sync_every)  # ceil
-    else:
-        rounds = 1
-
-    tmp_dirs = []
-    if corpus_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-shard-corpus-")
-        tmp_dirs.append(tmp)
-        corpus_dir = tmp.name
-    if checkpoint_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-shard-ckpt-")
-        tmp_dirs.append(tmp)
-        checkpoint_dir = tmp.name
-
-    try:
-        from repro.corpus import CorpusStore
-
-        events: List[dict] = []
-        fleet = None
-        previous_size = 0
-        for round_index in range(rounds):
-            round_budget = per_shard if not sync_every else min(
-                per_shard, (round_index + 1) * sync_every
-            )
-            jobs = make_shard_jobs(
-                # checkpoints only at sync boundaries: a mid-round kill
-                # resumes from the round start (or a fresh start in
-                # single-round mode), where the import watermark sees
-                # the same store every uninterrupted run saw
-                replace(spec, firmware=name, budget=round_budget,
-                        checkpoint_every=sync_every or per_shard),
-                shards, corpus_dir=corpus_dir, checkpoint_dir=checkpoint_dir,
-            )
-            fleet = run_fleet(
-                jobs, workers=workers or shards, observer=observer,
-                **(fleet_options or {}),
-            )
-            events.extend(fleet.events)
-            # the round barrier IS the sync point: every shard has
-            # flushed its segment and gone idle, so this union is the
-            # exact store the next round's resumes will import from
-            store = CorpusStore(corpus_dir, firmware=name)
-            synced = len(store) - previous_size
-            previous_size = len(store)
-            events.append({
-                "ts": round(time.time(), 6),
-                "event": "corpus_synced",
-                "firmware": name,
-                "round": round_index + 1,
-                "rounds": rounds,
-                "entries": len(store),
-                "new_entries": synced,
-            })
-            if observer is not None:
-                observer.counter("corpus.syncs").inc()
-                observer.counter("corpus.sync_volume").inc(synced)
-                observer.gauge("corpus.size").set(len(store))
-        if events_path:
-            from repro.obs.observer import ensure_parent
-
-            with open(ensure_parent(events_path), "w",
-                      encoding="utf-8") as fh:
-                for record in events:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-        return ShardedFleetResult(
-            result=merge_shard_results(fleet.results),
-            shard_results=fleet.results,
-            rounds=rounds,
-            shards=shards,
-            diagnostics=fleet.diagnostics,
-            events=events,
-        )
-    finally:
-        for tmp in tmp_dirs:
-            tmp.cleanup()
+def run_fleet(jobs: Sequence[CampaignJob], workers: int = 1,
+              **supervisor_kwargs) -> FleetResult:
+    """Run ``jobs`` under a :class:`FleetSupervisor` and return its result."""
+    return FleetSupervisor(jobs, workers=workers, **supervisor_kwargs).run()

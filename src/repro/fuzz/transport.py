@@ -1,24 +1,24 @@
-"""Fleet worker transports: spawn processes or TCP/JSONL peers.
+"""Fleet worker transports: in-process, spawn processes or TCP peers.
 
-The :class:`~repro.fuzz.supervisor.FleetSupervisor` historically owned
-its workers directly — ``spawn``-context processes plus one private
-queue per attempt.  This module abstracts that channel behind a
-:class:`WorkerTransport` so the same supervision loop (heartbeats,
-death rulings, backoff, checkpoint-resume, degradation) drives workers
-it cannot ``SIGKILL`` because they live on another host:
+The :class:`~repro.fuzz.supervisor.FleetSupervisor` reaches its workers
+through a :class:`WorkerTransport`, so the same supervision loop
+(heartbeats, death rulings, backoff, checkpoint-resume, degradation)
+drives jobs in this process, in local processes, or on workers it
+cannot ``SIGKILL`` because they live on another host:
 
+:class:`InlineTransport`
+    Runs each attempt on the supervisor's own thread — the one-worker
+    default, with no process to spawn.
 :class:`SpawnTransport`
-    Today's behavior, byte-identical, still the default: each
-    ``launch`` spawns a fresh process running ``worker_main`` with a
-    fresh queue (see the supervisor's poisoned-queue rationale).
-
+    Each ``launch`` spawns a fresh process running ``worker_main`` with
+    a fresh queue (see the supervisor's poisoned-queue rationale); the
+    default for more than one worker.
 :class:`TcpJsonlTransport`
     A listening socket speaking a length-prefixed JSONL wire protocol.
     Remote hosts join the fleet with ``repro worker --connect
-    HOST:PORT``; each connected client runs one job at a time via the
-    exact :func:`repro.fuzz.worker._run_job` code path the spawn
-    workers use, so merged fleet results stay byte-identical to a
-    sequential sweep regardless of where workers run (CI-enforced).
+    HOST:PORT``; each connected client runs one job at a time through
+    :func:`repro.fuzz.campaign.run_job`, the code path every other
+    worker uses, so a job's result is byte-identical wherever it runs.
     When no remote worker is idle, jobs degrade gracefully to local
     spawn processes (``spawn_fallback``, on by default).
 
@@ -301,7 +301,7 @@ class WorkerTransport:
 
 
 # ----------------------------------------------------------------------
-# spawn transport (the default; byte-identical to the pre-transport fleet)
+# in-process and spawn transports
 # ----------------------------------------------------------------------
 class _SpawnAttempt(AttemptHandle):
     where = "spawn"
@@ -365,7 +365,7 @@ class _SpawnAttempt(AttemptHandle):
 
 
 class SpawnTransport(WorkerTransport):
-    """Local ``spawn``-context worker processes (the default)."""
+    """Local ``spawn``-context worker processes."""
 
     def __init__(self):
         self._ctx = None
@@ -376,6 +376,49 @@ class SpawnTransport(WorkerTransport):
 
             self._ctx = multiprocessing.get_context("spawn")
         return _SpawnAttempt(self._ctx, payload)
+
+
+class _InlineAttempt(AttemptHandle):
+    """A job attempt that runs on the supervisor's thread when polled."""
+
+    where = "inline"
+
+    def __init__(self, payload: dict):
+        self.pid = os.getpid()
+        self._payload = payload
+        self._ran = False
+
+    def poll(self) -> List[tuple]:
+        if self._ran:
+            return []
+        from repro.fuzz.worker import run_attempt
+
+        self._ran = True
+        messages: List[tuple] = []
+        run_attempt(self._payload, messages.append, heartbeat=False)
+        return messages
+
+    def alive(self) -> bool:
+        return not self._ran
+
+    def abrupt(self) -> bool:
+        return False
+
+    def exit_cause(self) -> str:
+        return "exit:0"
+
+    def kill(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+class InlineTransport(WorkerTransport):
+    """Run attempts in this process, one at a time (no worker process)."""
+
+    def launch(self, payload: dict) -> AttemptHandle:
+        return _InlineAttempt(payload)
 
 
 # ----------------------------------------------------------------------
@@ -925,8 +968,9 @@ class _JobSession:
     def run(self, scratch: str) -> tuple:
         """Execute the job; returns (terminal kind, terminal payload)."""
         from repro.errors import CheckpointError
+        from repro.fuzz.campaign import run_job
         from repro.fuzz.checkpoint import load_checkpoint, result_to_json
-        from repro.fuzz.worker import _run_job
+        from repro.fuzz.supervisor import CampaignJob
 
         job = _stage_job(self.job, scratch)
         upstream_corrupt = self.job.get("checkpoint_corrupt_upstream")
@@ -964,8 +1008,9 @@ class _JobSession:
 
             observer = Observer(process_name=f"worker:{self.job_id}")
         try:
-            result = _run_job(job, observer=observer,
-                              on_checkpoint_saved=on_checkpoint_saved)
+            result = run_job(CampaignJob.from_payload(job),
+                             observer=observer,
+                             on_checkpoint_saved=on_checkpoint_saved)
         except Exception as exc:  # noqa: BLE001 - shipped as `failed`
             import traceback
 
@@ -1034,7 +1079,7 @@ def run_worker(
     """Serve fleet jobs from ``host:port`` until told to stop.
 
     The client dials, handshakes, then loops: receive a ``job`` frame,
-    run it through the same ``_run_job`` path a spawn worker uses
+    run it through the same ``run_job`` path a spawn worker uses
     (heartbeating from a daemon thread), deliver the terminal event and
     wait for the server's ``ack``.  A broken connection at any point
     pends the unacked terminal event and re-dials with exponential

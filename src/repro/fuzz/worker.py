@@ -1,7 +1,8 @@
 """Fleet worker: one campaign job inside an expendable process.
 
 :func:`worker_main` is the ``spawn``-context entry point the
-:mod:`repro.fuzz.supervisor` launches one process per job attempt.  The
+:mod:`repro.fuzz.supervisor` launches one process per job attempt;
+:func:`run_attempt` is its body, shared with in-process runs.  The
 worker's only side channel is the supervisor's event queue; everything
 it sends is a plain JSON-encodable tuple
 
@@ -44,9 +45,10 @@ import sys
 import threading
 import time
 import traceback
+from typing import Callable
 
 
-def _liveness_loop(events, job_id: str, attempt: int, interval: float,
+def _liveness_loop(post, job_id: str, attempt: int, interval: float,
                    stop: threading.Event) -> None:
     """Post a heartbeat every ``interval`` seconds until stopped.
 
@@ -57,37 +59,30 @@ def _liveness_loop(events, job_id: str, attempt: int, interval: float,
     """
     start = time.monotonic()
     while not stop.wait(interval):
-        events.put(("heartbeat", job_id, attempt, {
+        post(("heartbeat", job_id, attempt, {
             "pid": os.getpid(),
             "elapsed": round(time.monotonic() - start, 3),
         }))
 
 
-def _run_job(job: dict, observer=None, on_checkpoint_saved=None):
-    """Execute the campaign a job payload describes.
+def run_attempt(job: dict, post: Callable[[tuple], None],
+                heartbeat: bool = True) -> bool:
+    """Run one job attempt, posting its message tuples; True if it failed.
 
-    Shared by the spawn-context entry point below and the TCP worker
-    client (:func:`repro.fuzz.transport.run_worker`), which passes
-    ``on_checkpoint_saved`` to ship each fresh checkpoint back to the
-    supervisor the moment it lands on the worker's local disk.
+    The body of a fleet worker wherever it runs: a spawn process
+    (:func:`worker_main`) or the supervisor's own thread
+    (:class:`~repro.fuzz.transport.InlineTransport`, which passes
+    ``heartbeat=False``: nothing polls while the job holds the thread).
     """
+    from repro.errors import CheckpointError
     from repro.fuzz.campaign import run_job
+    from repro.fuzz.checkpoint import load_checkpoint, result_to_json
     from repro.fuzz.supervisor import CampaignJob
 
-    return run_job(CampaignJob.from_payload(job), observer=observer,
-                   on_checkpoint_saved=on_checkpoint_saved)
-
-
-def worker_main(job: dict, events) -> None:
-    """Process entry point: run one job attempt, report, exit."""
     job_id = job["job_id"]
     attempt = job.get("attempt", 1)
     stop = threading.Event()
-    failed = False
     try:
-        from repro.errors import CheckpointError
-        from repro.fuzz.checkpoint import load_checkpoint, result_to_json
-
         resumed_execs = None
         checkpoint_corrupt = None
         path = job.get("checkpoint_path")
@@ -101,19 +96,19 @@ def worker_main(job: dict, events) -> None:
                 # the diagnosis early lets the supervisor log the event
                 # before the (budget-long) fresh run completes
                 checkpoint_corrupt = str(exc)
-        events.put(("started", job_id, attempt, {
+        post(("started", job_id, attempt, {
             "pid": os.getpid(),
             "resumed_execs": resumed_execs,
             "checkpoint_corrupt": checkpoint_corrupt,
         }))
-        beats = threading.Thread(
-            target=_liveness_loop,
-            args=(events, job_id, attempt,
-                  job.get("heartbeat_interval", 1.0), stop),
-            name=f"heartbeat-{job_id}",
-            daemon=True,
-        )
-        beats.start()
+        if heartbeat:
+            threading.Thread(
+                target=_liveness_loop,
+                args=(post, job_id, attempt,
+                      job.get("heartbeat_interval", 1.0), stop),
+                name=f"heartbeat-{job_id}",
+                daemon=True,
+            ).start()
         observer = None
         if job.get("observe"):
             # the supervisor holds an Observer: collect here and ship
@@ -122,20 +117,28 @@ def worker_main(job: dict, events) -> None:
             from repro.obs import Observer
 
             observer = Observer(process_name=f"worker:{job_id}")
-        result = _run_job(job, observer=observer)
+        result = run_job(CampaignJob.from_payload(job), observer=observer)
         stop.set()
         if observer is not None:
-            events.put(("metrics", job_id, attempt, observer.export()))
-        events.put(("result", job_id, attempt, result_to_json(result)))
-    except BaseException as exc:  # report, then die loudly
-        stop.set()
-        failed = True
-        events.put(("failed", job_id, attempt, {
+            post(("metrics", job_id, attempt, observer.export()))
+        post(("result", job_id, attempt, result_to_json(result)))
+        return False
+    except Exception as exc:  # report, then die loudly
+        post(("failed", job_id, attempt, {
             "pid": os.getpid(),
             "exc_type": type(exc).__name__,
             "message": str(exc),
             "traceback": traceback.format_exc(limit=20),
         }))
+        return True
+    finally:
+        stop.set()
+
+
+def worker_main(job: dict, events) -> None:
+    """Process entry point: run one job attempt, report, exit."""
+    try:
+        failed = run_attempt(job, events.put)
     finally:
         # flush the queue's feeder thread before the process exits so
         # the terminal message is never lost to a fast shutdown

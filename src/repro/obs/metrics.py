@@ -254,7 +254,12 @@ def format_metrics(data: dict, indent: str = "  ") -> str:
         groups.setdefault(group, []).append(rendered)
 
     for name, value in data.get("counters", {}).items():
-        _add(name, f"{indent}{name:40s} {value:>14,}")
+        if "centicycles" in name:
+            # exact centi-cycle counters read as cycles
+            name = name.replace("centicycles", "cycles")
+            _add(name, f"{indent}{name:40s} {value / 100:>14,.2f}")
+        else:
+            _add(name, f"{indent}{name:40s} {value:>14,}")
     for name, value in data.get("gauges", {}).items():
         _add(name, f"{indent}{name:40s} {value:>14,.6g} (gauge)")
     for name, payload in data.get("histograms", {}).items():

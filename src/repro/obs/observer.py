@@ -171,10 +171,12 @@ class Observer:
             if cache is not None:
                 cache_blocks.set(len(cache))
         counter("machine.guest_cycles").inc(getattr(machine, "guest_cycles", 0))
-        # whole cycles, floored from the exact integer ledger
+        # the exact integer ledger in centi-cycles: flooring each
+        # harvested machine to whole cycles would under-count a campaign
+        # by up to one cycle per rebuild (``repro stats`` shows cycles)
         ledger = getattr(machine, "ledger", None)
-        counter("machine.overhead_cycles").inc(
-            ledger.total() // 100 if ledger is not None else 0)
+        counter("machine.overhead_centicycles").inc(
+            ledger.total() if ledger is not None else 0)
         watchdog = getattr(machine, "watchdog", None)
         if watchdog is not None:
             counter("machine.watchdog_trips").inc(getattr(watchdog, "trips", 0))
@@ -211,8 +213,8 @@ class Observer:
             counter("runtime.events").inc(runtime.events_handled)
             ledger = runtime.machine.ledger
             for category in BREAKDOWN:
-                counter(f"runtime.cycles.{category}").inc(
-                    ledger.total(category) // 100)
+                counter(f"runtime.centicycles.{category}").inc(
+                    ledger.total(category))
             sink = runtime.sink
             counter("runtime.reports").inc(sink.count())
             gauge("runtime.unique_reports").set(sink.unique_count())

@@ -250,6 +250,18 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "DEGRADED" in out and "NoSuchFirmware" in out
 
+    @pytest.mark.parametrize("placement", [[], ["--shard", "2"],
+                                           ["--workers", "2"]])
+    def test_fuzz_all_honours_listen_on_every_path(self, capsys, placement):
+        # --listen with --no-spawn-fallback: the in-process default and
+        # the sharded path must wait for the remote worker like the
+        # fleet does, and give up with a usage error when none arrives
+        assert main(["fuzz-all", "--firmware", "InfiniTime", "--budget", "40",
+                     "--seed", "1", "--listen", "127.0.0.1:0",
+                     "--no-spawn-fallback", "--wait-remote", "1",
+                     "--wait-remote-timeout", "0.5"] + placement) == 2
+        assert "remote worker(s) arrived" in capsys.readouterr().err
+
     def test_fuzz_all_unknown_firmware_rejected(self):
         from repro.errors import FirmwareBuildError
 

@@ -344,42 +344,45 @@ class TestShardedFleet:
     BUDGET, SYNC = 600, 150
 
     def _run(self, tmp_path, tag, workers):
-        from repro.fuzz.supervisor import run_sharded_fleet
+        from repro.fuzz.supervisor import make_jobs, run_fleet
 
-        return run_sharded_fleet(
-            CampaignSpec(FW, self.BUDGET, seed=1), shards=2, workers=workers,
-            sync_every=self.SYNC, corpus_dir=str(tmp_path / tag),
-        )
+        jobs = make_jobs(
+            CampaignSpec(FW, self.BUDGET, seed=1, checkpoint_every=self.SYNC),
+            shards=2, corpus_dir=str(tmp_path / tag / "corpus"),
+            checkpoint_dir=str(tmp_path / tag / "ck"))
+        return run_fleet(jobs, workers=workers)
 
-    def _bytes(self, sharded):
-        from repro.fuzz.checkpoint import result_to_json
+    def _digests(self, fleet):
+        from repro.fuzz.checkpoint import result_digest
 
-        return json.dumps({
-            "merged": result_to_json(sharded.result),
-            "shards": [result_to_json(r) for r in sharded.shard_results],
-        }, sort_keys=True)
+        return [result_digest(r) for r in fleet.merged + fleet.results]
 
     def test_sharded_fleet_deterministic_and_superset(self, tmp_path):
         from repro.fuzz.campaign import run_campaign
 
         serial = self._run(tmp_path, "w1", workers=1)
         parallel = self._run(tmp_path, "w2", workers=2)
-        assert self._bytes(serial) == self._bytes(parallel)
+        assert self._digests(serial) == self._digests(parallel)
         assert not serial.degraded
-        assert serial.result.execs == self.BUDGET
+        merged = serial.merged[0]
+        assert merged.execs == self.BUDGET
 
         single = run_campaign(FW, budget=self.BUDGET, seed=1)
-        assert set(single.matched) <= set(serial.result.matched)
+        assert set(single.matched) <= set(merged.matched)
 
         syncs = [e for e in serial.events if e["event"] == "corpus_synced"]
-        assert len(syncs) == serial.rounds == 2
+        assert len(syncs) == syncs[0]["rounds"] == 2
         assert syncs[-1]["entries"] >= syncs[0]["entries"]
         assert all(e["firmware"] == FW for e in syncs)
 
-    def test_shard_validation(self):
-        from repro.fuzz.supervisor import run_sharded_fleet
+    def test_shard_validation(self, tmp_path):
+        from repro.fuzz.supervisor import make_jobs
 
+        dirs = dict(corpus_dir=str(tmp_path / "c"),
+                    checkpoint_dir=str(tmp_path / "k"))
         with pytest.raises(FuzzerError, match="shard"):
-            run_sharded_fleet(CampaignSpec(FW, 100), shards=0)
+            make_jobs(CampaignSpec(FW, 100), shards=-1, **dirs)
         with pytest.raises(FuzzerError, match="split"):
-            run_sharded_fleet(CampaignSpec(FW, 1), shards=2)
+            make_jobs(CampaignSpec(FW, 1), shards=2, **dirs)
+        with pytest.raises(FuzzerError, match="corpus_dir"):
+            make_jobs(CampaignSpec(FW, 100), shards=2)

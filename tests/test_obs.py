@@ -207,7 +207,7 @@ class TestObserver:
         assert counters["tcg.insns"] == 0
         assert counters["tcg.tb_chain_hits"] == 0
         assert counters["machine.guest_cycles"] == 7
-        assert counters["machine.overhead_cycles"] == 3
+        assert counters["machine.overhead_centicycles"] == 350
 
     def test_campaign_counters_are_ints_and_merge_exactly(self):
         # a fleet merge folds counters through int(): a float cycle count
@@ -220,6 +220,23 @@ class TestObserver:
         merged = MetricsRegistry()
         merged.merge_json(document)
         assert merged.to_json() == document
+
+    def test_campaign_overhead_is_exact_across_rebuilds(self):
+        # the campaign builds 38 machines; flooring each ledger to whole
+        # cycles read 26385 where their ledgers sum to 2639640 centi-cycles
+        observer = Observer(trace=False)
+        run_campaign("InfiniTime", budget=50, seed=1000, observer=observer)
+        counters = observer.registry.to_json()["counters"]
+        assert counters["machine.overhead_centicycles"] == 2639640
+        categories = [value for name, value in counters.items()
+                      if name.startswith("runtime.centicycles.")]
+        assert len(categories) == 4
+        assert sum(categories) == 2639640
+        # repro stats renders them as cycles
+        from repro.obs import format_metrics
+
+        text = format_metrics(observer.registry.to_json())
+        assert "machine.overhead_cycles" in text and "26,396.40" in text
 
     def test_write_sinks_create_parent_dirs(self, tmp_path):
         observer = Observer()

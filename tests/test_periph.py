@@ -18,7 +18,6 @@ The headline contracts under test:
 
 from __future__ import annotations
 
-import json
 
 import pytest
 
@@ -30,7 +29,7 @@ from repro.errors import DmaFault, FirmwareBuildError, FuzzerError
 from repro.firmware.builder import attach_runtime
 from repro.firmware.registry import build_firmware
 from repro.fuzz.campaign import run_campaign
-from repro.fuzz.checkpoint import result_to_json
+from repro.fuzz.checkpoint import result_digest
 from repro.fuzz.ifspec import driver_interface
 from repro.fuzz.syzkaller import SyzkallerFuzzer
 from repro.obs import Observer
@@ -64,10 +63,6 @@ DRIVER_FIRMWARE_2 = "OpenHarmony-rk3566"
 
 SRAM = 0x2000_0000
 DRAM = 0x4000_0000
-
-
-def _canon(result) -> str:
-    return json.dumps(result_to_json(result), sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -561,13 +556,13 @@ class TestDriverCampaign:
         fork = run_campaign(DRIVER_FIRMWARE, budget=120, seed=1,
                             surface="driver", exec_mode="forkserver")
         assert journal.missed == [] and fork.missed == []
-        assert _canon(journal) == _canon(fork)
+        assert result_digest(journal) == result_digest(fork)
 
     def test_default_surface_census_byte_identical(self):
         implicit = run_campaign(DRIVER_FIRMWARE, budget=40, seed=3)
         explicit = run_campaign(DRIVER_FIRMWARE, budget=40, seed=3,
                                 surface="syscall")
-        assert _canon(implicit) == _canon(explicit)
+        assert result_digest(implicit) == result_digest(explicit)
 
 
 # ----------------------------------------------------------------------

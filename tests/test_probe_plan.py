@@ -10,7 +10,6 @@ byte of a campaign's result.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 
 import pytest
@@ -20,7 +19,7 @@ from repro.emulator.hooks import ProbeTable
 from repro.emulator.hypercalls import Hypercall
 from repro.emulator.machine import Machine
 from repro.fuzz.campaign import run_campaign
-from repro.fuzz.checkpoint import result_to_json
+from repro.fuzz.checkpoint import result_digest
 from repro.fuzz.coverage import EmulatorCoverage, KcovCoverage
 from repro.guest.module import GuestModule, guestfn
 from repro.isa.assembler import assemble
@@ -234,10 +233,6 @@ class TestRegistration:
 # ----------------------------------------------------------------------
 # whole campaigns: the plan is equivalent to broadcast
 # ----------------------------------------------------------------------
-def _canon(result) -> str:
-    return json.dumps(result_to_json(result), sort_keys=True)
-
-
 @pytest.mark.parametrize("firmware, kinds", [
     # EMBSAN-D with emulator-level coverage
     ("InfiniTime", (EventKind.CALL, EventKind.RET)),
@@ -247,7 +242,7 @@ def _canon(result) -> str:
     ("TP-Link WDR-7660", (EventKind.CALL, EventKind.RET)),
 ])
 def test_catch_all_subscriber_changes_no_result(monkeypatch, firmware, kinds):
-    plain = _canon(run_campaign(firmware, budget=120, seed=1))
+    plain = result_digest(run_campaign(firmware, budget=120, seed=1))
     seen = Counter()
     build = Machine.__init__
 
@@ -257,7 +252,7 @@ def test_catch_all_subscriber_changes_no_result(monkeypatch, firmware, kinds):
             self.hooks.add(kind, lambda event, kind=kind: seen.update([kind]))
 
     monkeypatch.setattr(Machine, "__init__", subscribed)
-    observed = _canon(run_campaign(firmware, budget=120, seed=1))
+    observed = result_digest(run_campaign(firmware, budget=120, seed=1))
     assert observed == plain
     for kind in kinds:
         assert seen[kind] > 0, kind

@@ -424,7 +424,7 @@ class TestFuzzService:
             job = client.submit(
                 _spec(budget=600, checkpoint_every=100), "d")["job"]
             # wait for the first checkpoint, then drain mid-campaign
-            ck = os.path.join(state, "checkpoints", f"{job}.json")
+            ck = os.path.join(state, "checkpoints", job, f"campaign_{FW}.json")
             deadline = time.monotonic() + 120
             while not os.path.exists(ck):
                 assert time.monotonic() < deadline

@@ -1,7 +1,7 @@
 """Fleet supervisor failure matrix.
 
-Every test drives real ``spawn`` worker processes through
-:class:`repro.fuzz.supervisor.FleetSupervisor` and asserts the two
+The tests drive :class:`repro.fuzz.supervisor.FleetSupervisor` in
+this process and on real ``spawn`` worker processes, and assert the two
 properties the fleet promises:
 
 * **determinism** — the merged results are byte-identical to a
@@ -12,8 +12,8 @@ properties the fleet promises:
   job only after its retry budget and never stalling its siblings.
 
 Failure injection uses the supervisor's ``on_event`` observation hook,
-which sees every structured event as it is logged — the same mechanism
-the CI chaos job uses.
+which sees every structured event as it is logged.  A SIGKILL landing
+after a given checkpoint is a cell of ``tests/test_determinism.py``.
 """
 
 import json
@@ -24,17 +24,14 @@ import pytest
 
 from repro.errors import CheckpointError, FuzzerError
 from repro.fuzz.campaign import run_all_campaigns, run_campaign
-from repro.fuzz.checkpoint import result_to_json
+from repro.fuzz.checkpoint import result_digest, result_to_json
 from repro.fuzz.diagnostics import FleetDiagnostics
 from repro.fuzz.spec import CampaignSpec
 from repro.fuzz.supervisor import CampaignJob, FleetSupervisor, run_fleet
+from repro.fuzz.transport import SpawnTransport
 
 #: small, fast firmware for fleet tests (tardis targets boot quickest)
 FAST_FW = ("InfiniTime", "OpenHarmony-stm32f407")
-
-
-def _result_bytes(result) -> str:
-    return json.dumps(result_to_json(result), sort_keys=True)
 
 
 def _jobs(budget=200, seed=1):
@@ -64,8 +61,8 @@ class TestFleetDeterminism:
     def test_fleet_matches_sequential_bytes(self, sequential, workers):
         fleet = run_fleet(_jobs(), workers=workers, heartbeat_interval=0.2)
         assert not fleet.degraded
-        assert [_result_bytes(r) for r in fleet.results] == [
-            _result_bytes(r) for r in sequential
+        assert [result_digest(r) for r in fleet.results] == [
+            result_digest(r) for r in sequential
         ]
 
     def test_results_come_back_in_submission_order(self):
@@ -82,8 +79,8 @@ class TestFleetDeterminism:
         for options in ({}, {"seed_schedule": "rarity"}):
             seq = run_all_campaigns(budget=60, seed=1, **options)
             par = run_all_campaigns(budget=60, seed=1, workers=2, **options)
-            assert [_result_bytes(r) for r in par] == [
-                _result_bytes(r) for r in seq
+            assert [result_digest(r) for r in par] == [
+                result_digest(r) for r in seq
             ]
 
     def test_live_fault_plan_rejected_across_processes(self):
@@ -95,39 +92,6 @@ class TestFleetDeterminism:
 
 
 class TestWorkerDeath:
-    def test_sigkill_mid_job_resumes_to_identical_census(self, tmp_path):
-        fw = "OpenHarmony-stm32f407"
-        reference = run_campaign(fw, budget=1500, seed=1)
-        path = str(tmp_path / "cp.json")
-        job = CampaignJob(
-            job_id=fw,
-            spec=CampaignSpec(fw, budget=1500, seed=1, checkpoint_every=500),
-            checkpoint_path=path)
-        tracker = _PidTracker()
-        killed = []
-
-        def chaos(event):
-            tracker(event)
-            # kill the worker once it has durably checkpointed progress
-            if killed or event["event"] != "heartbeat":
-                return
-            if not os.path.exists(path):
-                return
-            state = json.load(open(path, encoding="utf-8"))
-            if state.get("execs", 0) >= 500:
-                killed.append(True)
-                os.kill(tracker.pids[fw], signal.SIGKILL)
-
-        fleet = run_fleet([job], workers=1, heartbeat_interval=0.1,
-                          backoff_base=0.05, on_event=chaos)
-        assert killed, "chaos hook never fired"
-        assert _result_bytes(fleet.results[0]) == _result_bytes(reference)
-        diag = fleet.diagnostics.jobs[0]
-        assert diag.attempts == 2
-        assert diag.restarts[0]["cause"] == "signal:SIGKILL"
-        names = [e["event"] for e in fleet.events]
-        assert "worker_died" in names and "job_resumed" in names
-
     def test_hung_worker_is_detected_and_restarted(self, tmp_path):
         fw = "InfiniTime"
         # checkpoint cadence is part of the deterministic trajectory, so
@@ -152,10 +116,10 @@ class TestWorkerDeath:
 
         fleet = run_fleet([job], workers=1, heartbeat_interval=0.1,
                           heartbeat_timeout=0.6, backoff_base=0.05,
-                          on_event=chaos)
+                          on_event=chaos, transport=SpawnTransport())
         assert stopped
         assert not fleet.degraded
-        assert _result_bytes(fleet.results[0]) == _result_bytes(reference)
+        assert result_digest(fleet.results[0]) == result_digest(reference)
         diag = fleet.diagnostics.jobs[0]
         assert any(r["cause"].startswith("heartbeat-timeout")
                    for r in diag.restarts)
@@ -174,7 +138,7 @@ class TestWorkerDeath:
         assert fleet.degraded
         assert fleet.results[0] is None
         # the sibling finished normally and identically
-        assert _result_bytes(fleet.results[1]) == _result_bytes(reference)
+        assert result_digest(fleet.results[1]) == result_digest(reference)
         doomed = fleet.diagnostics.job("doomed")
         assert doomed.degraded
         assert doomed.attempts == 3  # 1 initial + 2 retries
@@ -202,7 +166,7 @@ class TestWorkerDeath:
         assert "corrupt" in got["diagnostics"]["checkpoint_discarded"]
         got["diagnostics"]["checkpoint_discarded"] = None
         assert (json.dumps(got, sort_keys=True)
-                == _result_bytes(reference))
+                == json.dumps(result_to_json(reference), sort_keys=True))
         discarded = [e for e in fleet.events
                      if e["event"] == "checkpoint_discarded"]
         assert discarded and "corrupt" in discarded[0]["reason"]

@@ -19,7 +19,6 @@ end, not simulated.
 """
 
 import contextlib
-import json
 import socket
 import threading
 import time
@@ -34,7 +33,7 @@ from repro.fuzz.chaos import (
     ChaosPlanError,
     chaos_plan_for,
 )
-from repro.fuzz.checkpoint import result_to_json
+from repro.fuzz.checkpoint import result_digest
 from repro.fuzz.spec import CampaignSpec
 from repro.fuzz.supervisor import CampaignJob, run_fleet
 from repro.fuzz.transport import (
@@ -50,10 +49,6 @@ from repro.fuzz.transport import (
 
 #: small, fast firmware for fleet tests (same set as test_supervisor)
 FAST_FW = ("InfiniTime", "OpenHarmony-stm32f407")
-
-
-def _result_bytes(result) -> str:
-    return json.dumps(result_to_json(result), sort_keys=True)
 
 
 def _jobs(budget=150, seed=1):
@@ -302,7 +297,7 @@ def _tcp_workers(transport, specs):
 class TestTcpFleet:
     @pytest.fixture(scope="class")
     def sequential(self):
-        return {fw: _result_bytes(run_campaign(fw, budget=150, seed=1))
+        return {fw: result_digest(run_campaign(fw, budget=150, seed=1))
                 for fw in FAST_FW}
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -321,8 +316,8 @@ class TestTcpFleet:
                                 heartbeat_interval=0.2, transport=transport)
         expected = [sequential[fw] for fw in FAST_FW]
         assert not via_spawn.degraded and not via_tcp.degraded
-        assert [_result_bytes(r) for r in via_spawn.results] == expected
-        assert [_result_bytes(r) for r in via_tcp.results] == expected
+        assert [result_digest(r) for r in via_spawn.results] == expected
+        assert [result_digest(r) for r in via_tcp.results] == expected
         # with fallback off, every attempt truly ran on a remote peer
         stats = via_tcp.diagnostics.transport
         assert stats["mode"] == "tcp"
@@ -342,7 +337,7 @@ class TestTcpFleet:
             fleet = run_fleet(_jobs(), workers=1,
                               heartbeat_interval=0.2, transport=transport)
         assert not fleet.degraded
-        assert [_result_bytes(r) for r in fleet.results] == [
+        assert [result_digest(r) for r in fleet.results] == [
             sequential[fw] for fw in FAST_FW
         ]
         assert fleet.diagnostics.transport["resends"] >= 1
@@ -356,7 +351,7 @@ class TestTcpFleet:
             fleet = run_fleet(_jobs(), workers=1,
                               heartbeat_interval=0.1, transport=transport)
         assert not fleet.degraded
-        assert [_result_bytes(r) for r in fleet.results] == [
+        assert [result_digest(r) for r in fleet.results] == [
             sequential[fw] for fw in FAST_FW
         ]
         assert fleet.diagnostics.transport["frames_dropped"] >= 1
@@ -379,7 +374,7 @@ class TestTcpFleet:
             fleet = run_fleet([job], workers=1, heartbeat_interval=0.1,
                               backoff_base=0.05, transport=transport)
         assert not fleet.degraded
-        assert _result_bytes(fleet.results[0]) == _result_bytes(reference)
+        assert result_digest(fleet.results[0]) == result_digest(reference)
         diag = fleet.diagnostics.jobs[0]
         assert diag.attempts == 2
         assert diag.restarts[0]["cause"].startswith("remote-disconnect:")
@@ -416,7 +411,7 @@ class TestTcpFleet:
                               heartbeat_timeout=1.5, backoff_base=0.05,
                               transport=transport)
         assert not fleet.degraded
-        assert _result_bytes(fleet.results[0]) == _result_bytes(reference)
+        assert result_digest(fleet.results[0]) == result_digest(reference)
         diag = fleet.diagnostics.jobs[0]
         assert any(r["cause"].startswith("heartbeat-timeout")
                    for r in diag.restarts)
@@ -431,7 +426,7 @@ class TestTcpFleet:
         finally:
             transport.close()
         assert not fleet.degraded
-        assert [_result_bytes(r) for r in fleet.results] == [
+        assert [result_digest(r) for r in fleet.results] == [
             sequential[fw] for fw in FAST_FW
         ]
         stats = fleet.diagnostics.transport
@@ -457,7 +452,7 @@ class TestTcpFleet:
             fleet = run_fleet([job], workers=1,
                               heartbeat_interval=0.2, transport=transport)
         assert not fleet.degraded
-        assert _result_bytes(fleet.results[0]) == _result_bytes(reference)
+        assert result_digest(fleet.results[0]) == result_digest(reference)
         assert any(e["event"] == "corpus_received" for e in fleet.events)
         ref_store = CorpusStore(ref_dir, firmware=fw)
         tcp_store = CorpusStore(tcp_dir, firmware=fw)
