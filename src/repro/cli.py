@@ -14,23 +14,19 @@ Subcommands mirror the paper's workflow:
 * ``stats``    — render a ``--metrics`` JSON file as a readable table
 * ``overhead`` — measure Figure-2 slowdowns for one or all firmware
 * ``table2``   — the known-bug detection matrix
-* ``serve``    — the always-on fuzzing daemon: a crash-safe WAL-backed
-  job queue plus a JSONL control API (see ``docs/serve.md``)
-* ``submit`` / ``jobs`` / ``drain`` — thin clients for a running
-  ``serve`` daemon
+* ``worker``   — run fleet jobs for a ``fuzz-all --listen`` supervisor
 
 Exit codes: 0 success, 1 replay miss, 2 usage error, 3 degraded — a
 campaign exhausted its crash budget, or a fleet job exhausted its
 retry budget and was abandoned; 4 interrupted — SIGTERM/SIGINT drained
-a sweep cleanly and its checkpoints resume it; 5 rejected — the serve
-daemon applied backpressure (retry after the advertised delay).
+a sweep cleanly and its checkpoints resume it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 
 def _cmd_list(_args) -> int:
@@ -102,8 +98,8 @@ def _write_observer(observer, args) -> None:
 
 
 def _spec_from_args(args, firmware: str):
-    """The CampaignSpec named by the shared spec flags (``fuzz``,
-    ``fuzz-all`` and ``submit`` all build theirs here)."""
+    """The CampaignSpec named by the shared spec flags (``fuzz`` and
+    ``fuzz-all`` both build theirs here)."""
     from dataclasses import fields
 
     from repro.errors import FuzzerError
@@ -234,9 +230,9 @@ def _cmd_fuzz_all(args) -> int:
         if args.listen:
             from repro.fuzz.transport import TcpJsonlTransport
 
-            host, _, port = args.listen.rpartition(":")
+            host, port = args.listen
             transport = TcpJsonlTransport(
-                host or "127.0.0.1", int(port), token=args.token,
+                host, port, token=args.token,
                 spawn_fallback=not args.no_spawn_fallback,
             )
             print(f"listening for remote workers on {transport.address}")
@@ -330,15 +326,11 @@ def _cmd_worker(args) -> int:
     from repro.errors import TransportError
     from repro.fuzz.transport import run_worker
 
-    host, _, port = args.connect.rpartition(":")
-    if not port.isdigit():
-        print(f"--connect wants HOST:PORT, got {args.connect!r}",
-              file=sys.stderr)
-        return 2
+    host, port = args.connect
     try:
         stats = run_worker(
-            host or "127.0.0.1",
-            int(port),
+            host,
+            port,
             token=args.token,
             name=args.name,
             max_jobs=args.max_jobs,
@@ -359,169 +351,6 @@ def _cmd_worker(args) -> int:
           f"{stats.resends} resend(s), "
           f"{stats.checkpoints_synced} checkpoint sync(s)")
     return 1 if stats.jobs_failed else 0
-
-
-def _cmd_serve(args) -> int:
-    """``repro serve``: run the always-on fuzzing daemon."""
-    import signal
-
-    from repro.errors import FuzzerError
-    from repro.fuzz.serve import FuzzService, parse_address
-
-    try:
-        host, port = parse_address(args.listen)
-    except FuzzerError as exc:
-        print(f"--listen: {exc}", file=sys.stderr)
-        return 2
-    observer = _make_observer(args)
-    service = FuzzService(
-        args.state_dir,
-        host=host,
-        port=port,
-        token=args.token,
-        max_running=args.max_running,
-        max_pending=args.max_pending,
-        max_attempts=args.max_attempts,
-        retry_after=args.retry_after,
-        snapshot_every=args.snapshot_every,
-        workers_per_job=args.workers_per_job,
-        heartbeat_timeout=args.heartbeat_timeout,
-        max_retries=args.max_retries,
-        backoff_base=args.backoff,
-        observer=observer,
-        log=lambda line: print(f"serve: {line}", flush=True),
-    )
-
-    def _drain(signum, _frame):
-        service.drain(cause=signal.Signals(signum).name)
-
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(sig, _drain)
-        except ValueError:  # not the main thread (tests)
-            pass
-    service.start()
-    service.serve_forever()
-    _write_observer(observer, args)
-    return 0
-
-
-def _serve_client(args):
-    from repro.fuzz.serve import ServeClient, parse_address
-
-    host, port = parse_address(args.connect)
-    return ServeClient(host, port, token=args.token)
-
-
-def _cmd_submit(args) -> int:
-    """``repro submit``: enqueue a campaign on a serve daemon."""
-    import json
-
-    from repro.errors import FuzzerError, TransportError
-    from repro.obs.observer import ensure_parent
-
-    spec = _spec_from_args(args, args.firmware).to_json()
-    try:
-        with _serve_client(args) as client:
-            reply = client.submit(spec, dedup_key=args.dedup_key)
-            if reply.get("type") == "rejected":
-                print(f"rejected ({reply['reason']}): retry after "
-                      f"{reply['retry_after']:g}s", file=sys.stderr)
-                return 5
-            if reply.get("type") != "submitted":
-                print(f"submit failed: {reply.get('reason', reply)}",
-                      file=sys.stderr)
-                return 2
-            job_id = reply["job"]
-            print(f"job {job_id} "
-                  f"{'deduplicated' if reply['deduped'] else 'submitted'} "
-                  f"({reply['state']})")
-            if not args.wait:
-                return 0
-            final = client.wait(job_id, timeout=args.wait_timeout)
-    except (FuzzerError, TransportError, OSError) as exc:
-        print(f"submit: {exc}", file=sys.stderr)
-        return 2
-    print(f"job {job_id} finished: {final['state']}")
-    if final["state"] != "done":
-        if final.get("error"):
-            print(f"  {final['error']}", file=sys.stderr)
-        return 3
-    result = final["result"]
-    print(f"  execs: {result['execs']}, coverage: {result['coverage']}, "
-          f"crashes: {result['crashes']}, "
-          f"findings: {len(final['findings'])}")
-    for record in final["findings"]:
-        bug = record["bug_id"] or "unmatched"
-        print(f"  {bug}: {record['tool']} {record['bug_type']} "
-              f"at {record['location']}")
-    if args.results:
-        with open(ensure_parent(args.results), "w", encoding="utf-8") as fh:
-            json.dump(result, fh, sort_keys=True)
-        print(f"results written to {args.results}")
-    if args.findings:
-        with open(ensure_parent(args.findings), "w",
-                  encoding="utf-8") as fh:
-            json.dump(final["findings"], fh, sort_keys=True)
-        print(f"findings written to {args.findings}")
-    return 0
-
-
-def _cmd_jobs(args) -> int:
-    """``repro jobs``: list or watch a serve daemon's job table."""
-    from repro.errors import FuzzerError, TransportError
-
-    try:
-        with _serve_client(args) as client:
-            if args.watch:
-                client.watch(
-                    args.job,
-                    on_event=lambda ev: print(
-                        f"{ev.get('seq', '-'):>6} {ev.get('job') or '-':12s} "
-                        f"{ev['event']}", flush=True),
-                    timeout=args.watch_timeout,
-                )
-                return 0
-            reply = client.status(args.job)
-            if reply.get("type") == "error":
-                print(f"jobs: {reply['reason']}", file=sys.stderr)
-                return 2
-            rows = [reply["job"]] if args.job else reply["jobs"]
-            print(f"{'Job':12s} {'Firmware':24s} {'State':12s} "
-                  f"{'Att':>3s} Requeues")
-            for row in rows:
-                print(f"{row['job_id']:12s} "
-                      f"{row['firmware'] or '?':24s} "
-                      f"{row['state']:12s} {row['attempts']:3d} "
-                      f"{len(row['requeues'])}")
-            if not args.job:
-                counts = ", ".join(
-                    f"{n} {state}"
-                    for state, n in sorted(reply["counts"].items()))
-                drain = " (draining)" if reply["draining"] else ""
-                print(f"{len(rows)} job(s): {counts or 'none'}{drain}")
-    except (FuzzerError, TransportError, OSError) as exc:
-        print(f"jobs: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_drain(args) -> int:
-    """``repro drain``: gracefully drain a serve daemon."""
-    from repro.errors import FuzzerError, TransportError
-
-    try:
-        with _serve_client(args) as client:
-            reply = client.drain()
-    except (FuzzerError, TransportError, OSError) as exc:
-        print(f"drain: {exc}", file=sys.stderr)
-        return 2
-    if reply.get("type") != "draining":
-        print(f"drain refused: {reply}", file=sys.stderr)
-        return 2
-    print("draining: daemon stops admitting, requeues running jobs, "
-          "flushes its WAL and exits")
-    return 0
 
 
 def _cmd_corpus(args) -> int:
@@ -619,9 +448,19 @@ def _cmd_table2(_args) -> int:
     return 0
 
 
+def _address(value: str) -> Tuple[str, int]:
+    """``HOST:PORT`` -> (host, port): the one parser of ``--listen`` and
+    ``--connect``.  argparse turns a rejection into a usage error."""
+    host, _, port = value.rpartition(":")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(
+            f"want HOST:PORT with a port in 0-65535, got {value!r}")
+    return host, int(port)
+
+
 def _add_spec_args(parser) -> None:
-    """The campaign-spec flags ``fuzz``, ``fuzz-all`` and ``submit``
-    share; :func:`_spec_from_args` turns them into a CampaignSpec."""
+    """The campaign-spec flags ``fuzz`` and ``fuzz-all`` share;
+    :func:`_spec_from_args` turns them into a CampaignSpec."""
     from repro.fuzz.spec import EXEC_MODES, SEED_SCHEDULES, SURFACES
 
     parser.add_argument("--budget", type=int, default=2000)
@@ -742,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_all.add_argument("--trace", default=None, metavar="PATH",
                           help="write a Perfetto-loadable Chrome trace "
                                "merging supervisor and worker timelines")
-    fuzz_all.add_argument("--listen", default=None, metavar="HOST:PORT",
+    fuzz_all.add_argument("--listen", default=None, type=_address,
+                          metavar="HOST:PORT",
                           help="accept remote `repro worker --connect` "
                                "peers on this address and dispatch fleet "
                                "jobs to them (port 0 picks a free port); "
@@ -764,7 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help="serve fleet jobs from a fuzz-all --listen supervisor",
     )
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
+    worker.add_argument("--connect", required=True, type=_address,
+                        metavar="HOST:PORT",
                         help="supervisor address to dial")
     worker.add_argument("--token", default=None,
                         help="shared secret for the hello handshake")
@@ -787,82 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="chaos plan DSL applied to this worker's "
                              "outbound frames, e.g. "
                              "'drop:kind=heartbeat,p=1;disconnect:nth=9'")
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the always-on fuzzing daemon (crash-safe job queue + "
-             "JSONL control API; see docs/serve.md)",
-    )
-    serve.add_argument("--state-dir", required=True, metavar="DIR",
-                       help="durable state: WAL, snapshots, checkpoints")
-    serve.add_argument("--listen", default="127.0.0.1:7400",
-                       metavar="HOST:PORT",
-                       help="control API address (port 0 picks a free one)")
-    serve.add_argument("--token", default=None,
-                       help="shared secret clients must present")
-    serve.add_argument("--max-running", type=int, default=2,
-                       help="jobs run concurrently")
-    serve.add_argument("--max-pending", type=int, default=64,
-                       help="live (non-terminal) jobs admitted before "
-                            "submissions are rejected with retry_after")
-    serve.add_argument("--max-attempts", type=int, default=3,
-                       help="lease attempts per job before quarantine")
-    serve.add_argument("--retry-after", type=float, default=2.0,
-                       help="seconds clients are told to back off")
-    serve.add_argument("--snapshot-every", type=int, default=256,
-                       help="WAL records between compacted snapshots")
-    serve.add_argument("--workers-per-job", type=int, default=1,
-                       help="fleet workers per running job")
-    serve.add_argument("--heartbeat-timeout", type=float, default=30.0,
-                       help="seconds of worker silence before restart")
-    serve.add_argument("--max-retries", type=int, default=3,
-                       help="supervisor restarts per job attempt")
-    serve.add_argument("--backoff", type=float, default=0.5,
-                       help="first supervisor retry delay")
-    serve.add_argument("--metrics", default=None, metavar="PATH",
-                       help="write serve.* metrics JSON on drain")
-    serve.add_argument("--trace", default=None, metavar="PATH",
-                       help="write a Chrome trace on drain")
-
-    submit = sub.add_parser(
-        "submit", help="submit a campaign job to a serve daemon"
-    )
-    submit.add_argument("firmware")
-    submit.add_argument("--connect", required=True, metavar="HOST:PORT")
-    submit.add_argument("--token", default=None)
-    _add_spec_args(submit)
-    submit.add_argument("--dedup-key", default=None,
-                        help="idempotency key: resubmitting the same key "
-                             "returns the original job, never a duplicate")
-    submit.add_argument("--wait", action="store_true",
-                        help="block until the job is terminal and print "
-                             "its results")
-    submit.add_argument("--wait-timeout", type=float, default=600.0)
-    submit.add_argument("--results", default=None, metavar="PATH",
-                        help="with --wait: write the campaign result JSON "
-                             "(byte-identical to `repro fuzz --results` "
-                             "at the same seed and cadence)")
-    submit.add_argument("--findings", default=None, metavar="PATH",
-                        help="with --wait: write the normalized findings "
-                             "records JSON")
-
-    jobs_cmd = sub.add_parser(
-        "jobs", help="list jobs on a serve daemon (or stream events)"
-    )
-    jobs_cmd.add_argument("--connect", required=True, metavar="HOST:PORT")
-    jobs_cmd.add_argument("--token", default=None)
-    jobs_cmd.add_argument("--job", default=None, metavar="ID",
-                          help="show one job instead of the table")
-    jobs_cmd.add_argument("--watch", action="store_true",
-                          help="stream job events until the watched job "
-                               "is terminal (or the daemon drains)")
-    jobs_cmd.add_argument("--watch-timeout", type=float, default=300.0)
-
-    drain_cmd = sub.add_parser(
-        "drain", help="gracefully drain a serve daemon"
-    )
-    drain_cmd.add_argument("--connect", required=True, metavar="HOST:PORT")
-    drain_cmd.add_argument("--token", default=None)
 
     corpus = sub.add_parser(
         "corpus", help="inspect and maintain persistent corpus stores"
@@ -917,10 +682,6 @@ _COMMANDS = {
     "fuzz": _cmd_fuzz,
     "fuzz-all": _cmd_fuzz_all,
     "worker": _cmd_worker,
-    "serve": _cmd_serve,
-    "submit": _cmd_submit,
-    "jobs": _cmd_jobs,
-    "drain": _cmd_drain,
     "corpus": _cmd_corpus,
     "stats": _cmd_stats,
     "overhead": _cmd_overhead,

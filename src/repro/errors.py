@@ -192,39 +192,6 @@ class TransportError(FuzzerError):
         self.kind = kind
 
 
-class QueueError(FuzzerError):
-    """The durable job queue is unreadable or was asked the impossible.
-
-    Raised for corrupt WAL/snapshot payloads (beyond the tolerated
-    torn tail record), unsupported format versions, and invalid state
-    transitions (leasing a job that is not queued, completing a job
-    nobody leased).  ``path`` names the offending file when known.
-    Admission-control rejections are NOT this class — they are
-    :class:`AdmissionError`, because they are routine backpressure the
-    client retries, not corruption.
-    """
-
-    def __init__(self, message: str, path: str | None = None):
-        if path is not None:
-            message = f"{path}: {message}"
-        super().__init__(message)
-        self.path = path
-
-
-class AdmissionError(FuzzerError):
-    """The service refused a submission and told the client when to retry.
-
-    Carries ``reason`` (``"queue-full"`` or ``"draining"``) and
-    ``retry_after`` (seconds).  Explicit backpressure, not failure:
-    clients should sleep and resubmit with the same dedup key.
-    """
-
-    def __init__(self, message: str, reason: str, retry_after: float):
-        super().__init__(f"[{reason}] {message} (retry after {retry_after:g}s)")
-        self.reason = reason
-        self.retry_after = retry_after
-
-
 class CheckpointError(FuzzerError):
     """A campaign checkpoint file is unreadable or unusable.
 

@@ -360,7 +360,7 @@ class FleetDiagnostics:
 
     def summary(self) -> str:
         """One-line human summary for CLI output."""
-        done = sum(1 for record in self.jobs if not record.degraded)
+        done = sum(1 for record in self.jobs if record.campaign is not None)
         bits = [f"{done}/{len(self.jobs)} job(s) completed"]
         restarts = self.total_restarts()
         if restarts:

@@ -3,26 +3,18 @@
 A campaign is a firmware, a sanitizer set and the fuzzer settings that
 drive it.  :class:`CampaignSpec` is the one place that description
 lives.  ``run_campaign`` builds one from its keyword arguments, a fleet
-job carries one to its worker, the serve daemon admits one, and the CLI
-builds one from its flags.  It is validated once, at construction, so
-every layer after that can trust it.
+job carries one to its worker, and the CLI builds one from its flags.
+It is validated once, at construction, so every layer after that can
+trust it.
 
 The JSON codec (:meth:`CampaignSpec.to_json` /
 :meth:`CampaignSpec.from_json`) is the single producer-consumer
-contract.  Its keys are the field names, plus ``version``.  A dict with
-no ``version`` decodes as version 1, which is exactly the shape serve
-specs had before the version field existed.  Version 1 also carried
-``engine`` and ``jit_threshold``, the knobs of a removed ISA tier; a v1
-dict decodes when they hold their only surviving values (``"tcg"`` and
-``null``) and is rejected otherwise.  Unknown keys and other versions
-are rejected.
+contract.  Its keys are the field names, plus ``version``, which must
+be :data:`SPEC_VERSION`.  A dict with no ``version``, another version,
+or an unknown key is rejected.
 
 The firmware name is checked only syntactically (a non-empty string).
-An unknown firmware is admitted and fails when the campaign builds it,
-where it burns the job's crash budget and quarantines.  Admission
-guards the queue and the crash budget guards the compute: a submitter
-cannot learn the catalog by probing rejections, and a catalog drift
-between client and server degrades one job instead of the ingest path.
+An unknown firmware fails when the campaign builds it.
 """
 
 from __future__ import annotations
@@ -55,8 +47,6 @@ SURFACES = ("syscall", "driver")
 #: sharded rounds extend the budget, and the census is invariant under
 #: the exec mode
 RESUMABLE_FIELDS = ("budget", "exec_mode")
-#: version-1 fields that v2 dropped, with the one value each may hold
-_V1_REMOVED = {"engine": "tcg", "jit_threshold": None}
 #: fields the fuzzer frontends take as keyword arguments of the same name
 _FUZZER_FIELDS = (
     "seed",
@@ -174,28 +164,16 @@ class CampaignSpec:
 
     @classmethod
     def from_json(cls, data) -> "CampaignSpec":
-        """Decode and validate; a missing ``version`` means version 1."""
+        """Decode and validate a :meth:`to_json` dict."""
         if not isinstance(data, dict):
             raise FuzzerError(f"spec must be an object, got {type(data).__name__}")
         data = dict(data)
-        version = data.pop("version", 1)
-        if (
-            not isinstance(version, int)
-            or isinstance(version, bool)
-            or version not in (1, SPEC_VERSION)
-        ):
+        version = data.pop("version", None)
+        if type(version) is not int or version != SPEC_VERSION:
             raise FuzzerError(
                 f"spec version {version!r} not supported "
-                f"(this build speaks versions 1 and {SPEC_VERSION})"
+                f"(this build speaks version {SPEC_VERSION})"
             )
-        if version == 1:
-            for name, only in _V1_REMOVED.items():
-                value = data.pop(name, only)
-                if value != only:
-                    raise FuzzerError(
-                        f"spec.{name}={value!r} selects the removed jit "
-                        f"tier; only {only!r} is still accepted"
-                    )
         unknown = sorted(set(data) - {field.name for field in fields(cls)})
         if unknown:
             raise FuzzerError(f"unknown spec fields: {', '.join(unknown)}")

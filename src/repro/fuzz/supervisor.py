@@ -3,8 +3,8 @@
 :class:`FleetSupervisor` (function form: :func:`run_fleet`) runs a list
 of :class:`CampaignJob` records built by :func:`make_jobs`.  The catalog
 sweep (``run_all_campaigns``, ``repro fuzz-all`` with or without
-``--shard``) and the serve daemon all go through it, so there is one
-scheduling loop, one retry policy and one result merge.
+``--shard``) goes through it, so there is one scheduling loop, one
+retry policy and one result merge.
 
 ``workers`` is how many jobs run at once.  Where they run is the
 transport: with none given, one worker runs each job in this process
@@ -172,7 +172,7 @@ class _JobState:
                  "last_signal", "not_before", "dead_since", "death_cause",
                  "diag", "result", "discard_logged", "span_start")
 
-    def __init__(self, job: CampaignJob):
+    def __init__(self, job: CampaignJob, diag: JobDiagnostics):
         self.job = job
         self.status = "waiting"  # waiting | running | done | degraded
         #: the current attempt's :class:`AttemptHandle` — a spawn
@@ -183,9 +183,8 @@ class _JobState:
         self.not_before = 0.0  # backoff deadline (monotonic)
         self.dead_since = None  # first time the worker was seen dead
         self.death_cause = None
-        self.diag = JobDiagnostics(
-            job_id=job.job_id, firmware=job.spec.firmware, seed=job.spec.seed,
-        )
+        #: the job's history across attempts and sync rounds
+        self.diag = diag
         self.result = None
         self.discard_logged = False
         #: tracer timestamp when the current attempt started (observer)
@@ -209,7 +208,6 @@ class FleetSupervisor:
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         max_retries: int = DEFAULT_MAX_RETRIES,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
-        backoff_factor: float = DEFAULT_BACKOFF_FACTOR,
         events_path: Optional[str] = None,
         on_event: Optional[Callable[[dict], None]] = None,
         observer=None,
@@ -231,7 +229,6 @@ class FleetSupervisor:
         self.heartbeat_timeout = heartbeat_timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
         self.events_path = events_path
         #: observation hook, called with every event record as it is
         #: logged — the test suite uses it to inject failures
@@ -259,9 +256,9 @@ class FleetSupervisor:
     def interrupt(self) -> None:
         """Ask a running fleet to stop at the next scheduling round.
 
-        Safe to call from any thread (a signal handler, the serve
-        daemon's drain path).  Running attempts are killed, waiting
-        jobs stay waiting, and :meth:`run` returns a
+        Safe to call from any thread (the CLI's SIGTERM handler, or a
+        library caller's own thread).  Running attempts are killed,
+        waiting jobs stay waiting, and :meth:`run` returns a
         :class:`FleetResult` with ``interrupted=True`` listing the
         unfinished job ids.  Checkpoints written so far stay on disk,
         so a rerun of the same jobs resumes rather than restarts.  On
@@ -284,7 +281,14 @@ class FleetSupervisor:
         if isinstance(transport, InlineTransport):
             self._inline_thread = threading.current_thread()
         self._transport = transport
-        final = {job.job_id: _JobState(job) for job in self.jobs}
+        diags = {
+            job.job_id: JobDiagnostics(job_id=job.job_id,
+                                       firmware=job.spec.firmware,
+                                       seed=job.spec.seed)
+            for job in self.jobs
+        }
+        final = {job.job_id: _JobState(job, diags[job.job_id])
+                 for job in self.jobs}
         states: List[_JobState] = []
         synced = {}  # shared corpus store -> entries at the last barrier
         started_wall = time.time()
@@ -306,7 +310,8 @@ class FleetSupervisor:
             rounds = max(_rounds(job) for job in self.jobs)
             try:
                 for round_index in range(rounds):
-                    states = [_JobState(_round_job(job, round_index))
+                    states = [_JobState(_round_job(job, round_index),
+                                        diags[job.job_id])
                               for job in self.jobs
                               if round_index < _rounds(job)]
                     final.update((s.job.job_id, s) for s in states)
@@ -336,7 +341,7 @@ class FleetSupervisor:
                 degraded=[s.job.job_id for s in final.values()
                           if s.status == "degraded"],
                 unfinished=unfinished,
-                restarts=sum(len(s.diag.restarts) for s in final.values()),
+                restarts=sum(len(d.restarts) for d in diags.values()),
                 wall_time=round(time.monotonic() - started, 3),
                 transport=transport_stats,
             )
@@ -353,18 +358,17 @@ class FleetSupervisor:
             if self._events_fh is not None:
                 self._events_fh.close()
                 self._events_fh = None
-        final_states = list(final.values())
         diagnostics = FleetDiagnostics(
             workers=self.workers,
             heartbeat_timeout=self.heartbeat_timeout,
             max_retries=self.max_retries,
             backoff_base=self.backoff_base,
-            jobs=[state.diag for state in final_states],
+            jobs=list(diags.values()),
             wall_time=time.time() - started_wall,
             events_logged=len(self._events),
             transport=transport_stats,
         )
-        results = [state.result for state in final_states]
+        results = [state.result for state in final.values()]
         return FleetResult(
             results=results,
             diagnostics=diagnostics,
@@ -682,9 +686,8 @@ class FleetSupervisor:
             self._emit("job_degraded", job=state.job.job_id,
                        attempts=state.attempt, cause=cause)
             return
-        backoff = self.backoff_base * (
-            self.backoff_factor ** (state.attempt - 1)
-        )
+        backoff = (self.backoff_base
+                   * DEFAULT_BACKOFF_FACTOR ** (state.attempt - 1))
         state.status = "waiting"
         state.not_before = time.monotonic() + backoff
         state.diag.restarts.append({

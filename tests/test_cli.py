@@ -43,14 +43,6 @@ class TestParser:
             ["worker", "--connect", "127.0.0.1:7400", "--max-jobs", "3",
              "--max-reconnects", "5", "--reconnect-base", "0.1",
              "--reconnect-max", "2.0"],
-            ["serve", "--state-dir", "s", "--listen", "127.0.0.1:0",
-             "--max-running", "2", "--max-pending", "8",
-             "--max-attempts", "2", "--snapshot-every", "64"],
-            ["submit", "InfiniTime", "--connect", "127.0.0.1:7400",
-             "--budget", "100", "--dedup-key", "k", "--wait",
-             "--results", "r.json", "--findings", "f.json"],
-            ["jobs", "--connect", "127.0.0.1:7400", "--watch"],
-            ["drain", "--connect", "127.0.0.1:7400"],
         ):
             assert parser.parse_args(argv) is not None
 
@@ -58,10 +50,36 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("command", ["serve", "submit", "jobs", "drain"])
+    def test_retired_job_service_commands_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nohostport", ":7400", "127.0.0.1:",
+                                       "127.0.0.1:http", "127.0.0.1:-1",
+                                       "127.0.0.1:99999"])
+    @pytest.mark.parametrize("argv", [
+        # should an address be accepted, these flags keep the run short:
+        # the sweep stops waiting for its peer, the worker never re-dials
+        ["fuzz-all", "--firmware", "InfiniTime", "--budget", "1",
+         "--wait-remote", "1", "--wait-remote-timeout", "0.1", "--listen"],
+        ["worker", "--max-reconnects", "0", "--connect"],
+    ], ids=["listen", "connect"])
+    def test_bad_address_is_a_usage_error(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv + [value])
+        assert info.value.code == 2
+        assert f"{argv[-1]}: want HOST:PORT" in capsys.readouterr().err
+        args = build_parser().parse_args(argv + ["localhost:65535"])
+        assert (args.listen if argv[0] == "fuzz-all"
+                else args.connect) == ("localhost", 65535)
+
 
 class TestSpecFlags:
-    """``fuzz``, ``fuzz-all`` and ``submit`` share one spec flag group;
-    the same flags must yield the same CampaignSpec on all three."""
+    """``fuzz`` and ``fuzz-all`` share one spec flag group; the same
+    flags must yield the same CampaignSpec on both."""
 
     SHARED = ["--budget", "77", "--seed", "5", "--faults", "alloc:every=9",
               "--checkpoint-every", "25", "--crash-budget", "4",
@@ -88,27 +106,13 @@ class TestSpecFlags:
             seen["fuzz-all"] = replace(template, firmware="InfiniTime")
             raise Built
 
-        class FakeClient:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *_exc):
-                return False
-
-            def submit(self, spec, dedup_key=None):
-                seen["submit"] = CampaignSpec.from_json(spec)
-                raise Built
-
         monkeypatch.setattr("repro.fuzz.campaign.run_spec", fake_run_spec)
         monkeypatch.setattr("repro.fuzz.supervisor.make_jobs", fake_make_jobs)
-        monkeypatch.setattr("repro.cli._serve_client",
-                            lambda _args: FakeClient())
         for argv in (["fuzz", "InfiniTime"],
-                     ["fuzz-all", "--firmware", "InfiniTime"],
-                     ["submit", "InfiniTime", "--connect", "127.0.0.1:9"]):
+                     ["fuzz-all", "--firmware", "InfiniTime"]):
             with pytest.raises(Built):
                 main(argv + flags)
-        assert seen["fuzz"] == seen["fuzz-all"] == seen["submit"]
+        assert seen["fuzz"] == seen["fuzz-all"]
         if flags:
             assert seen["fuzz"] == CampaignSpec(
                 "InfiniTime", budget=77, seed=5, faults="alloc:every=9",
@@ -125,7 +129,6 @@ class TestSpecFlags:
     @pytest.mark.parametrize("command", [
         ["fuzz", "InfiniTime"],
         ["fuzz-all"],
-        ["submit", "InfiniTime", "--connect", "127.0.0.1:9"],
     ])
     @pytest.mark.parametrize("flag", [["--engine", "tcg"],
                                       ["--jit-threshold", "8"]])

@@ -6,7 +6,7 @@ journal run through the fleet entry, pinned to :data:`RECORDED`) and
 asserts that every cell of the matrix
 
     path       in-process | spawn fleet | TCP fleet (``repro worker``
-               subprocesses) | serve daemon
+               subprocesses)
   x interrupt  none | SIGKILL right after checkpoint k, then resume
   x exec mode  journal | forkserver
 
@@ -14,11 +14,10 @@ reproduces it, as :func:`repro.fuzz.checkpoint.result_digest` sees it
 (the wall-clock ``phase_timings`` dropped).  TP-Link WDR-7660, the one
 catalog firmware running guest ISA code, adds the reference ``Cpu``
 engine as an axis.  A SIGKILL cell arms the victim process itself: it
-kills itself (for serve, its whole daemon process group) once, the
-moment the checkpoint at exec ``k`` is durable (on disk, or shipped
-home by a TCP worker), so the kill lands after checkpoint k and before
-the budget ends on every run.  See the "Determinism contract" section
-of ``docs/robustness.md``.
+kills itself once, the moment the checkpoint at exec ``k`` is durable
+(on disk, or shipped home by a TCP worker), so the kill lands after
+checkpoint k and before the budget ends on every run.  See the
+"Determinism contract" section of ``docs/robustness.md``.
 """
 
 import functools
@@ -28,13 +27,12 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import pytest
 
-from repro.fuzz.checkpoint import result_digest, result_from_json
+from repro.fuzz.checkpoint import result_digest
 from repro.fuzz.spec import CATALOG, CampaignSpec
 from repro.fuzz.supervisor import make_jobs, run_fleet
 
@@ -132,7 +130,7 @@ RECORDED = {
 
 @dataclass(frozen=True)
 class Cell:
-    path: str  # in-process | spawn | tcp | serve
+    path: str  # in-process | spawn | tcp
     interrupt: str = "none"  # none | sigkill
     exec_mode: str = "journal"
     engine: str = "tcg"  # tcg | cpu
@@ -147,8 +145,6 @@ CELLS = [
     ("sweep", Cell("spawn", "sigkill")),
     ("sweep", Cell("tcp")),
     ("sweep", Cell("tcp", "sigkill")),
-    ("sweep", Cell("serve")),
-    ("sweep", Cell("serve", "sigkill")),
     ("sweep", Cell("in-process", exec_mode="forkserver")),
     ("resume", Cell("in-process", "sigkill")),
     ("resume", Cell("in-process", "sigkill", "forkserver")),
@@ -167,15 +163,14 @@ CELLS = [
 # ----------------------------------------------------------------------
 # the SIGKILL arm, installed in the process that is to die
 # ----------------------------------------------------------------------
-def arm_kill(k: int, marker: str, victim: str = "self", after: str = "save"):
-    """SIGKILL once, right after the checkpoint at exec ``k`` is durable.
+def arm_kill(k: int, marker: str, after: str = "save"):
+    """SIGKILL this process once, right after the checkpoint at exec
+    ``k`` is durable.
 
     ``after="save"`` fires when the checkpoint file is written;
-    ``after="sync"`` when a TCP worker has shipped it home.  ``victim``
-    is this process (``"self"``) or its process group (``"group"``: a
-    serve daemon and its workers).  ``marker`` records the exec count
-    killed at; only the process that creates it dies, so the resumed
-    attempts run to the end.
+    ``after="sync"`` when a TCP worker has shipped it home.  ``marker``
+    records the exec count killed at; only the process that creates it
+    dies, so the resumed attempts run to the end.
     """
     import repro.fuzz.campaign as campaign
 
@@ -186,8 +181,6 @@ def arm_kill(k: int, marker: str, victim: str = "self", after: str = "save"):
             return
         os.write(fd, str(k).encode())
         os.close(fd)
-        if victim == "group":
-            os.killpg(0, signal.SIGKILL)
         os.kill(os.getpid(), signal.SIGKILL)
 
     if after == "save":
@@ -213,32 +206,20 @@ def arm_kill(k: int, marker: str, victim: str = "self", after: str = "save"):
         _JobSession._sync_checkpoint = syncing
 
 
-def _armed_worker_main(k, marker, victim, job, events):
+def _armed_worker_main(k, marker, job, events):
     """A spawn worker that dies once, after checkpoint ``k``."""
     from repro.fuzz.worker import worker_main
 
-    arm_kill(k, marker, victim)
+    arm_kill(k, marker)
     worker_main(job, events)
 
 
-def armed_cli(argv: List[str]) -> int:
-    """``repro`` with a SIGKILL armed: ``K MARKER MODE ARGS...``.
-
-    Mode ``worker`` arms this ``repro worker`` to die after a sync home;
-    ``serve`` arms every job process the daemon spawns to kill the
-    daemon's process group.
-    """
-    k, marker, mode = int(argv[0]), argv[1], argv[2]
-    if mode == "worker":
-        arm_kill(k, marker, after="sync")
-    else:
-        import repro.fuzz.worker as worker
-
-        armed = functools.partial(_armed_worker_main, k, marker, "group")
-        worker.worker_main = armed
+def armed_worker(argv: List[str]) -> int:
+    """``repro worker`` armed to die after a sync home: ``K MARKER ARGS...``."""
+    arm_kill(int(argv[0]), argv[1], after="sync")
     from repro.cli import main
 
-    return main(argv[3:])
+    return main(argv[2:])
 
 
 def _entry_child(spec: Spec, exec_mode: str, root: str, marker: str):
@@ -276,22 +257,21 @@ def check_cell(name: str, cell: Cell, got, want) -> None:
         )
 
 
-def _repro(args, marker=None, k=0, mode="", stdout=subprocess.DEVNULL, **kw):
+def _repro(args, marker=None, k=0):
     """Start ``repro ARGS`` in a subprocess, armed when ``marker`` is set."""
     argv = [sys.executable, "-m", "repro", *args]
     if marker is not None:
-        armed = "import sys; from tests.test_determinism import armed_cli; "
-        armed += "sys.exit(armed_cli(sys.argv[1:]))"
-        argv = [sys.executable, "-c", armed, str(k), marker, mode, *args]
+        armed = "import sys; from tests.test_determinism import armed_worker; "
+        armed += "sys.exit(armed_worker(sys.argv[1:]))"
+        argv = [sys.executable, "-c", armed, str(k), marker, *args]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([os.path.join(REPO_ROOT, "src"), REPO_ROOT])
     return subprocess.Popen(
         argv,
         cwd=REPO_ROOT,
         env=env,
-        stdout=stdout,
+        stdout=subprocess.DEVNULL,
         stderr=subprocess.STDOUT,
-        **kw,
     )
 
 
@@ -310,8 +290,6 @@ def run_cell(spec: Spec, cell: Cell, root: str, monkeypatch):
         from repro.isa.cpu import Cpu
 
         monkeypatch.setattr("repro.emulator.machine.TcgEngine", Cpu)
-    if cell.path == "serve":
-        return _run_serve(spec, cell, root)
     jobs = spec.jobs(root, cell.exec_mode)
     marker = os.path.join(root, "killed")
     kill = cell.interrupt == "sigkill"
@@ -327,7 +305,7 @@ def run_cell(spec: Spec, cell: Cell, root: str, monkeypatch):
         fleet = run_fleet(jobs)
     elif cell.path == "spawn":
         if kill:
-            armed = functools.partial(_armed_worker_main, spec.kill_at, marker, "self")
+            armed = functools.partial(_armed_worker_main, spec.kill_at, marker)
             monkeypatch.setattr("repro.fuzz.worker.worker_main", armed)
         fleet = run_fleet(jobs, workers=2, heartbeat_interval=0.2, backoff_base=0.05)
         restarts = [r["cause"] for d in fleet.diagnostics.jobs for r in d.restarts]
@@ -352,7 +330,7 @@ def _run_tcp(jobs, spec: Spec, cell: Cell, marker: str):
     transport = TcpJsonlTransport(port=0, spawn_fallback=False)
     armed = {}
     if cell.interrupt == "sigkill":
-        armed = dict(marker=marker, k=spec.kill_at, mode="worker")
+        armed = dict(marker=marker, k=spec.kill_at)
     connect = ["--connect", f"127.0.0.1:{transport.port}", "--max-reconnects", "0"]
     workers = [
         _repro(["worker", *connect, "--name", f"w{i}"], **armed) for i in range(2)
@@ -383,76 +361,6 @@ def _run_tcp(jobs, spec: Spec, cell: Cell, marker: str):
     assert stats["remote_attempts"] == len(attempts)
     assert stats["spawn_fallbacks"] == 0
     return fleet
-
-
-def _start_daemon(state: str, log: str, **armed):
-    """Start ``repro serve`` in its own session; returns (proc, host, port)."""
-    with open(log, "w", encoding="utf-8") as fh:
-        proc = _repro(
-            ["serve", "--state-dir", state, "--listen", "127.0.0.1:0"],
-            stdout=fh,
-            start_new_session=True,
-            **armed,
-        )
-    deadline = time.monotonic() + 120
-    while time.monotonic() < deadline:
-        with open(log, encoding="utf-8") as fh:
-            lines = [line for line in fh if "serving on " in line]
-        if lines:
-            address = lines[0].split("serving on ")[1].split()[0]
-            host, _, port = address.rpartition(":")
-            return proc, host, int(port)
-        assert proc.poll() is None, open(log, encoding="utf-8").read()
-        time.sleep(0.1)
-    proc.kill()
-    raise AssertionError("serve daemon never came up")
-
-
-def _run_serve(spec: Spec, cell: Cell, root: str):
-    from repro.fuzz.serve import ServeClient
-
-    specs = [job.spec.to_json() for job in spec.jobs(root, cell.exec_mode)]
-    state = os.path.join(root, "state")
-    kill = cell.interrupt == "sigkill"
-    if kill:
-        marker = os.path.join(root, "killed")
-        proc, host, port = _start_daemon(
-            state,
-            os.path.join(root, "killed.log"),
-            marker=marker,
-            k=spec.kill_at,
-            mode="serve",
-        )
-        with ServeClient(host, port) as client:
-            for i, job in enumerate(specs):
-                client.submit(job, dedup_key=f"job{i}")
-        assert proc.wait(timeout=300) == -signal.SIGKILL
-        assert _killed_at(marker) == spec.kill_at < spec.template.budget
-    proc, host, port = _start_daemon(state, os.path.join(root, "serve.log"))
-    try:
-        with ServeClient(host, port) as client:
-            # the same dedup keys hand back the jobs the WAL recovered
-            ids = [
-                client.submit(job, dedup_key=f"job{i}")["job"]
-                for i, job in enumerate(specs)
-            ]
-            finals = [client.wait(job_id, timeout=300) for job_id in ids]
-            client.drain()
-        assert proc.wait(timeout=60) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-    assert [final["state"] for final in finals] == ["done"] * len(specs)
-    events = []
-    for job_id in ids:
-        with open(os.path.join(state, "events", f"{job_id}.jsonl")) as fh:
-            events.extend(json.loads(line) for line in fh)
-    # a job still running when the daemon died resumes from its last
-    # checkpoint (at least the one the kill followed)
-    resumed = [e for e in _attempts(events) if e["from_checkpoint"]]
-    assert bool(resumed) == kill, events
-    return [result_digest(result_from_json(final["result"])) for final in finals]
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """CampaignSpec: construction-time validation and the versioned codec.
 
 The spec's JSON form is the contract between every producer (CLI,
-``run_campaign``, ``repro submit``) and consumer (fleet worker, serve
-daemon, checkpoint identity), so it must round-trip exactly, accept the
-version-1 and version-less dicts serve WALs and old clients still hold,
-and reject anything it does not understand.
+``run_campaign``, the fleet supervisor) and consumer (fleet worker,
+checkpoint identity), so it must round-trip exactly and reject anything
+it does not understand: a version-less or version-1 dict included.
 """
 
 import json
@@ -59,23 +58,22 @@ class TestCodec:
         wire = json.loads(json.dumps(spec.to_json()))
         assert CampaignSpec.from_json(wire) == spec
 
-    def test_version_less_serve_spec_decodes_as_v1(self):
-        # the shape `repro submit` sent before specs carried a version
-        legacy = {"firmware": "InfiniTime", "budget": 1200, "seed": 1,
-                  "checkpoint_every": 200, "exec_mode": "forkserver"}
-        spec = CampaignSpec.from_json(legacy)
-        assert spec == CampaignSpec("InfiniTime", budget=1200, seed=1,
-                                    checkpoint_every=200,
-                                    exec_mode="forkserver")
-        assert spec.to_json()["version"] == SPEC_VERSION == 2
+    def test_version_less_spec_rejected(self):
+        # the shape specs had before they carried a version
+        legacy = CampaignSpec("InfiniTime", budget=1200, seed=1).to_json()
+        del legacy["version"]
+        with pytest.raises(FuzzerError, match="version None not supported"):
+            CampaignSpec.from_json(legacy)
 
-    def test_v1_dict_with_retired_engine_knobs_decodes(self):
-        # every v1 `to_json` carried the engine knobs at these values
+    def test_v1_dict_rejected(self):
+        # every v1 `to_json` carried the retired engine knobs
         v1 = CampaignSpec("InfiniTime", budget=300, seed=4).to_json()
         v1.update(version=1, engine="tcg", jit_threshold=None)
-        assert CampaignSpec.from_json(v1) == CampaignSpec(
-            "InfiniTime", budget=300, seed=4
-        )
+        with pytest.raises(FuzzerError, match="version 1 not supported"):
+            CampaignSpec.from_json(v1)
+        del v1["engine"], v1["jit_threshold"]
+        with pytest.raises(FuzzerError, match="version 1 not supported"):
+            CampaignSpec.from_json(v1)
 
     @pytest.mark.parametrize("knobs", [
         {"engine": "jit"},
@@ -88,7 +86,7 @@ class TestCodec:
         data = {"firmware": "InfiniTime", **knobs}
         if version is not None:
             data["version"] = version
-        with pytest.raises(FuzzerError, match="removed jit tier"):
+        with pytest.raises(FuzzerError, match="version .* not supported"):
             CampaignSpec.from_json(data)
 
     def test_v2_dict_with_engine_knob_rejected(self):
@@ -106,7 +104,8 @@ class TestCodec:
 
     def test_unknown_field_rejected(self):
         with pytest.raises(FuzzerError, match="unknown spec fields"):
-            CampaignSpec.from_json({"firmware": "InfiniTime", "turbo": 1})
+            CampaignSpec.from_json({"version": SPEC_VERSION,
+                                    "firmware": "InfiniTime", "turbo": 1})
 
     def test_future_version_rejected(self):
         data = CampaignSpec("InfiniTime").to_json()

@@ -16,6 +16,7 @@ which sees every structured event as it is logged.  A SIGKILL landing
 after a given checkpoint is a cell of ``tests/test_determinism.py``.
 """
 
+import functools
 import json
 import os
 import signal
@@ -27,8 +28,14 @@ from repro.fuzz.campaign import run_all_campaigns, run_campaign
 from repro.fuzz.checkpoint import result_digest, result_to_json
 from repro.fuzz.diagnostics import FleetDiagnostics
 from repro.fuzz.spec import CampaignSpec
-from repro.fuzz.supervisor import CampaignJob, FleetSupervisor, run_fleet
+from repro.fuzz.supervisor import (
+    CampaignJob,
+    FleetSupervisor,
+    make_jobs,
+    run_fleet,
+)
 from repro.fuzz.transport import SpawnTransport
+from tests.test_determinism import _armed_worker_main
 
 #: small, fast firmware for fleet tests (tardis targets boot quickest)
 FAST_FW = ("InfiniTime", "OpenHarmony-stm32f407")
@@ -172,6 +179,51 @@ class TestWorkerDeath:
         assert discarded and "corrupt" in discarded[0]["reason"]
         campaign_diag = fleet.diagnostics.jobs[0].campaign
         assert campaign_diag.checkpoint_discarded
+
+
+class TestFleetDiagnostics:
+    def test_interrupted_fleet_completes_no_job(self):
+        def stop(event):
+            if event["event"] == "job_started":
+                supervisor.interrupt()
+
+        supervisor = FleetSupervisor(_jobs(), workers=2,
+                                     heartbeat_interval=0.2, on_event=stop)
+        fleet = supervisor.run()
+        assert fleet.interrupted and not fleet.degraded
+        assert sorted(fleet.unfinished) == sorted(FAST_FW)
+        assert fleet.diagnostics.summary() == "0/2 job(s) completed"
+        assert fleet.events[-1]["event"] == "fleet_interrupted"
+        assert fleet.events[-1]["completed"] == 0
+
+    def test_shard_restart_survives_later_rounds(self, tmp_path, monkeypatch):
+        # two shards of 500 execs syncing every 250: two rounds, and the
+        # first shard to write its round-1 checkpoint is SIGKILLed
+        jobs = make_jobs(
+            CampaignSpec("InfiniTime", budget=1000, seed=1,
+                         checkpoint_every=250),
+            checkpoint_dir=str(tmp_path / "ck"), shards=2,
+            corpus_dir=str(tmp_path / "corpus"))
+        marker = str(tmp_path / "killed")
+        monkeypatch.setattr(
+            "repro.fuzz.worker.worker_main",
+            functools.partial(_armed_worker_main, 250, marker))
+        fleet = run_fleet(jobs, workers=2, heartbeat_interval=0.2,
+                          backoff_base=0.05)
+        assert not fleet.degraded and os.path.exists(marker)
+        assert [e["round"] for e in fleet.events
+                if e["event"] == "corpus_synced"] == [1, 2]
+        diagnostics = fleet.diagnostics
+        assert [r["cause"] for d in diagnostics.jobs
+                for r in d.restarts] == ["signal:SIGKILL"]
+        # two attempts in round 1 for the killed shard, one otherwise
+        assert sorted(d.attempts for d in diagnostics.jobs) == [2, 3]
+        for d in diagnostics.jobs:
+            assert d.heartbeats == sum(
+                1 for e in fleet.events
+                if e["event"] == "heartbeat" and e["job"] == d.job_id)
+        assert diagnostics.summary() == (
+            "2/2 job(s) completed, 1 worker death(s) recovered")
 
 
 class TestSupervisorPlumbing:
