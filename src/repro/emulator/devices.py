@@ -12,9 +12,11 @@ All three are built on the declarative peripheral layer
 :class:`DeviceModel` into the same :class:`~repro.mem.regions.MmioRegion`
 handlers the hand-rolled versions installed.  Default behaviour —
 offsets, read values, side effects, even reads of unmapped offsets
-returning 0 — is byte-identical to the original models; the fork-server
-keeps capturing the same attribute names (``output``, ``ticks``,
-``enabled``, ``src``/``dst``/``length``/``transfers``).
+returning 0 — is byte-identical to the original models.  The machine
+registers all three as state providers, so the fork server rewinds
+their functional state (``output``, ``ticks``/``enabled``,
+``src``/``dst``/``length``/``transfers``) through the same
+``save_state``/``load_state`` pair as every modeled peripheral.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ DMA_IRQ = 1
 def _uart_data_write(dev, reg, value, old):
     byte = value & 0xFF
     dev.output.append(byte)
+    # every byte grows ``output``, even one equal to the last: the
+    # register write alone moves the epoch only when the value changes
+    dev.touch()
     if dev.on_byte is not None:
         dev.on_byte(byte)
 

@@ -88,9 +88,9 @@ class Machine:
         #: delayed interrupts: [remaining_ticks, irq, device] triples, FIFO
         self._pending_irqs: List[list] = []
         self.irqs_delivered = 0
-        #: objects with save_state()/load_state() captured by Snapshot so
-        #: host-side runtime state (shadow memory, allocator maps) stays
-        #: coherent with guest memory across restores
+        #: objects with save_state()/load_state() captured and rewound by
+        #: the fork server, so host-side state (board devices, shadow
+        #: memory, allocator maps) stays coherent with guest memory
         self.state_providers: List[object] = []
         #: modeled peripherals (repro.periph.DeviceModel) attached via
         #: :meth:`attach_periph`; harvested as the periph.* counters
@@ -108,16 +108,20 @@ class Machine:
         for spec in self.arch.memory_map:
             if spec.kind == "device":
                 if spec.name == "uart":
-                    self.uart = Uart(spec.base, on_byte=self._on_console_byte)
-                    self.bus.map(self.uart.region)
+                    device = self.uart = Uart(
+                        spec.base, on_byte=self._on_console_byte)
                 elif spec.name == "timer":
-                    self.timer = Timer(spec.base)
-                    self.bus.map(self.timer.region)
+                    device = self.timer = Timer(spec.base)
                 elif spec.name == "dma":
-                    self.dma = DmaEngine(
+                    device = self.dma = DmaEngine(
                         spec.base, self.bus, on_complete=self._on_dma_complete
                     )
-                    self.bus.map(self.dma.region)
+                else:
+                    continue
+                # a provider like any attached periph, but not listed in
+                # periphs: the periph.* counters cover modeled devices only
+                self.bus.map(device.region)
+                self.state_providers.append(device)
             else:
                 perm = Perm.RWX if spec.kind == "flash" else Perm.RW
                 self.bus.map(
@@ -129,8 +133,8 @@ class Machine:
 
         The device picks up three integrations for free: its MMIO
         region joins the address space, its functional state joins the
-        snapshot/fork-server provider list (register files, ring
-        indices and pending work restore coherently), and it is listed
+        fork server's provider list (register files, ring indices and
+        pending work restore coherently), and it is listed
         for ``periph.*`` observability harvesting.  The default board
         never calls this, so device-less firmware is untouched.
         """

@@ -1,37 +1,34 @@
-"""Machine snapshots, lightweight checkpoints, and the fork server.
+"""Rollback points and the fork server.
 
-Three restore strategies over one dirty-set abstraction
-(:mod:`repro.mem.dirty`), ordered by how much they copy:
+Two restore strategies over one dirty-set abstraction
+(:mod:`repro.mem.dirty`):
 
-* :class:`Snapshot` — full capture / full restore.  Copies every RAM
-  region both ways; cost is O(machine size).  Used by the Prober's
-  multi-pass dry runs, where restores are rare and simplicity wins.
-  When a :class:`~repro.mem.dirty.DirtySet` is attached to the bus, a
-  full restore conservatively marks everything dirty *before* it
-  rewrites it, so a later delta restore stays sound.
 * :class:`Checkpoint` — journal-backed rollback point.  Arms the bus
   write journal and rewinds only the bytes an input actually wrote;
   cost is O(bytes written).  The journal's pre-image log *is* its dirty
   record, byte-exact; rollback marks the pages it rewinds like any
   other bus write.  Used for per-input crash isolation in the
   journaled execution mode.
-* :class:`ForkServer` — golden snapshot + dirty-page delta restore.
+* :class:`ForkServer` — golden snapshot + dirty-page delta restore, the
+  one way a machine is captured and rewound between programs.
   Captures the ready-to-run state once (engine and machine state,
-  device models, provider state, and a restore plan for the host-side
-  Python object graph of the rehosted kernel) without copying RAM: the
-  DirtySet keeps each page's golden bytes the first time the page is
-  written after capture.  Restores between programs copy back only the
-  pages the session dirtied, invalidate only translations built from
-  dirty code pages, reload only state providers whose epoch moved, and
-  rebuild only host containers that differ from their prototypes — the
-  AFL fork-server idea applied to a rehosted machine.
+  every registered state provider — the board devices, modeled
+  peripherals and the sanitizer runtime — and a restore plan for the
+  host-side Python object graph of the rehosted kernel) without
+  copying RAM: the DirtySet keeps each page's golden bytes the first
+  time the page is written after capture.  Restores between programs
+  copy back only the pages the session dirtied, invalidate only
+  translations built from dirty code pages, reload only state
+  providers whose epoch moved, and rebuild only host containers that
+  differ from their prototypes — the AFL fork-server idea applied to a
+  rehosted machine.
 
-Device and host-side observer state (hooks, tracers, metric registries)
-is deliberately *not* captured by any strategy: observers persist
-across restores.  The fork server additionally leaves each engine's
-translation cache and translation counters alone — surviving
-translations across resets is the point of the exercise — so TB
-statistics intentionally diverge from a rebuild-per-refresh run.
+Host-side observer state (hooks, tracers, metric registries) is
+deliberately *not* captured: observers persist across restores.  The
+fork server additionally leaves each engine's translation cache and
+translation counters alone — surviving translations across resets is
+the point of the exercise — so TB statistics intentionally diverge from
+a rebuild-per-refresh run.
 """
 
 from __future__ import annotations
@@ -72,81 +69,6 @@ def _restore_engine(engine, saved: _EngineState) -> None:
     engine.state.pc = saved.pc
     engine.state.halted = saved.halted
     engine.state.task = saved.task
-
-
-class Snapshot:
-    """An immutable capture of one machine's guest-visible state."""
-
-    def __init__(self, machine: Machine):
-        self._regions: Dict[str, bytes] = {}
-        for region in machine.bus.regions:
-            if isinstance(region, MmioRegion):
-                continue
-            self._regions[region.name] = bytes(region.data)
-        self._engines: List[_EngineState] = [
-            _capture_engine(engine) for engine in machine.engines
-        ]
-        self._ready = machine.ready
-        self._task = machine.current_task
-        # host-side runtime state (shadow memory, allocator maps, ...)
-        # captured via the provider protocol: save_state() -> opaque blob
-        self._provider_states = [
-            (provider, provider.save_state())
-            for provider in machine.state_providers
-        ]
-
-    def restore(self, machine: Machine) -> None:
-        """Write the captured state back into ``machine``.
-
-        Raises :class:`~repro.errors.SnapshotError` when a mapped region
-        cannot be restored faithfully — missing from the capture or
-        resized since — instead of silently leaving stale bytes behind.
-        """
-        dirty = machine.bus.dirty
-        for region in machine.bus.regions:
-            if isinstance(region, MmioRegion):
-                continue
-            saved = self._regions.get(region.name)
-            if saved is None:
-                raise SnapshotError(
-                    "mapped after the snapshot was taken; restore would "
-                    "leave its contents stale",
-                    region=region.name,
-                )
-            if len(saved) != region.size:
-                raise SnapshotError(
-                    f"snapshot holds {len(saved)} bytes but the region "
-                    f"is now {region.size} bytes",
-                    region=region.name,
-                )
-            if dirty is not None:
-                # full rewrite bypasses the bus: mark first, so pages a
-                # fork server has not yet kept save their golden bytes
-                dirty.mark_all(region.name, region.size)
-            region.data[:] = saved
-        for engine, saved in zip(machine.engines, self._engines):
-            _restore_engine(engine, saved)
-            # Region restores above bypassed the bus, so cached translation
-            # blocks (and their chained links) may hold a stale code image.
-            flush = getattr(engine, "flush_tbs", None)
-            if flush is not None:
-                flush()
-        machine.ready = self._ready
-        machine.panicked = None
-        machine.current_task = self._task
-        # providers restore *after* guest memory so a provider that peeks
-        # at the bus (shadow reconstruction) sees the restored image
-        for provider, saved in self._provider_states:
-            provider.load_state(saved)
-
-    def ram_bytes(self) -> int:
-        """Total bytes captured (diagnostic)."""
-        return sum(len(data) for data in self._regions.values())
-
-
-def take(machine: Machine) -> Snapshot:
-    """Capture a snapshot of ``machine``."""
-    return Snapshot(machine)
 
 
 class Checkpoint:
@@ -229,9 +151,14 @@ class ForkServer:
     programs; :meth:`restore` then rewinds the machine to that exact
     state in time proportional to the pages the session dirtied, not to
     RAM size.  Capture copies no RAM: golden pages are kept copy-on-
-    first-write by the bus-attached :class:`~repro.mem.dirty.DirtySet`,
-    and state providers offering ``save_golden``/``load_golden`` (the
-    sanitizer runtime's shadow table) do the same for their own state.
+    first-write by the bus-attached :class:`~repro.mem.dirty.DirtySet`.
+    Every entry of ``machine.state_providers`` is captured with its
+    ``save_state()`` and rewound with ``load_state(saved)``; the
+    sanitizer runtime's pair keeps shadow pages copy-on-first-write the
+    same way.  A provider may add ``state_epoch()`` (the reload is
+    skipped while it reads as captured) and
+    ``save_telemetry()``/``load_telemetry()`` (counters rewound on
+    every restore).
     The restored state is byte-identical to what a fresh
     rebuild-and-boot produces (boot is deterministic), which is the
     contract the census byte-identity tests enforce.
@@ -280,16 +207,6 @@ class ForkServer:
         self._irqs_delivered = machine.irqs_delivered
         self._pending_irqs = [list(entry) for entry in machine._pending_irqs]
         self._engine_listeners = list(machine.engine_listeners)
-        uart = machine.uart
-        self._uart_output = bytes(uart.output) if uart is not None else None
-        timer = machine.timer
-        self._timer = (timer.ticks, timer.enabled) if timer is not None else None
-        dma = machine.dma
-        self._dma = (
-            (dma.src, dma.dst, dma.length, dma.transfers)
-            if dma is not None
-            else None
-        )
         watchdog = machine.watchdog
         self._watchdog = (
             (watchdog.insns, watchdog.cycles, watchdog.trips,
@@ -303,13 +220,12 @@ class ForkServer:
         for provider in machine.state_providers:
             epoch_fn = getattr(provider, "state_epoch", None)
             telemetry_fn = getattr(provider, "save_telemetry", None)
-            save = getattr(provider, "save_golden", None)
             telemetry = telemetry_fn() if telemetry_fn is not None else None
             self._providers.append((
                 epoch_fn,
                 epoch_fn() if epoch_fn is not None else None,
-                getattr(provider, "load_golden", None) or provider.load_state,
-                save() if save is not None else provider.save_state(),
+                provider.load_state,
+                provider.save_state(),
                 provider.load_telemetry if telemetry is not None else None,
                 telemetry,
             ))
@@ -392,13 +308,6 @@ class ForkServer:
         machine.irqs_delivered = self._irqs_delivered
         machine._pending_irqs = [list(entry) for entry in self._pending_irqs]
         machine.engine_listeners[:] = self._engine_listeners
-        if self._uart_output is not None and machine.uart is not None:
-            machine.uart.output[:] = self._uart_output
-        if self._timer is not None and machine.timer is not None:
-            machine.timer.ticks, machine.timer.enabled = self._timer
-        if self._dma is not None and machine.dma is not None:
-            dma = machine.dma
-            dma.src, dma.dst, dma.length, dma.transfers = self._dma
         if self._watchdog is not None and machine.watchdog is not None:
             watchdog = machine.watchdog
             insns, cycles, trips, ring = self._watchdog
@@ -408,10 +317,11 @@ class ForkServer:
             watchdog._ring.clear()
             watchdog._ring.extend(ring)
         _restore_host_plan(self._host_plan)
-        # providers restore after guest memory (see Snapshot.restore);
-        # the epoch gate skips the semantic reload entirely when nothing
-        # the provider tracks actually changed, and telemetry (counters,
-        # report sink) rewinds unconditionally — it moves on every check
+        # providers restore after guest memory, so a provider that peeks
+        # at the bus sees the restored image; the epoch gate skips the
+        # semantic reload entirely when nothing the provider tracks
+        # actually changed, and telemetry (counters, report sink)
+        # rewinds unconditionally — it moves on every check
         reloaded = 0
         for epoch_fn, epoch, load, saved, load_telemetry, telemetry \
                 in self._providers:

@@ -126,10 +126,10 @@ class SnapshotError(ReproError):
     """A machine snapshot could not be captured or restored faithfully.
 
     Raised when a restore would silently diverge from the captured
-    state — a mapped region whose size no longer matches the saved
-    image, a region missing from the capture, or a golden fork-server
-    snapshot taken while host-side coroutine state (a half-advanced
-    kernel task body) cannot be reproduced.  ``region`` names the
+    state — a region mapped after the golden capture or remapped
+    since, or a golden fork-server snapshot taken while host-side
+    state (a half-advanced kernel task body, a container type the
+    restore plan cannot rebuild) cannot be reproduced.  ``region`` names the
     offending memory region when one is involved.
     """
 

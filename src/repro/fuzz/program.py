@@ -164,19 +164,3 @@ class Mutator:
         if roll < 0.75:
             return value ^ (1 << self.rng.randrange(16))
         return self.rng.randrange(0, 256)
-
-
-def minimize(program: Program, still_fails) -> Program:
-    """Drop-one minimization: remove steps while the oracle still fires."""
-    current = program.clone()
-    changed = True
-    while changed and len(current.calls) > 1:
-        changed = False
-        for idx in range(len(current.calls) - 1, -1, -1):
-            candidate = current.clone()
-            del candidate.calls[idx]
-            if still_fails(candidate):
-                current = candidate
-                changed = True
-                break
-    return current

@@ -17,7 +17,7 @@ cannot ``SIGKILL`` because they live on another host:
     A listening socket speaking a length-prefixed JSONL wire protocol.
     Remote hosts join the fleet with ``repro worker --connect
     HOST:PORT``; each connected client runs one job at a time through
-    :func:`repro.fuzz.campaign.run_job`, the code path every other
+    :func:`repro.fuzz.worker.run_attempt`, the attempt body every other
     worker uses, so a job's result is byte-identical wherever it runs.
     When no remote worker is idle, jobs degrade gracefully to local
     spawn processes (``spawn_fallback``, on by default).
@@ -955,78 +955,40 @@ class _JobSession:
             self.conn_dead.set()
             return False
 
-    def _heartbeat_loop(self, interval: float,
-                        stop: threading.Event) -> None:
-        start = time.monotonic()
-        while not stop.wait(interval):
-            if not self._send("heartbeat", {
-                "pid": os.getpid(),
-                "elapsed": round(time.monotonic() - start, 3),
-            }):
-                return
-
     def run(self, scratch: str) -> tuple:
-        """Execute the job; returns (terminal kind, terminal payload)."""
-        from repro.errors import CheckpointError
-        from repro.fuzz.campaign import run_job
-        from repro.fuzz.checkpoint import load_checkpoint, result_to_json
-        from repro.fuzz.supervisor import CampaignJob
+        """Execute the job; returns (terminal kind, terminal payload).
+
+        The spawn worker's attempt body runs the job: every message but
+        the terminal one goes out at once, and the terminal one is kept
+        for the caller's ack/retransmit loop, after the ``corpus_sync``.
+        """
+        from repro.fuzz.worker import run_attempt
 
         job = _stage_job(self.job, scratch)
-        upstream_corrupt = self.job.get("checkpoint_corrupt_upstream")
-        resumed_execs = None
-        path = job.get("checkpoint_path")
-        if path is not None and upstream_corrupt is None:
-            try:
-                state = load_checkpoint(path)
-                if state is not None:
-                    resumed_execs = state.get("execs")
-            except CheckpointError as exc:
-                upstream_corrupt = str(exc)
-        self._send("started", {
-            "pid": os.getpid(),
-            "resumed_execs": resumed_execs,
-            "checkpoint_corrupt": upstream_corrupt,
-        })
-        stop = threading.Event()
-        beats = threading.Thread(
-            target=self._heartbeat_loop,
-            args=(job.get("heartbeat_interval", 1.0), stop),
-            name=f"heartbeat-{self.job_id}",
-            daemon=True,
-        )
-        beats.start()
+        terminal = []
+
+        def post(message: tuple) -> None:
+            kind, _job_id, _attempt, payload = message
+            if kind in ("result", "failed"):
+                terminal.append((kind, payload))
+            else:
+                self._send(kind, payload)
+
         on_checkpoint_saved = None
         if self.job.get("checkpoint_remote"):
             def on_checkpoint_saved(saved_path: str) -> None:
                 self._sync_checkpoint(saved_path, job.get("corpus_dir")
                                       if self.job.get("corpus_remote")
                                       else None)
-        observer = None
-        if job.get("observe"):
-            from repro.obs import Observer
-
-            observer = Observer(process_name=f"worker:{self.job_id}")
-        try:
-            result = run_job(CampaignJob.from_payload(job),
-                             observer=observer,
-                             on_checkpoint_saved=on_checkpoint_saved)
-        except Exception as exc:  # noqa: BLE001 - shipped as `failed`
-            import traceback
-
-            stop.set()
-            return "failed", {
-                "pid": os.getpid(),
-                "exc_type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": traceback.format_exc(limit=20),
-            }
-        stop.set()
-        if observer is not None:
-            self._send("metrics", observer.export())
-        if self.job.get("corpus_remote") and job.get("corpus_dir"):
+        run_attempt(
+            job, post, on_checkpoint_saved=on_checkpoint_saved,
+            checkpoint_corrupt=self.job.get("checkpoint_corrupt_upstream"),
+        )
+        kind, payload = terminal[0]
+        if kind == "result" and self.job.get("corpus_remote") \
+                and job.get("corpus_dir"):
             self._sync_corpus(job["corpus_dir"])
-        return "result", result_to_json(result)
+        return kind, payload
 
     def _sync_checkpoint(self, saved_path: str,
                          corpus_dir: Optional[str]) -> None:
@@ -1079,8 +1041,9 @@ def run_worker(
     """Serve fleet jobs from ``host:port`` until told to stop.
 
     The client dials, handshakes, then loops: receive a ``job`` frame,
-    run it through the same ``run_job`` path a spawn worker uses
-    (heartbeating from a daemon thread), deliver the terminal event and
+    run it through the attempt body a spawn worker uses
+    (:func:`repro.fuzz.worker.run_attempt`, heartbeating from a daemon
+    thread), deliver the terminal event and
     wait for the server's ``ack``.  A broken connection at any point
     pends the unacked terminal event and re-dials with exponential
     backoff (``reconnect_base * reconnect_factor**n``, capped at

@@ -17,8 +17,8 @@ recognized and discarded.  Message kinds:
     job resumed from (``None`` for a fresh start) and a diagnosis
     string when an existing checkpoint had to be discarded as corrupt.
 ``heartbeat``
-    Posted immediately and then every ``heartbeat_interval`` seconds by
-    a daemon thread.  Its absence past the supervisor's liveness
+    Posted every ``heartbeat_interval`` seconds by a daemon thread, the
+    first one an interval after ``started``.  Its absence past the supervisor's liveness
     timeout is what declares this process hung.
 ``metrics``
     Sent only when the job payload's ``observe`` flag is set: the
@@ -45,7 +45,7 @@ import sys
 import threading
 import time
 import traceback
-from typing import Callable
+from typing import Callable, Optional
 
 
 def _liveness_loop(post, job_id: str, attempt: int, interval: float,
@@ -66,13 +66,19 @@ def _liveness_loop(post, job_id: str, attempt: int, interval: float,
 
 
 def run_attempt(job: dict, post: Callable[[tuple], None],
-                heartbeat: bool = True) -> bool:
+                heartbeat: bool = True,
+                on_checkpoint_saved: Optional[Callable[[str], None]] = None,
+                checkpoint_corrupt: Optional[str] = None) -> bool:
     """Run one job attempt, posting its message tuples; True if it failed.
 
     The body of a fleet worker wherever it runs: a spawn process
-    (:func:`worker_main`) or the supervisor's own thread
+    (:func:`worker_main`), the supervisor's own thread
     (:class:`~repro.fuzz.transport.InlineTransport`, which passes
-    ``heartbeat=False``: nothing polls while the job holds the thread).
+    ``heartbeat=False``: nothing polls while the job holds the thread)
+    or a TCP worker (:func:`~repro.fuzz.transport.run_worker`), which
+    passes ``on_checkpoint_saved`` to ship each checkpoint upstream and
+    ``checkpoint_corrupt``, the supervisor's diagnosis of the
+    checkpoint it sent, in which case the local copy is not read.
     """
     from repro.errors import CheckpointError
     from repro.fuzz.campaign import run_job
@@ -84,9 +90,8 @@ def run_attempt(job: dict, post: Callable[[tuple], None],
     stop = threading.Event()
     try:
         resumed_execs = None
-        checkpoint_corrupt = None
         path = job.get("checkpoint_path")
-        if path is not None:
+        if path is not None and checkpoint_corrupt is None:
             try:
                 state = load_checkpoint(path)
                 if state is not None:
@@ -117,7 +122,8 @@ def run_attempt(job: dict, post: Callable[[tuple], None],
             from repro.obs import Observer
 
             observer = Observer(process_name=f"worker:{job_id}")
-        result = run_job(CampaignJob.from_payload(job), observer=observer)
+        result = run_job(CampaignJob.from_payload(job), observer=observer,
+                         on_checkpoint_saved=on_checkpoint_saved)
         stop.set()
         if observer is not None:
             post(("metrics", job_id, attempt, observer.export()))

@@ -224,9 +224,8 @@ class MemoryBus:
 
         While active, scalar and bulk writes into non-device regions log
         ``(region, offset, old_bytes)`` so :meth:`journal_rollback` can
-        rewind guest memory to the begin point in O(bytes written) — a
-        lightweight alternative to a full Snapshot for per-input crash
-        isolation.  Device (MMIO) writes are never journalled: they have
+        rewind guest memory to the begin point in O(bytes written): the
+        per-input crash isolation of the journaled exec mode.  Device (MMIO) writes are never journalled: they have
         host-side effects a memory rewind cannot undo.
         """
         if self._journal is not None:

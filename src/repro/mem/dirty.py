@@ -15,11 +15,9 @@ O(pages touched), not O(RAM).  This only holds while every write into
 a captured region marks first — a path that writes and marks after
 would record its own bytes as the golden.
 
-The same abstraction underlies all three restore strategies in
+The same abstraction underlies both restore strategies in
 :mod:`repro.emulator.snapshot`:
 
-* ``Snapshot`` (full copy) conservatively marks everything it rewrites,
-  before it rewrites it;
 * ``Checkpoint`` (journal) needs no page map — its pre-image log *is*
   a byte-exact dirty record — and its rollback marks the pages it
   rewinds;
@@ -39,7 +37,7 @@ PAGE_SHIFT = 12
 class DirtySet:
     """Per-region sets of dirty page indices, plus their golden pre-images.
 
-    Keys are region *names* (stable across snapshots); values are sets
+    Keys are region *names* (stable across restores); values are sets
     of page indices within the region.  ``buffers`` maps each captured
     region's name to its backing buffer (``region.data``): for those
     regions the first mark of a page copies the page out of the buffer
@@ -81,12 +79,6 @@ class DirtySet:
         elif not pages.issuperset(range(first, last + 1)):
             pages.update(range(first, last + 1))
             self._keep(region_name, first, last)
-
-    def mark_all(self, region_name: str, region_size: int) -> None:
-        """Mark every page of a region dirty (full-rewrite hygiene)."""
-        last = ((region_size + PAGE_SIZE - 1) >> PAGE_SHIFT) - 1
-        self._pages[region_name] = set(range(last + 1))
-        self._keep(region_name, 0, last)
 
     def _keep(self, region_name: str, first: int, last: int) -> None:
         """Save the pre-images of pages ``first..last`` not yet kept."""

@@ -19,7 +19,7 @@ bucket non-negative samples against fixed upper bounds.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 #: JSON schema tag written by :meth:`MetricsRegistry.to_json`.
 SCHEMA = "repro-metrics/1"
@@ -131,15 +131,12 @@ NULL_METRIC = _NullMetric()
 
 
 class MetricsRegistry:
-    """A namespace of named instruments plus snapshot-time collectors."""
+    """A namespace of named instruments."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        #: callables run (in registration order) by :meth:`collect` so
-        #: pull-model components can publish their counters lazily
-        self._collectors: List[Callable[["MetricsRegistry"], None]] = []
 
     # ------------------------------------------------------------------
     # instrument access (get-or-create; names are the identity)
@@ -167,29 +164,10 @@ class MetricsRegistry:
         return instrument
 
     # ------------------------------------------------------------------
-    # collectors (pull model)
-    # ------------------------------------------------------------------
-    def add_collector(self, collector: Callable[["MetricsRegistry"], None]) -> None:
-        """Register a callable invoked at every :meth:`collect`."""
-        self._collectors.append(collector)
-
-    def remove_collector(self, collector: Callable[["MetricsRegistry"], None]) -> None:
-        """Drop a collector (no-op when it was never registered)."""
-        if collector in self._collectors:
-            self._collectors.remove(collector)
-
-    def collect(self) -> None:
-        """Run every registered collector once."""
-        for collector in list(self._collectors):
-            collector(self)
-
-    # ------------------------------------------------------------------
     # export / merge
     # ------------------------------------------------------------------
-    def snapshot(self, collect: bool = True) -> dict:
+    def snapshot(self) -> dict:
         """Plain ``{name: value}`` view (histograms as dicts)."""
-        if collect:
-            self.collect()
         out: Dict[str, object] = {}
         for name, counter in self._counters.items():
             out[name] = counter.value
@@ -199,10 +177,8 @@ class MetricsRegistry:
             out[name] = histogram.to_json()
         return out
 
-    def to_json(self, collect: bool = True) -> dict:
+    def to_json(self) -> dict:
         """Typed JSON document (the ``--metrics FILE`` payload)."""
-        if collect:
-            self.collect()
         counters = {}
         for name, counter in sorted(self._counters.items()):
             counters[name] = counter.value

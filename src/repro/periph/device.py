@@ -6,8 +6,8 @@ whose read/write callbacks decode against the class's declarative
 machine's state-provider protocol (``save_state``/``load_state`` with
 an epoch gate plus counter telemetry), so device state — register
 files, ring indices, pending work — restores coherently across
-:class:`~repro.emulator.snapshot.Snapshot` and fork-server rewinds
-exactly like shadow memory and allocator maps do.
+:class:`~repro.emulator.snapshot.ForkServer` rewinds exactly like
+shadow memory and allocator maps do.
 
 Determinism contract: a device's visible state must be a pure function
 of the bus-access sequence it observed.  No wall clocks, no host RNG —
@@ -126,10 +126,10 @@ class DeviceModel:
         """Fallback for offsets outside the map (writes ignored)."""
 
     # ------------------------------------------------------------------
-    # state-provider protocol (Snapshot + ForkServer)
+    # state-provider protocol (ForkServer)
     # ------------------------------------------------------------------
     def save_state(self):
-        """Opaque functional-state blob for snapshot capture."""
+        """Opaque functional-state blob for the fork server's capture."""
         return (dict(self.regfile), self.extra_state())
 
     def load_state(self, state) -> None:

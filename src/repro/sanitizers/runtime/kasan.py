@@ -76,7 +76,7 @@ class KasanEngine:
 
         Change the map only through :meth:`on_alloc` and
         :meth:`on_free`, or replace it whole by assigning to this
-        property (as snapshot restore does), so the end-address index
+        property (as a fork-server restore does), so the end-address index
         stays in step with it.
         """
         return self._live

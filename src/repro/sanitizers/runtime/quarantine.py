@@ -60,7 +60,7 @@ class QuarantineLog:
         return addr in self._entries
 
     def save_state(self) -> "OrderedDict[int, FreedObject]":
-        """Copy the log contents (Snapshot provider protocol)."""
+        """Copy the log contents (part of the runtime's golden state)."""
         return OrderedDict(self._entries)
 
     def load_state(self, saved: "OrderedDict[int, FreedObject]") -> None:

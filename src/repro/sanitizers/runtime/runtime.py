@@ -202,7 +202,7 @@ class CommonSanitizerRuntime:
             for engine in self.machine.engines:
                 self._inject_probe(engine)
             self.machine.engine_listeners.append(self._inject_probe)
-        # register as a snapshot state provider so Snapshot.restore keeps
+        # register as a state provider so a fork-server restore keeps
         # shadow memory and allocator maps coherent with guest memory
         self.machine.state_providers.append(self)
         self.attached = True
@@ -302,26 +302,17 @@ class CommonSanitizerRuntime:
         self.attached = False
 
     # ------------------------------------------------------------------
-    # snapshot provider protocol
+    # state-provider protocol (fork-server golden capture)
     # ------------------------------------------------------------------
     def save_state(self) -> dict:
-        """Capture semantic sanitizer state for a machine Snapshot.
+        """Capture the golden sanitizer state without copying shadow.
 
-        Diagnostic counters (checks, events_handled) are deliberately
-        excluded: they are monotonic telemetry, not guest state, and
-        restoring them would hide work the machine really did.
-        """
-        state = self._save_semantic()
-        state["shadow"] = self.shadow.save_state()
-        return state
-
-    def save_golden(self) -> dict:
-        """Capture the fork server's golden state without copying shadow.
-
-        :meth:`save_state` minus the shadow table: from here on the
-        table keeps each shadow page's golden bytes the first time the
-        page is poisoned or unpoisoned, so capture costs nothing per
-        shadow byte.
+        Returns the semantic state (allocator maps, quarantine, pending
+        stacks, watchpoints); from here on the shadow table keeps each
+        page's golden bytes the first time the page is poisoned or
+        unpoisoned, so capture costs nothing per shadow byte.
+        Diagnostic counters (checks, events_handled) are excluded: they
+        are telemetry, rewound by :meth:`load_telemetry`.
         """
         self.shadow.begin_golden()
         return self._save_semantic()
@@ -347,12 +338,7 @@ class CommonSanitizerRuntime:
         return state
 
     def load_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`save_state`."""
-        self.shadow.load_state(state["shadow"])
-        self._load_semantic(state)
-
-    def load_golden(self, state: dict) -> None:
-        """Rewind to the state :meth:`save_golden` captured.
+        """Rewind to the state :meth:`save_state` captured.
 
         Shadow pages untouched since the golden capture already hold the
         golden bytes, so only the pages the session poisoned copy back.
@@ -360,20 +346,17 @@ class CommonSanitizerRuntime:
         small and restores in full.
         """
         self.shadow.restore_golden()
-        self._load_semantic(state)
-
-    def _load_semantic(self, state: dict) -> None:
         self.enabled = state["enabled"]
         self._suppress = state["suppress"]
         self._pending = {
             task: list(stack) for task, stack in state["pending"].items()
         }
         self._console_tail = state["console_tail"]
-        if self.kasan is not None and "kasan_live" in state:
+        if self.kasan is not None:
             self.kasan.live = dict(state["kasan_live"])
             self.kasan.freed.load_state(state["kasan_freed"])
             self.kasan.suppress_depth = state["kasan_suppress"]
-        if self.kcsan is not None and "kcsan_seq" in state:
+        if self.kcsan is not None:
             self.kcsan._seq = state["kcsan_seq"]
             self.kcsan._watches = {
                 addr: list(watches)
@@ -387,8 +370,8 @@ class CommonSanitizerRuntime:
         Every mutation of that state moves at least one component:
         shadow/allocator transitions bump ``shadow.poison_ops`` (each
         live-map or quarantine change is paired with a poison or
-        unpoison), any shadow write since the golden capture — a full
-        :meth:`load_state` included — leaves shadow pages dirty,
+        unpoison), any shadow write since the golden capture leaves
+        shadow pages dirty,
         KCSAN watchpoint recording bumps ``_seq``, and
         in-flight allocator bookkeeping shows up in the suppress depth
         and pending stacks.  Equal epochs therefore mean the semantic

@@ -146,19 +146,8 @@ class ShadowMemory:
         self.fastpath_hits = 0
 
     # ------------------------------------------------------------------
-    # snapshot support
+    # fork-server golden capture (driven by the runtime's provider pair)
     # ------------------------------------------------------------------
-    def save_state(self) -> List[bytes]:
-        """Copy every region's shadow bytes (Snapshot provider protocol)."""
-        return [bytes(shadow.bytes) for shadow in self._shadows]
-
-    def load_state(self, saved: List[bytes]) -> None:
-        """Restore shadow bytes captured by :meth:`save_state` in place."""
-        for shadow, data in zip(self._shadows, saved):
-            # mark first: a live golden capture keeps what this overwrites
-            shadow.mark_dirty(0, len(shadow.bytes) - 1)
-            shadow.bytes[:] = data
-
     def begin_golden(self) -> None:
         """Make the current shadow image the golden one, copying nothing.
 

@@ -35,20 +35,20 @@ _LITEOS = b"Huawei LiteOS 5.0 (repro) entering scheduler.\n"
 #: build in the paper's mode; every build also ends ready with the
 #: runtime enabled
 PRINTK_GOLDEN = {
-    "OpenWRT-armvirt": (_LINUX_515, 35, 10, 34, 111, 35),
-    "OpenWRT-bcm63xx": (_LINUX_515, 35, 10, 34, 149, 35),
-    "OpenWRT-ipq807x": (_LINUX_515, 35, 10, 34, 111, 35),
-    "OpenWRT-mt7629": (_LINUX_515, 35, 10, 34, 111, 35),
-    "OpenWRT-rtl839x": (_LINUX_515, 35, 10, 34, 130, 35),
-    "OpenWRT-x86_64": (_LINUX_515, 35, 10, 34, 111, 35),
+    "OpenWRT-armvirt": (_LINUX_515, 35, 10, 69, 111, 35),
+    "OpenWRT-bcm63xx": (_LINUX_515, 35, 10, 69, 149, 35),
+    "OpenWRT-ipq807x": (_LINUX_515, 35, 10, 69, 111, 35),
+    "OpenWRT-mt7629": (_LINUX_515, 35, 10, 69, 111, 35),
+    "OpenWRT-rtl839x": (_LINUX_515, 35, 10, 69, 130, 35),
+    "OpenWRT-x86_64": (_LINUX_515, 35, 10, 69, 111, 35),
     "OpenHarmony-rk3566": (
-        b"Embedded Linux 5.10 (repro) ready.\n", 35, 10, 34, 111, 35),
-    "OpenHarmony-stm32mp1": (_LITEOS, 46, 10, 46, 92, 46),
-    "OpenHarmony-stm32f407": (_LITEOS, 46, 10, 46, 92, 46),
+        b"Embedded Linux 5.10 (repro) ready.\n", 35, 10, 69, 111, 35),
+    "OpenHarmony-stm32mp1": (_LITEOS, 46, 10, 92, 92, 46),
+    "OpenHarmony-stm32f407": (_LITEOS, 46, 10, 92, 92, 46),
     "InfiniTime": (
-        b"FreeRTOS 10.4.3 (repro) scheduler started.\n", 43, 10, 42, 86, 43),
+        b"FreeRTOS 10.4.3 (repro) scheduler started.\n", 43, 10, 85, 86, 43),
     "TP-Link WDR-7660": (
-        b"VxWorks 6.9 (repro) WDR-7660 services up.\n", 42, 10, 41, 84, 42),
+        b"VxWorks 6.9 (repro) WDR-7660 services up.\n", 42, 10, 83, 84, 42),
 }
 
 #: sha256 prefix of the booted TP-Link flash (the three service blobs)

