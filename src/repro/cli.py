@@ -19,7 +19,8 @@ Subcommands mirror the paper's workflow:
 Exit codes: 0 success, 1 replay miss, 2 usage error, 3 degraded — a
 campaign exhausted its crash budget, or a fleet job exhausted its
 retry budget and was abandoned; 4 interrupted — SIGTERM/SIGINT drained
-a sweep cleanly and its checkpoints resume it.
+a sweep cleanly (with ``--checkpoint-dir``, a rerun with the same flags
+resumes it from its checkpoints).
 """
 
 from __future__ import annotations
@@ -265,6 +266,9 @@ def _cmd_fuzz_all(args) -> int:
                 transport.close()
 
     degraded = False
+    # checkpoints outlive this run only in a directory the user named;
+    # a shard run's default one is deleted on exit
+    resumable = args.checkpoint_dir is not None
     label = "Shard" if args.shard else "Firmware"
     print(f"{label:24s} {'Execs':>6s} {'Crashes':>8s} {'Found':>6s}")
     for job, result in zip(jobs, fleet.results):
@@ -272,7 +276,8 @@ def _cmd_fuzz_all(args) -> int:
         if result is None:
             if job.job_id in fleet.unfinished:
                 print(f"{name:24s} {'-':>6s} {'-':>8s} {'-':>6s}  "
-                      f"INTERRUPTED (checkpoint resumes it)")
+                      f"INTERRUPTED"
+                      + (" (checkpoint resumes it)" if resumable else ""))
                 continue
             degraded = True
             print(f"{name:24s} {'-':>6s} {'-':>8s} {'-':>6s}  "
@@ -315,8 +320,11 @@ def _cmd_fuzz_all(args) -> int:
     _write_observer(observer, args)
     if fleet.interrupted:
         print(f"interrupted: {len(fleet.unfinished)} campaign(s) "
-              f"unfinished; re-run with the same flags to resume from "
-              f"checkpoints")
+              f"unfinished; " + (
+                  "re-run with the same flags to resume from checkpoints"
+                  if resumable else
+                  "no checkpoints were kept (pass --checkpoint-dir to "
+                  "make a sweep resumable)"))
         return 4
     return 3 if degraded else 0
 
@@ -461,7 +469,7 @@ def _address(value: str) -> Tuple[str, int]:
 def _add_spec_args(parser) -> None:
     """The campaign-spec flags ``fuzz`` and ``fuzz-all`` share;
     :func:`_spec_from_args` turns them into a CampaignSpec."""
-    from repro.fuzz.spec import EXEC_MODES, SEED_SCHEDULES, SURFACES
+    from repro.fuzz.spec import EXEC_MODES, SURFACES
 
     parser.add_argument("--budget", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=1)
@@ -485,10 +493,6 @@ def _add_spec_args(parser) -> None:
                              "rebuild-per-refresh, or a golden fork-server "
                              "snapshot with dirty-page delta restores "
                              "(same census, higher execs/s)")
-    parser.add_argument("--seed-schedule", default="uniform",
-                        choices=SEED_SCHEDULES,
-                        help="corpus seed selection; 'rarity' weights "
-                             "programs by how rare their coverage is")
     parser.add_argument("--surface", default="syscall", choices=SURFACES,
                         help="fuzz surface: the syscall/task API (default) "
                              "or the driver-op surface of a build with "

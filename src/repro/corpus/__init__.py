@@ -1,4 +1,4 @@
-"""Persistent corpus subsystem: store, distillation, seed scheduling.
+"""Persistent corpus subsystem: store and distillation.
 
 See ``docs/corpus.md`` for the store layout, signature scheme,
 sharding semantics and the determinism contract.
@@ -10,7 +10,6 @@ from repro.corpus.codec import (
     program_digest,
 )
 from repro.corpus.distill import distill_entries, distill_store
-from repro.corpus.scheduler import SeedScheduler
 from repro.corpus.store import (
     CorpusEntry,
     CorpusStore,
@@ -20,7 +19,6 @@ from repro.corpus.store import (
 __all__ = [
     "CorpusEntry",
     "CorpusStore",
-    "SeedScheduler",
     "decode_program",
     "distill_entries",
     "distill_store",

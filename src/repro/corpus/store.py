@@ -20,7 +20,7 @@ grown on one firmware refuses to seed a campaign on another, the same
 way checkpoints validate their identity fields.  Each entry records
 the coverage *signature* of its program — the sorted coverage points
 the program touched when it was inserted — which is what distillation
-(greedy minset) and rarity-weighted seed scheduling consume.
+(greedy minset) consumes.
 
 Every structural failure raises :class:`~repro.errors.CorpusError`
 (a :class:`~repro.errors.FuzzerError`), mirroring the checkpoint
@@ -226,16 +226,19 @@ class CorpusStore:
             merged[digest] = entry if existing is None else \
                 _prefer(existing, entry)
         self.entries = merged
-        # the signature-dedup index covers only this writer's OWN
-        # entries: dedup against a sibling's segment would make an
-        # insert depend on sibling timing, breaking the sharded
-        # determinism contract (see docs/corpus.md)
+        self._index_signatures()
+        return self
+
+    def _index_signatures(self) -> None:
+        """Rebuild the signature-dedup index from this writer's OWN
+        entries: dedup against a sibling's segment would make an insert
+        depend on sibling timing, breaking the sharded determinism
+        contract (see docs/corpus.md)."""
         self._by_signature = {}
         for digest in sorted(self._own):
             entry = self._own[digest]
             if entry.signature and entry.kind == "cover":
                 self._by_signature.setdefault(entry.signature, digest)
-        return self
 
     def _read_segment(self, path: str) -> Dict[str, CorpusEntry]:
         try:
@@ -410,44 +413,50 @@ class CorpusStore:
         applied here, so absorbing A then B equals absorbing B then A
         (distillation is where signature-duplicates get pruned).
         """
-        if (
-            other.firmware is not None
-            and self.firmware is not None
-            and other.firmware != self.firmware
-        ):
+        return self._merge(other.firmware, other.entries, other.get,
+                           source=other.root)
+
+    def _merge(self, firmware: Optional[str],
+               entries: Dict[str, CorpusEntry], load, source: str) -> int:
+        """The one store merge behind :meth:`absorb` and
+        :meth:`import_bundle_obj`; returns entries added.
+
+        ``load(digest)`` returns an entry's verified program body; only
+        digests new to this store load theirs.  A digest this store
+        already holds keeps the :func:`_prefer` winner of the two
+        entries, exactly like :meth:`reload` resolves colliding
+        segments, so merging A and B gives the same manifest in either
+        order.
+        """
+        if firmware is not None and self.firmware is not None \
+                and firmware != self.firmware:
             raise CorpusError(
-                f"cannot merge corpus for firmware {other.firmware!r} "
-                f"into one for {self.firmware!r}",
-                path=other.root,
+                f"corpus belongs to firmware {firmware!r}, "
+                f"not {self.firmware!r}",
+                path=source,
             )
         if self.firmware is None:
-            self.firmware = other.firmware
-        copied = 0
+            self.firmware = firmware
+        added = 0
         changed = False
-        for digest in other.digests():
-            entry = other.entries[digest]
+        for digest in sorted(entries):
+            entry = entries[digest]
             existing = self.entries.get(digest)
             if existing is not None:
-                # same program in both: resolve the metadata exactly
-                # like reload() resolves colliding segments, so
-                # merge(A, B) == merge(B, A) entry for entry
-                preferred = _prefer(existing, entry)
-                if preferred != existing:
-                    self.entries[digest] = preferred
-                    self._own[digest] = preferred
-                    changed = True
-                continue
-            program = other.get(digest)
-            _atomic_write(self._program_path(digest),
-                          encode_program(program))
+                entry = _prefer(existing, entry)
+                if entry == existing:
+                    continue
+            else:
+                _atomic_write(self._program_path(digest),
+                              encode_program(load(digest)))
+                added += 1
             self.entries[digest] = entry
             self._own[digest] = entry
-            if entry.signature and entry.kind == "cover":
-                self._by_signature.setdefault(entry.signature, digest)
-            copied += 1
-        if copied or changed:
+            changed = True
+        if changed:
+            self._index_signatures()
             self.flush()
-        return copied
+        return added
 
     def export_bundle_obj(self) -> dict:
         """The whole store as one JSON-encodable bundle object.
@@ -475,52 +484,39 @@ class CorpusStore:
         return len(bundle["entries"])
 
     def import_bundle_obj(self, bundle, source: str = "bundle") -> int:
-        """Load an in-memory bundle object; returns entries added.
+        """Merge an in-memory bundle object; returns entries added.
 
         ``source`` labels the provenance in entry records and error
         messages (a file path for :meth:`import_bundle`, a peer name
-        for network sync).
+        for network sync).  Importing a store's bundle and absorbing
+        the store give the same manifest (see :meth:`_merge`).
         """
         from repro.corpus.codec import program_from_payload
 
         if not isinstance(bundle, dict) or \
                 bundle.get("version") != MANIFEST_VERSION:
             raise CorpusError("unsupported corpus bundle", path=source)
-        firmware = bundle.get("firmware")
-        if firmware is not None and self.firmware is not None \
-                and firmware != self.firmware:
-            raise CorpusError(
-                f"bundle belongs to firmware {firmware!r}, "
-                f"not {self.firmware!r}",
-                path=source,
-            )
-        if self.firmware is None:
-            self.firmware = firmware
         entries = bundle.get("entries")
         if not isinstance(entries, dict):
             raise CorpusError("bundle has no entries object", path=source)
-        added = 0
-        for digest in sorted(entries):
-            data = entries[digest]
-            if digest in self.entries:
-                continue
-            entry = CorpusEntry.from_json(digest, data, source=source)
+
+        def load(digest: str) -> Program:
             program = program_from_payload(
-                data.get("program"), source=source)
+                entries[digest].get("program"), source=source)
             if program_digest(program) != digest:
                 raise CorpusError(
                     f"bundle entry {digest[:12]} failed its integrity "
                     f"check",
                     path=source,
                 )
-            _atomic_write(self._program_path(digest),
-                          encode_program(program))
-            self.entries[digest] = entry
-            self._own[digest] = entry
-            added += 1
-        if added:
-            self.flush()
-        return added
+            return program
+
+        return self._merge(
+            bundle.get("firmware"),
+            {digest: CorpusEntry.from_json(digest, data, source=source)
+             for digest, data in entries.items()},
+            load, source=source,
+        )
 
     def import_bundle(self, path: str) -> int:
         """Load an :meth:`export_bundle` file; returns entries added."""
@@ -581,10 +577,7 @@ class CorpusStore:
         self.writer = None
         self.entries = kept
         self._own = dict(kept)
-        self._by_signature = {}
-        for digest, entry in kept.items():
-            if entry.signature and entry.kind == "cover":
-                self._by_signature.setdefault(entry.signature, digest)
+        self._index_signatures()
         return dropped
 
     def stats(self) -> Dict[str, int]:

@@ -113,13 +113,13 @@ def run_campaign(
     existing entries seed the campaign (with an unmutated triage pass),
     coverage-novel programs and crash reproducers persist back, and
     checkpoints reference corpus programs by digest instead of inlining
-    them.  ``seed_schedule="rarity"`` switches corpus selection from the
-    uniform draw to rarity/energy weighting (a *different* RNG stream —
-    the default census stays byte-identical only at ``"uniform"``).
+    them.  An empty store leaves the census byte-identical.
     ``shard=(index, count)`` makes this campaign one worker of an
     intra-firmware fleet: it starts from its disjoint slice of the spec
-    seed corpus and writes its own manifest segment in the shared store
-    (see ``docs/corpus.md``).
+    seed corpus, writes its own manifest segment in the shared store,
+    and, instead of importing at startup, adopts the store entries no
+    newer than its exec count at the start of each sync round that
+    runs (see ``docs/corpus.md``).
 
     ``observer`` (a :class:`repro.obs.Observer`) collects campaign
     metrics, trace spans and per-phase wall-clock timings; campaign

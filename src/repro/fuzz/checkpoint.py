@@ -29,12 +29,11 @@ Spec identity: a checkpoint written by ``run_campaign`` records every
 campaign's trajectory — ``firmware``, ``seed``, ``seeds``,
 ``sanitizers`` (resolved to the set actually attached), ``faults``,
 ``fault_seed``, ``crash_budget``, ``watchdog_insns``,
-``watchdog_cycles``, ``seed_schedule``, ``checkpoint_every`` (the
-effective cadence: checkpoint cadence is part of the identity) and
-``surface``.  A resume under a different value is refused with
-:class:`FuzzerError`, as a seed mismatch is.  ``budget`` is exempt
-(sharded rounds extend it), and so is the exec mode, under which the
-census is invariant by contract
+``watchdog_cycles``, ``checkpoint_every`` (the effective cadence:
+checkpoint cadence is part of the identity) and ``surface``.  A resume
+under a different value is refused with :class:`FuzzerError`, as a
+seed mismatch is.  ``budget`` is exempt (sharded rounds extend it), and
+so is the exec mode, under which the census is invariant by contract
 (:data:`~repro.fuzz.spec.RESUMABLE_FIELDS`).
 Checkpoints without an ``identity`` (older files) resume as before.
 """
@@ -164,16 +163,6 @@ def _restore_corpus_from_store(fuzzer: FuzzerEngine, digests) -> None:
             ) from exc
     fuzzer.corpus = corpus
     fuzzer._known_digests = set(digests)
-    if fuzzer.scheduler is not None:
-        from repro.corpus.scheduler import SeedScheduler
-
-        scheduler = SeedScheduler()
-        for digest, program in zip(digests, corpus):
-            entry = store.entries.get(digest)
-            scheduler.note(
-                program, entry.signature if entry is not None else ()
-            )
-        fuzzer.scheduler = scheduler
 
 
 def engine_state(
@@ -288,17 +277,10 @@ def restore_engine(fuzzer: FuzzerEngine, state: dict, firmware: str) -> None:
     # from a fresh target with an empty session, matching that state
     fuzzer._session.clear()
     fuzzer._execs_since_refresh = 0
-    # sharded fleets sync here: after every round's resume, adopt the
-    # sibling shards' discoveries (the store was just reloaded above).
-    # Plain single-writer resumes must NOT import — an uninterrupted
-    # run and a resumed one must stay byte-identical, and the store may
-    # hold crash entries that never belonged to the checkpoint corpus.
-    if getattr(fuzzer, "shard", None) is not None and \
-            getattr(fuzzer, "corpus_store", None) is not None:
-        # the watermark makes the import independent of sibling timing:
-        # entries a sibling inserted past this engine's own exec count
-        # (mid-round writes) stay invisible until the next boundary
-        fuzzer.import_store_entries(max_execs=fuzzer.execs)
+    # a resume imports nothing: a single writer's store may hold crash
+    # entries that never belonged to the checkpoint corpus, and a shard
+    # imports when its next sync round starts (FuzzerEngine.run), so a
+    # resumed round that is already complete changes no corpus
 
 
 # ----------------------------------------------------------------------

@@ -47,8 +47,8 @@ class CoverageMap:
         """Every point the current input touched (new or not).
 
         This is the input's coverage *signature* — what the persistent
-        corpus stores per entry and what distillation and rarity
-        scheduling consume (see ``docs/corpus.md``).
+        corpus stores per entry and what distillation consumes (see
+        ``docs/corpus.md``).
         """
         return set(self._epoch_points)
 

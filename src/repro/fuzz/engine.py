@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.emulator.snapshot import Checkpoint, ForkServer
 from repro.errors import FuzzerError, GuestFault, GuestHang
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.diagnostics import CrashRecord, capture_crash
-from repro.fuzz.ifspec import INTERESTING, InterfaceSpec
+from repro.fuzz.ifspec import INTERESTING, InterfaceSpec, driver_interface
 from repro.fuzz.program import (
     Mutator,
     Program,
     ResourcePool,
     resolve_args,
 )
-from repro.fuzz.spec import EXEC_MODES, SEED_SCHEDULES
+from repro.fuzz.spec import EXEC_MODES, SURFACES
 from repro.sanitizers.runtime.reports import BugType, SanitizerReport
 
 #: host-level crashes tolerated before a campaign degrades to skip mode
@@ -32,7 +32,6 @@ DEFAULT_CRASH_BUDGET = 25
 #: genuinely wedged guest trips
 DEFAULT_WATCHDOG_INSNS = 2_000_000
 DEFAULT_WATCHDOG_CYCLES = 5_000_000
-
 
 
 class Finding:
@@ -211,11 +210,8 @@ class FuzzerEngine:
         fault_plan=None,
         observer=None,
         corpus_store=None,
-        seed_schedule: str = "uniform",
         shard=None,
     ):
-        from repro.errors import FuzzerError
-
         self.target = target
         self.spec = spec
         self.seed = seed
@@ -230,17 +226,6 @@ class FuzzerEngine:
         self._known_digests: set = set()
         #: store entries adopted from other sessions/shards
         self.corpus_imported = 0
-        if seed_schedule not in SEED_SCHEDULES:
-            raise FuzzerError(
-                f"unknown seed schedule {seed_schedule!r} "
-                f"(expected one of {', '.join(SEED_SCHEDULES)})"
-            )
-        self.seed_schedule = seed_schedule
-        self.scheduler = None
-        if seed_schedule == "rarity":
-            from repro.corpus.scheduler import SeedScheduler
-
-            self.scheduler = SeedScheduler()
         if shard is not None:
             # disjoint seed shards: worker i of n keeps every n-th
             # description-derived seed, so an intra-firmware fleet
@@ -255,9 +240,6 @@ class FuzzerEngine:
                 if position % count == index
             ]
         self.shard = shard
-        if self.scheduler is not None:
-            for program in self.corpus:
-                self.scheduler.note(program, ())
         if corpus_store is not None:
             from repro.corpus.codec import program_digest
 
@@ -292,17 +274,12 @@ class FuzzerEngine:
         #: the plain triage queue because reproducers were minimized
         #: against a *fresh* target and only replay reliably from one
         self._triage_crash: List[Program] = []
-        # adopt what earlier campaigns (or sibling shards) already
-        # persisted; imports queue into the triage lists above, so
-        # inherited entries get their unmutated replay pass too.  A
-        # sharded engine imports only generation-zero entries
-        # (execs == 0, i.e. distilled seeds), never a sibling's
-        # mid-round writes — a fresh restart must see the same store a
-        # fresh start did
-        if corpus_store is not None:
-            self.import_store_entries(
-                max_execs=0 if shard is not None else None
-            )
+        # a single writer adopts what earlier campaigns persisted;
+        # imports queue into the triage lists above, so inherited
+        # entries get their unmutated replay pass too.  A shard imports
+        # at the start of each sync round instead (see run())
+        if corpus_store is not None and shard is None:
+            self.import_store_entries()
         self._execs_since_refresh = 0
         self._current_reports: List[SanitizerReport] = []
         #: programs executed on the current target session (for
@@ -323,12 +300,9 @@ class FuzzerEngine:
 
     def _pick_input(self) -> Program:
         if self.corpus and self.rng.random() < 0.75:
-            if self.scheduler is not None:
-                seed = self.scheduler.choose(self.rng)
-            else:
-                seed = self.rng.choice(self.corpus)
             return self.mutator.mutate(
-                seed, lambda: self.spec.generate_call(self.rng)
+                self.rng.choice(self.corpus),
+                lambda: self.spec.generate_call(self.rng),
             )
         return self._generate_program()
 
@@ -342,11 +316,11 @@ class FuzzerEngine:
         Entries are imported in digest order (deterministic) and, when
         ``triage`` is set, queued for one unmutated replay — this is
         the receive side of a fleet corpus sync.  ``max_execs`` is the
-        sync watermark: entries a sibling shard inserted later than
-        this exec count are skipped, so a worker restarted mid-round
-        imports exactly what it would have seen at its round boundary
-        (sharded determinism survives worker deaths; see
-        ``docs/corpus.md``).  Returns the number of programs adopted.
+        sync watermark: entries inserted later than this exec count
+        are skipped, so a shard restarted mid-round imports exactly
+        what it would have seen at its round boundary (sharded
+        determinism survives worker deaths; see ``docs/corpus.md``).
+        Returns the number of programs adopted.
         """
         store = self.corpus_store
         if store is None:
@@ -361,9 +335,6 @@ class FuzzerEngine:
             program = store.get(digest)
             self._known_digests.add(digest)
             self.corpus.append(program)
-            if self.scheduler is not None:
-                self.scheduler.note(
-                    program, store.entries[digest].signature)
             if triage:
                 if store.entries[digest].kind == "crash":
                     self._triage_crash.append(program.clone())
@@ -376,10 +347,8 @@ class FuzzerEngine:
         return imported
 
     def _corpus_append(self, program: Program, signature) -> None:
-        """One new corpus program: list, scheduler, store, metrics."""
+        """One new corpus program: list, store, metrics."""
         self.corpus.append(program)
-        if self.scheduler is not None:
-            self.scheduler.note(program, tuple(sorted(signature)))
         if self.corpus_store is not None:
             digest, inserted = self.corpus_store.add(
                 program, signature=sorted(signature), kind="cover",
@@ -428,7 +397,15 @@ class FuzzerEngine:
         session clear, making the campaign trajectory a function of the
         (seed, cadence) pair alone — an interrupted-and-resumed run and
         an uninterrupted one produce identical results.
+
+        For a shard, a call that will run (``execs < budget``) is one
+        sync round: it first adopts the store entries no newer than its
+        own exec count, so what a round imports depends only on where
+        it starts — not on sibling timing, and not on whether an
+        earlier call already reached the budget.
         """
+        if self.shard is not None and self.execs < budget:
+            self.import_store_entries(max_execs=self.execs)
         while self.execs < budget and not self.degraded:
             self.step()
             if (
@@ -666,6 +643,72 @@ class FuzzerEngine:
             if fault is not None:
                 return _fault_report(fault).dedup_key() == key
         return False
+
+
+class FirmwareFuzzer(FuzzerEngine):
+    """A fuzzer over one catalog firmware: the options, declared once.
+
+    The keyword options are the ones
+    :meth:`~repro.fuzz.spec.CampaignSpec.fuzzer_options` passes, plus
+    the placement hooks the campaign runner adds.  A frontend sets
+    ``name`` and supplies :meth:`build_target` (build, attach the
+    sanitizers, pick the coverage source) and :meth:`interface`; the
+    driver surface uses the registered driver ops for every frontend.
+    """
+
+    def __init__(
+        self,
+        firmware: str,
+        sanitizers: Sequence[str] = ("kasan",),
+        seed: int = 0,
+        fault_plan=None,
+        crash_budget: int = DEFAULT_CRASH_BUDGET,
+        watchdog_insns: int = DEFAULT_WATCHDOG_INSNS,
+        watchdog_cycles: float = DEFAULT_WATCHDOG_CYCLES,
+        observer=None,
+        corpus_store=None,
+        shard=None,
+        exec_mode: str = "journal",
+        surface: str = "syscall",
+    ):
+        if surface not in SURFACES:
+            raise FuzzerError(
+                f"unknown fuzz surface {surface!r} "
+                f"(expected one of {', '.join(SURFACES)})"
+            )
+        self.firmware = firmware
+        self.sanitizers = tuple(sanitizers)
+        self.surface = surface
+        driver = surface == "driver"
+
+        def make():
+            image, runtime, coverage = self.build_target(driver)
+            image.boot()
+            # arm hardening after boot so boot-time work never trips the
+            # per-program watchdog; the shared fault plan keeps one RNG
+            # stream across target rebuilds
+            if fault_plan is not None:
+                image.machine.set_fault_plan(fault_plan)
+            image.machine.set_watchdog(
+                insn_budget=watchdog_insns, cycle_budget=watchdog_cycles
+            )
+            return image, runtime, coverage
+
+        target = FuzzTarget(make, exec_mode=exec_mode)
+        kernel = target.image.kernel
+        spec = driver_interface(kernel) if driver else self.interface(kernel)
+        super().__init__(target, spec, seed=seed, fault_plan=fault_plan,
+                         crash_budget=crash_budget, observer=observer,
+                         corpus_store=corpus_store, shard=shard)
+
+    def build_target(self, driver: bool) -> tuple:
+        """An unbooted ``(image, runtime, coverage)`` triple; ``driver``
+        attaches the modeled peripherals."""
+        raise NotImplementedError
+
+    def interface(self, kernel) -> InterfaceSpec:
+        """The syscall/task interface spec of a booted ``kernel``."""
+        raise NotImplementedError
 
 
 def _fault_report(fault: GuestFault) -> SanitizerReport:

@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 from repro.errors import FuzzerError
 
 #: version written by :meth:`CampaignSpec.to_json`
-SPEC_VERSION = 2
+SPEC_VERSION = 3
 #: default per-firmware execution budget for a scaled-down campaign
 DEFAULT_BUDGET = 1500
 #: firmware of a catalog-sweep template; the job factories replace it
@@ -34,8 +34,6 @@ CATALOG = "*"
 
 #: the value domains below are shared with the CLI's ``choices``
 SANITIZERS = ("kasan", "kcsan", "kmsan")
-#: corpus seed selection: uniform draw, or rarity/energy weighting
-SEED_SCHEDULES = ("uniform", "rarity")
 #: target reset strategies: per-program journal + rebuild-per-refresh,
 #: or a golden fork-server snapshot with dirty-page delta restores
 EXEC_MODES = ("journal", "forkserver")
@@ -53,7 +51,6 @@ _FUZZER_FIELDS = (
     "crash_budget",
     "watchdog_insns",
     "watchdog_cycles",
-    "seed_schedule",
     "exec_mode",
     "surface",
 )
@@ -111,7 +108,6 @@ class CampaignSpec:
     crash_budget: Optional[int] = None
     watchdog_insns: Optional[int] = None
     watchdog_cycles: Optional[float] = None
-    seed_schedule: str = "uniform"
     checkpoint_every: int = 0
     exec_mode: str = "journal"
     surface: str = "syscall"
@@ -132,7 +128,6 @@ class CampaignSpec:
             or cycles < 0
         ):
             _reject("watchdog_cycles", cycles, "a number >= 0")
-        _check_choice("seed_schedule", self.seed_schedule, SEED_SCHEDULES)
         _check_choice("exec_mode", self.exec_mode, EXEC_MODES)
         _check_choice("surface", self.surface, SURFACES)
         seeds = _as_tuple("seeds", self.seeds, lambda s: _check_int("seeds", s))

@@ -69,8 +69,11 @@ from typing import Callable, List, Optional
 from repro.errors import TransportError
 
 #: wire protocol revision; mismatches are rejected at hello time.
-#: Version 2: the job frame carries a versioned ``CampaignSpec`` object
-PROTOCOL_VERSION = 2
+#: The job frame carries a versioned ``CampaignSpec`` object, so the
+#: protocol version moves with :data:`~repro.fuzz.spec.SPEC_VERSION`: a
+#: peer speaking an older spec is refused here, not on every job.
+#: Version 3 carries spec version 3.
+PROTOCOL_VERSION = 3
 #: frame header: b"RJ1 " + 8-hex length + b" " + 8-hex crc32 + b"\n"
 MAGIC = b"RJ1 "
 HEADER_LEN = 22

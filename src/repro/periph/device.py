@@ -130,14 +130,18 @@ class DeviceModel:
     # ------------------------------------------------------------------
     def save_state(self):
         """Opaque functional-state blob for the fork server's capture."""
-        return (dict(self.regfile), self.extra_state())
+        return (dict(self.regfile), self.extra_state(), self._epoch)
 
     def load_state(self, state) -> None:
-        """Restore a blob captured by :meth:`save_state`."""
-        regfile, extra = state
+        """Restore a blob captured by :meth:`save_state`.
+
+        The epoch rewinds with the state: a reloaded device reads as
+        captured, so the fork server's epoch gate skips it again until
+        the next mutation.
+        """
+        regfile, extra, self._epoch = state
         self.regfile = dict(regfile)
         self.load_extra_state(extra)
-        self._epoch += 1
 
     def state_epoch(self) -> Tuple[int, int]:
         return (id(self), self._epoch)

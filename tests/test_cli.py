@@ -29,7 +29,7 @@ class TestParser:
             ["fuzz-all", "--budget", "100", "--metrics", "m.json",
              "--trace", "t.json"],
             ["fuzz", "InfiniTime", "--corpus-dir", "c",
-             "--seed-schedule", "rarity", "--results", "r.json"],
+             "--results", "r.json"],
             ["fuzz-all", "--shard", "2", "--sync-every", "250",
              "--firmware", "InfiniTime", "--corpus-dir", "c"],
             ["corpus", "ls", "c", "--long"],
@@ -84,8 +84,7 @@ class TestSpecFlags:
     SHARED = ["--budget", "77", "--seed", "5", "--faults", "alloc:every=9",
               "--checkpoint-every", "25", "--crash-budget", "4",
               "--watchdog-insns", "9000", "--watchdog-cycles", "1e6",
-              "--exec-mode", "forkserver", "--seed-schedule", "rarity",
-              "--surface", "driver"]
+              "--exec-mode", "forkserver", "--surface", "driver"]
 
     @pytest.mark.parametrize("flags", [[], SHARED])
     def test_subcommands_build_equal_specs(self, monkeypatch, flags):
@@ -117,8 +116,7 @@ class TestSpecFlags:
             assert seen["fuzz"] == CampaignSpec(
                 "InfiniTime", budget=77, seed=5, faults="alloc:every=9",
                 checkpoint_every=25, crash_budget=4, watchdog_insns=9000,
-                watchdog_cycles=1e6, exec_mode="forkserver", seed_schedule="rarity",
-                surface="driver")
+                watchdog_cycles=1e6, exec_mode="forkserver", surface="driver")
 
     def test_bad_value_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -131,7 +129,8 @@ class TestSpecFlags:
         ["fuzz-all"],
     ])
     @pytest.mark.parametrize("flag", [["--engine", "tcg"],
-                                      ["--jit-threshold", "8"]])
+                                      ["--jit-threshold", "8"],
+                                      ["--seed-schedule", "uniform"]])
     def test_removed_engine_flags_rejected(self, command, flag):
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args(command + flag)
@@ -358,6 +357,59 @@ class TestDrainSignals:
             env=env, check=True, timeout=180,
             stdout=subprocess.DEVNULL)
         assert interrupted.read_bytes() == reference.read_bytes()
+
+
+class TestInterruptedSweep:
+    """An interrupted sweep promises a resume only when its checkpoints
+    outlive the run: in a ``--checkpoint-dir``.  A plain sweep writes
+    none, and a ``--shard`` run keeps its own in a temporary directory
+    deleted on exit."""
+
+    PROMISE = "re-run with the same flags to resume from checkpoints"
+
+    def _interrupted(self, monkeypatch, capsys, argv):
+        from repro.fuzz.supervisor import FleetSupervisor
+
+        run = FleetSupervisor.run
+
+        def interrupted_run(supervisor):
+            supervisor.interrupt()  # stops before the first attempt
+            return run(supervisor)
+
+        monkeypatch.setattr(FleetSupervisor, "run", interrupted_run)
+        assert main(["fuzz-all", "--firmware", "InfiniTime",
+                     "--budget", "40", *argv]) == 4
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [[], ["--shard", "2"]],
+                             ids=["sweep", "shard"])
+    def test_no_resume_promised_without_checkpoint_dir(
+            self, monkeypatch, capsys, argv):
+        out = self._interrupted(monkeypatch, capsys, argv)
+        rows = [line for line in out.splitlines() if "INTERRUPTED" in line]
+        assert rows and all("resumes" not in line for line in rows)
+        assert self.PROMISE not in out
+        assert "no checkpoints were kept" in out
+
+    @pytest.mark.parametrize("argv", [[], ["--shard", "2"]],
+                             ids=["sweep", "shard"])
+    def test_resume_promised_with_checkpoint_dir(
+            self, monkeypatch, capsys, tmp_path, argv):
+        out = self._interrupted(
+            monkeypatch, capsys,
+            argv + ["--checkpoint-dir", str(tmp_path / "ck")])
+        rows = [line for line in out.splitlines() if "INTERRUPTED" in line]
+        assert rows and all(
+            line.endswith("INTERRUPTED (checkpoint resumes it)")
+            for line in rows)
+        assert self.PROMISE in out
+
+    def test_exit_code_doc_names_the_checkpoint_dir(self):
+        import repro.cli
+
+        doc = " ".join(repro.cli.__doc__.split())
+        assert "4 interrupted" in doc
+        assert "(with ``--checkpoint-dir``, a rerun with the same flags" in doc
 
 
 class TestObservability:

@@ -23,7 +23,6 @@ import pytest
 
 from repro.corpus import (
     CorpusStore,
-    SeedScheduler,
     decode_program,
     distill_entries,
     distill_store,
@@ -180,6 +179,35 @@ class TestStore:
         # the shared digest resolved to the earliest generation
         assert ab.entries[program_digest(shared)].execs == 10
 
+    def test_merge_and_import_agree_in_either_order(self, tmp_path):
+        # `corpus merge` (absorb) and `corpus import` (bundles) are one
+        # merge: a digest both stores hold keeps the same metadata
+        roots = {name: str(tmp_path / name) for name in "ab"}
+        a, b = (CorpusStore(roots[n], firmware=FW) for n in "ab")
+        shared = _program(((9, (9,)),))
+        a.add(shared, signature=[1], execs=40)
+        a.add(_program(((1, ()),)), signature=[2])
+        b.add(shared, signature=[5], kind="crash", execs=10)
+        b.add(_program(((2, ()),)), signature=[2], execs=7)
+        bundles = {}
+        for name, store in (("a", a), ("b", b)):
+            bundles[name] = str(tmp_path / f"{name}.bundle.json")
+            store.export_bundle(bundles[name])
+
+        manifests = []
+        for order in ("ab", "ba"):
+            merged = merge_stores(str(tmp_path / f"merge-{order}"),
+                                  [roots[n] for n in order])
+            imported = CorpusStore(str(tmp_path / f"import-{order}"))
+            for name in order:
+                imported.import_bundle(bundles[name])
+            for store in (merged, imported):
+                with open(store.manifest_path, encoding="utf-8") as fh:
+                    manifests.append(json.load(fh))
+        assert all(m == manifests[0] for m in manifests)
+        entry = manifests[0]["entries"][program_digest(shared)]
+        assert (entry["execs"], entry["kind"]) == (10, "crash")
+
     def test_export_import_bundle_round_trip(self, tmp_path):
         src = CorpusStore(str(tmp_path / "src"), firmware=FW)
         src.add(_program(), signature=[1, 2])
@@ -242,31 +270,6 @@ class TestDistillation:
         assert dropped is store and len(store) == 2
         assert all(e.execs == 0 for e in store.entries.values())
         assert store.manifest_path.endswith(os.sep + "manifest.json")
-
-
-class TestSeedScheduler:
-    def test_rare_coverage_weighs_heavier(self):
-        sched = SeedScheduler()
-        common = [_program(((nr, ()),)) for nr in (1, 2, 3)]
-        rare = _program(((9, ()),))
-        for program in common:
-            sched.note(program, (1,))     # point 1 is touched 3x
-        sched.note(rare, (7,))            # point 7 is unique
-        assert sched.weight(3) > sched.weight(0)
-        rng = random.Random(1)
-        picks = [sched.choose(rng) for _ in range(200)]
-        assert picks.count(rare) > picks.count(common[0])
-
-    def test_choose_is_deterministic_for_a_seed(self):
-        def draw():
-            sched = SeedScheduler()
-            progs = [_program(((nr, ()),)) for nr in (1, 2, 3)]
-            for program, sig in zip(progs, ((1,), (2, 3), (3,))):
-                sched.note(program, sig)
-            rng = random.Random(42)
-            return [progs.index(sched.choose(rng)) for _ in range(20)]
-
-        assert draw() == draw()
 
 
 class TestCampaignIntegration:

@@ -59,6 +59,15 @@ class Spec:
             corpus_dir=os.path.join(root, "corpus") if self.shards else None,
         )
 
+    def round_starts(self) -> int:
+        """Attempts an uninterrupted run starts from a checkpoint: every
+        shard round after the first resumes the one before it."""
+        if not self.shards:
+            return 0
+        per_shard = self.template.budget // self.shards
+        rounds = -(-per_shard // self.template.checkpoint_every)
+        return self.shards * (rounds - 1)
+
     def digests(self, fleet) -> List[Optional[str]]:
         """One digest per campaign, then one per shard of a sharded spec."""
         results = fleet.merged + (fleet.results if self.shards else [])
@@ -134,10 +143,27 @@ class Cell:
     interrupt: str = "none"  # none | sigkill
     exec_mode: str = "journal"
     engine: str = "tcg"  # tcg | cpu
+    #: the checkpoint a SIGKILL lands after (0: the spec's ``kill_at``)
+    kill_at: int = 0
 
     def __str__(self) -> str:
         engine = "" if self.engine == "tcg" else f"-{self.engine}"
-        return f"{self.path}-{self.interrupt}-{self.exec_mode}{engine}"
+        at = f"{self.kill_at}" if self.kill_at else ""
+        return f"{self.path}-{self.interrupt}{at}-{self.exec_mode}{engine}"
+
+    def kill_point(self, spec: "Spec") -> int:
+        return self.kill_at or spec.kill_at
+
+
+#: a SIGKILL after a shard's final checkpoint still diverges: the
+#: resumed last round is a no-op, and its corpus diagnostics are that
+#: session's counters (inserts, dedup hits, imports), not the round's
+FINAL_SHARD_CHECKPOINT = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a resumed no-op last round reports session-local corpus "
+    "counters in its diagnostics",
+)
 
 
 CELLS = [
@@ -157,6 +183,16 @@ CELLS = [
     ("shard", Cell("spawn")),
     ("shard", Cell("tcp")),
     ("shard", Cell("in-process", exec_mode="forkserver")),
+    ("shard", Cell("in-process", "sigkill", kill_at=250)),
+    ("shard", Cell("in-process", "sigkill", kill_at=500)),
+    ("shard", Cell("spawn", "sigkill", kill_at=250)),
+    ("shard", Cell("spawn", "sigkill", kill_at=500)),
+    pytest.param(
+        "shard",
+        Cell("spawn", "sigkill", kill_at=750),
+        marks=FINAL_SHARD_CHECKPOINT,
+        id="shard-spawn-sigkill750-journal",
+    ),
 ]
 
 
@@ -222,9 +258,9 @@ def armed_worker(argv: List[str]) -> int:
     return main(argv[2:])
 
 
-def _entry_child(spec: Spec, exec_mode: str, root: str, marker: str):
+def _entry_child(spec: Spec, k: int, exec_mode: str, root: str, marker: str):
     """The in-process fleet entry, armed to die after checkpoint k."""
-    arm_kill(spec.kill_at, marker)
+    arm_kill(k, marker)
     run_fleet(spec.jobs(root, exec_mode))
 
 
@@ -293,19 +329,23 @@ def run_cell(spec: Spec, cell: Cell, root: str, monkeypatch):
     jobs = spec.jobs(root, cell.exec_mode)
     marker = os.path.join(root, "killed")
     kill = cell.interrupt == "sigkill"
+    k = cell.kill_point(spec)
+    #: checkpoints a killed in-process fleet left for the rerun
+    carried = 0
     if cell.path == "in-process":
         if kill:
             child = multiprocessing.get_context("spawn").Process(
                 target=_entry_child,
-                args=(spec, cell.exec_mode, root, marker),
+                args=(spec, k, cell.exec_mode, root, marker),
             )
             child.start()
             child.join(timeout=300)
             assert child.exitcode == -signal.SIGKILL, child.exitcode
+            carried = sum(os.path.exists(job.checkpoint_path) for job in jobs)
         fleet = run_fleet(jobs)
     elif cell.path == "spawn":
         if kill:
-            armed = functools.partial(_armed_worker_main, spec.kill_at, marker)
+            armed = functools.partial(_armed_worker_main, k, marker)
             monkeypatch.setattr("repro.fuzz.worker.worker_main", armed)
         fleet = run_fleet(jobs, workers=2, heartbeat_interval=0.2, backoff_base=0.05)
         restarts = [r["cause"] for d in fleet.diagnostics.jobs for r in d.restarts]
@@ -313,14 +353,20 @@ def run_cell(spec: Spec, cell: Cell, root: str, monkeypatch):
     else:
         fleet = _run_tcp(jobs, spec, cell, marker)
     assert not fleet.degraded and not fleet.interrupted
+    restarts = _attempts(fleet.events, kind=("job_resumed",))
     if kill:
         # the kill landed after checkpoint k and before the budget
-        # ended, and the resumed attempt picked that checkpoint up
-        assert _killed_at(marker) == spec.kill_at < spec.template.budget
-        resumed = [e for e in _attempts(fleet.events) if e["from_checkpoint"]]
-        assert len(resumed) == 1, fleet.events
+        # ended, and a rerun or restart picked a checkpoint up
+        assert _killed_at(marker) == k < spec.template.budget
+        assert carried + len(restarts) >= 1
     else:
-        assert not _attempts(fleet.events, kind=("job_resumed",))
+        assert not restarts
+    # every attempt that starts from a checkpoint is a shard round
+    # continuing the one before it, or resumes what the kill left
+    resumed = [e for e in _attempts(fleet.events) if e["from_checkpoint"]]
+    assert len(resumed) == spec.round_starts() + carried + len(restarts), (
+        fleet.events
+    )
     return spec.digests(fleet)
 
 
@@ -330,7 +376,7 @@ def _run_tcp(jobs, spec: Spec, cell: Cell, marker: str):
     transport = TcpJsonlTransport(port=0, spawn_fallback=False)
     armed = {}
     if cell.interrupt == "sigkill":
-        armed = dict(marker=marker, k=spec.kill_at)
+        armed = dict(marker=marker, k=cell.kill_point(spec))
     connect = ["--connect", f"127.0.0.1:{transport.port}", "--max-reconnects", "0"]
     workers = [
         _repro(["worker", *connect, "--name", f"w{i}"], **armed) for i in range(2)
@@ -374,7 +420,10 @@ def test_reference_matches_recorded(name, reference):
 @pytest.mark.parametrize(
     "name,cell",
     CELLS,
-    ids=[f"{name}-{cell}" for name, cell in CELLS],
+    ids=[
+        f"{entry[0]}-{entry[1]}" if isinstance(entry, tuple) else entry.id
+        for entry in CELLS
+    ],
 )
 def test_cell(name, cell, reference, tmp_path, monkeypatch):
     got = run_cell(SPECS[name], cell, str(tmp_path), monkeypatch)

@@ -187,6 +187,15 @@ class TestForkServerRestore:
         fork = ForkServer(machine)
         assert fork.restore().pages == 0
 
+    def test_reloaded_device_reads_as_captured(self, machine):
+        # one UART byte reloads the UART once; the reload rewinds its
+        # epoch, so later clean restores skip every provider
+        fork = ForkServer(machine)
+        machine.bus.store(machine.uart.base + UART_DATA, 1, ord("x"))
+        reloaded = [fork.restore().providers_reloaded for _ in range(4)]
+        assert reloaded == [1, 0, 0, 0]
+        assert bytes(machine.uart.output) == b""
+
     def test_dirty_set_cleared_after_restore(self, machine):
         dram = next(r for r in machine.bus.regions if r.kind == "dram")
         fork = ForkServer(machine)

@@ -307,3 +307,56 @@ class TestPerfbenchLedger:
         from repro.fuzz.engine import FuzzerEngine
 
         assert "run" in FuzzerEngine.__dict__
+
+    def test_every_probe_target_resolves(self):
+        """``Probe.install`` (``perfbench/workloads.py``) rebinds
+        ``Owner.attr`` on the names it imports, and the fork-server
+        workloads build each frontend as ``cls(firmware, **keywords)``.
+        Every rebound name must resolve and every keyword must be an
+        option of both frontends.  Read from the source: nothing is
+        installed."""
+        import ast
+        import importlib
+        import inspect
+        from pathlib import Path
+
+        path = (Path(__file__).resolve().parents[1] / "perfbench"
+                / "workloads.py")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        probe = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == "Probe")
+        install = next(node for node in probe.body
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name == "install")
+        imported = {
+            alias.asname or alias.name: (node.module, alias.name)
+            for node in ast.walk(install)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        targets = {
+            (imported[target.value.id], target.attr)
+            for node in ast.walk(install) if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id in imported
+        }
+        assert len(targets) >= 6
+        for (module, name), attr in sorted(targets):
+            owner = getattr(importlib.import_module(module), name)
+            assert callable(getattr(owner, attr, None)), (module, name, attr)
+
+        from repro.fuzz.syzkaller import SyzkallerFuzzer
+        from repro.fuzz.tardis import TardisFuzzer
+
+        keywords = {
+            keyword.arg
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "cls"
+            for keyword in node.keywords
+        }
+        assert keywords
+        for cls in (SyzkallerFuzzer, TardisFuzzer):
+            assert keywords <= set(inspect.signature(cls).parameters)

@@ -405,14 +405,14 @@ class TestCheckpointResume:
 
     def test_spec_change_refuses_resume(self, tmp_path):
         # the checkpoint records the spec's identity: a resume that
-        # changes the sanitizer set (or the seed schedule) would silently
-        # continue a different campaign, so it is refused like a seed
-        # mismatch
+        # changes the sanitizer set (or the checkpoint cadence) would
+        # silently continue a different campaign, so it is refused like
+        # a seed mismatch
         path = str(tmp_path / "cp.json")
         run_campaign("InfiniTime", budget=30, seed=1, checkpoint_path=path,
                      checkpoint_every=10)
         for changed in ({"sanitizers": ("kasan", "kcsan")},
-                        {"seed_schedule": "rarity"},
+                        {"crash_budget": 3},
                         {"checkpoint_every": 20}):
             options = {"checkpoint_every": 10, **changed}
             with pytest.raises(FuzzerError, match="campaign settings"):

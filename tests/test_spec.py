@@ -17,7 +17,6 @@ from repro.fuzz.spec import (
     EXEC_MODES,
     RESUMABLE_FIELDS,
     SANITIZERS,
-    SEED_SCHEDULES,
     SPEC_VERSION,
     SURFACES,
     CampaignSpec,
@@ -44,7 +43,6 @@ specs = st.builds(
     watchdog_cycles=_optional(
         st.floats(0, 1e9, allow_nan=False) | st.integers(0, 10**9)
     ),
-    seed_schedule=st.sampled_from(SEED_SCHEDULES),
     checkpoint_every=st.integers(0, 5000),
     exec_mode=st.sampled_from(EXEC_MODES),
     surface=st.sampled_from(SURFACES),
@@ -74,6 +72,13 @@ class TestCodec:
         del v1["engine"], v1["jit_threshold"]
         with pytest.raises(FuzzerError, match="version 1 not supported"):
             CampaignSpec.from_json(v1)
+
+    def test_v2_dict_rejected(self):
+        # every v2 `to_json` carried the retired seed-schedule knob
+        v2 = CampaignSpec("InfiniTime", budget=300, seed=4).to_json()
+        v2.update(version=2, seed_schedule="uniform")
+        with pytest.raises(FuzzerError, match="version 2 not supported"):
+            CampaignSpec.from_json(v2)
 
     @pytest.mark.parametrize("knobs", [
         {"engine": "jit"},
@@ -133,21 +138,22 @@ class TestValidation:
         assert changed.identity() == identity
 
     def test_default_identity_is_pinned(self):
-        # checkpoints store this dict; it must not move across spec
-        # versions, or old checkpoints stop resuming
+        # checkpoints store this dict; it moves only with the spec
+        # version (a checkpoint written under another identity is
+        # refused at resume)
         assert CampaignSpec("InfiniTime").identity() == {
             "firmware": "InfiniTime", "seed": 0, "seeds": None,
             "sanitizers": None, "faults": None, "fault_seed": None,
             "crash_budget": None, "watchdog_insns": None,
-            "watchdog_cycles": None, "seed_schedule": "uniform",
-            "checkpoint_every": 0, "surface": "syscall",
+            "watchdog_cycles": None, "checkpoint_every": 0,
+            "surface": "syscall",
         }
 
     def test_fields(self):
-        assert len(fields(CampaignSpec)) == 14
+        assert len(fields(CampaignSpec)) == 13
         assert RESUMABLE_FIELDS == ("budget", "exec_mode")
 
     def test_fuzzer_options_leave_unset_knobs_to_the_frontend(self):
         options = CampaignSpec("InfiniTime", seed=2).fuzzer_options()
-        assert options == {"seed": 2, "seed_schedule": "uniform",
-                           "exec_mode": "journal", "surface": "syscall"}
+        assert options == {"seed": 2, "exec_mode": "journal",
+                           "surface": "syscall"}

@@ -83,7 +83,7 @@ class TestFleetDeterminism:
 
     def test_run_all_campaigns_delegates_to_fleet(self):
         # every spec option the sequential sweep takes, the fleet takes
-        for options in ({}, {"seed_schedule": "rarity"}):
+        for options in ({}, {"faults": "alloc:every=25"}):
             seq = run_all_campaigns(budget=60, seed=1, **options)
             par = run_all_campaigns(budget=60, seed=1, workers=2, **options)
             assert [result_digest(r) for r in par] == [
