@@ -288,9 +288,16 @@ class FuzzerEngine:
         self._listen()
 
     def _listen(self) -> None:
-        sink = getattr(self.target.runtime, "sink", None)
+        sink = self._sink = getattr(self.target.runtime, "sink", None)
         if sink is not None:
             sink.listeners.append(self._current_reports.append)
+
+    def _begin_exec(self) -> None:
+        """Start collecting a new exec's reports: the sink builds the
+        first report of each key afresh (see ``ReportSink.begin_exec``)."""
+        self._current_reports.clear()
+        if self._sink is not None:
+            self._sink.begin_exec()
 
     # ------------------------------------------------------------------
     def _generate_program(self) -> Program:
@@ -448,7 +455,7 @@ class FuzzerEngine:
         self._execs_since_refresh += 1
         coverage = self.target.coverage
         coverage.begin_input()
-        self._current_reports.clear()
+        self._begin_exec()
         before_keys = set(self.findings)
         observer = self.observer
         try:
@@ -629,7 +636,7 @@ class FuzzerEngine:
         except Exception:
             self.degraded = True
             return False
-        self._current_reports.clear()
+        self._begin_exec()
         for program in programs:
             try:
                 fault = self.target.execute(program, self.spec.style)

@@ -593,77 +593,89 @@ class TcgEngine:
         ``translate()`` and the TB cache.
 
         Each block runs as a tight pass over its thunks (no opcode tests,
-        no dict lookups); then the engine counters advance and the
-        watchdog is metered in line, with exactly the effects of
-        :meth:`Watchdog.consume <repro.emulator.watchdog.Watchdog.consume>`.
+        no dict lookups); then the watchdog is metered in line, with
+        exactly the effects of :meth:`Watchdog.consume
+        <repro.emulator.watchdog.Watchdog.consume>` once the run ends.
+        The engine counters (``cycles``, ``insn_count``, ``host_ops``,
+        ``tb_chain_hits``) and the watchdog's ledger checks accumulate
+        in locals and are added once, on every way out (end, halt,
+        ``max_steps``, a raising thunk or a watchdog trip): nothing
+        reads them while a run is in progress.  The watchdog's own
+        ``insns`` and ring stay per block, because a trip reports them,
+        even one raised from a hypercall's cycle budget.
         """
-        executed = 0
+        executed = cycles = host_ops = chain_hits = checks = 0
         state = self.state
         translate = self.translate
+        cache = self.tb_cache
         watchdog = self.watchdog
         if watchdog is not None:
             ring_append = watchdog._ring.append
-            wd_counts = watchdog.ledger_counts
-            wd_slot = watchdog.check_slot
         prev: Optional[TranslationBlock] = None
-        while not state.halted and executed < max_steps:
-            pc = state.pc
-            block = None
-            if prev is not None:
-                links = prev.links
-                if links is not None:
-                    block = links.get(pc)
-                    if block is not None:
-                        if block.generation == self.tb_generation:
-                            self.tb_chain_hits += 1
-                            # LRU touch: chain hits bypass translate(), so
-                            # the hottest blocks must be aged here or the
-                            # cache would evict them first under pressure
-                            cache = self.tb_cache
-                            if cache.get(pc) is block:
-                                del cache[pc]
-                                cache[pc] = block
-                        else:
-                            del links[pc]
-                            block = None
-            if block is None:
-                block = translate(pc)
-                if (prev is not None and prev.links is not None
-                        and len(prev.links) < _MAX_LINKS):
-                    prev.links[pc] = block
-            done = 0
-            target = None
-            try:
-                for fn in block.ops:
-                    target = fn()
-                    done += 1
-                    if target is not None:
-                        break
-            except BaseException:
-                # charge retired instructions plus the trapping one's
-                # pre-raise cost
-                self.cycles += block.cum_cycles[done] + block.pre_charge[done]
-                self.insn_count += done
-                self.host_ops += block.host_ops
-                raise
-            state.pc = pc = block.end_pc if target is None else target
-            self.cycles += block.cum_cycles[done]
-            self.insn_count += done
-            self.host_ops += block.host_ops
-            executed += done
-            if watchdog is not None:
-                # Per-block granularity: a trip overshoots by at most one
-                # block (< MAX_BLOCK_LEN instructions).  On a trip the
-                # engine halts so the hang surfaces once, not on every
-                # subsequent run() call.
-                watchdog.insns += done
-                ring_append(pc)
-                wd_counts[wd_slot] += 1
-                budget = watchdog.insn_budget
-                if budget is not None and watchdog.insns > budget:
-                    state.halted = True
-                    watchdog._trip("insn", pc, state.task)
-            prev = block
+        try:
+            while not state.halted and executed < max_steps:
+                pc = state.pc
+                block = None
+                if prev is not None:
+                    links = prev.links
+                    if links is not None:
+                        block = links.get(pc)
+                        if block is not None:
+                            if block.generation == self.tb_generation:
+                                chain_hits += 1
+                                # LRU touch: chain hits bypass translate(),
+                                # so the hottest blocks must be aged here or
+                                # the cache would evict them first under
+                                # pressure
+                                if cache.get(pc) is block:
+                                    del cache[pc]
+                                    cache[pc] = block
+                            else:
+                                del links[pc]
+                                block = None
+                if block is None:
+                    block = translate(pc)
+                    if (prev is not None and prev.links is not None
+                            and len(prev.links) < _MAX_LINKS):
+                        prev.links[pc] = block
+                target = None
+                try:
+                    for done, fn in enumerate(block.ops, 1):
+                        target = fn()
+                        if target is not None:
+                            break
+                except BaseException:
+                    # charge retired instructions plus the trapping one's
+                    # pre-raise cost
+                    done -= 1
+                    cycles += block.cum_cycles[done] + block.pre_charge[done]
+                    executed += done
+                    host_ops += block.host_ops
+                    raise
+                state.pc = pc = block.end_pc if target is None else target
+                cycles += block.cum_cycles[done]
+                executed += done
+                host_ops += block.host_ops
+                if watchdog is not None:
+                    # Per-block granularity: a trip overshoots by at most
+                    # one block (< MAX_BLOCK_LEN instructions).  On a trip
+                    # the engine halts so the hang surfaces once, not on
+                    # every subsequent run() call.
+                    watchdog.insns += done
+                    ring_append(pc)
+                    checks += 1
+                    budget = watchdog.insn_budget
+                    if budget is not None and watchdog.insns > budget:
+                        state.halted = True
+                        watchdog._trip("insn", pc, state.task)
+                prev = block
+        finally:
+            self.cycles += cycles
+            self.insn_count += executed
+            self.host_ops += host_ops
+            self.tb_chain_hits += chain_hits
+            if checks:
+                watchdog.ledger_counts[watchdog.check_slot] += checks
         return executed
 
     def stats(self) -> Dict[str, int]:

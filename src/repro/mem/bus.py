@@ -24,6 +24,7 @@ from typing import Callable, Iterable, List, Optional
 
 from repro.errors import BusError
 from repro.mem.access import Access, AccessKind
+from repro.mem.dirty import PAGE_SHIFT
 from repro.mem.regions import MemoryRegion, Perm, check_no_overlap
 
 Observer = Callable[[Access], None]
@@ -86,6 +87,11 @@ class MemoryBus:
         self._untraced = _Untraced(self)
         #: region the last successful resolve landed in (see _resolve)
         self._last = _NO_REGION
+        #: the RAM (non-device) region the last scalar read / write
+        #: that missed these resolved to; a scalar access inside it
+        #: skips _resolve and the region's read/write methods
+        self._ram_r = _NO_REGION
+        self._ram_w = _NO_REGION
         #: optional FaultPlan whose mutate_load() filters guest loads
         self.fault_plan = None
         #: active write journal (pre-image log) or None; see journal_begin
@@ -103,7 +109,7 @@ class MemoryBus:
         idx = bisect.bisect_left(self._bases, region.base)
         self._regions.insert(idx, region)
         self._bases.insert(idx, region.base)
-        self._last = _NO_REGION
+        self._last = self._ram_r = self._ram_w = _NO_REGION
         return region
 
     def unmap(self, name: str) -> None:
@@ -112,7 +118,7 @@ class MemoryBus:
             if region.name == name:
                 del self._regions[idx]
                 del self._bases[idx]
-                self._last = _NO_REGION
+                self._last = self._ram_r = self._ram_w = _NO_REGION
                 return
         raise BusError(f"no region named {name!r} to unmap")
 
@@ -161,6 +167,18 @@ class MemoryBus:
                 f"{region.perm!r}",
                 addr=addr,
             )
+        return region
+
+    def _scalar_region(self, addr: int, size: int, want: int) -> MemoryRegion:
+        """:meth:`_resolve` for a scalar access that missed the last-hit
+        RAM region of its direction; a RAM region it resolves to becomes
+        that last hit."""
+        region = self._resolve(addr, size, want)
+        if region.kind != "device":
+            if want == _W:
+                self._ram_w = region
+            else:
+                self._ram_r = region
         return region
 
     # ------------------------------------------------------------------
@@ -312,6 +330,11 @@ class MemoryBus:
     # ------------------------------------------------------------------
     # scalar access
     # ------------------------------------------------------------------
+    # Every scalar method first tests the last-hit RAM region of its
+    # direction (``_ram_r``/``_ram_w``) with exactly _resolve's span
+    # test; a miss, a device region or a bad size takes _resolve and the
+    # region's own read/write, then rejoins the same tail.
+
     def load(
         self,
         addr: int,
@@ -321,16 +344,24 @@ class MemoryBus:
         atomic: bool = False,
     ) -> int:
         """Perform a scalar little-endian load and return the value."""
-        if size not in _SCALAR_SIZES:
-            raise BusError(f"invalid scalar load size {size}", addr=addr)
-        region = self._resolve(addr, size, _R)
+        region = self._ram_r
+        ram = (region.base <= addr < region.end
+               and addr + size <= region.end and size in _SCALAR_SIZES)
+        if not ram:
+            if size not in _SCALAR_SIZES:
+                raise BusError(f"invalid scalar load size {size}", addr=addr)
+            region = self._scalar_region(addr, size, _R)
         if self._observers and not self._silent_depth:
             clean = self._clean
             if clean is None or not clean(addr, size):
                 access = Access(addr, size, False, pc, task, atomic=atomic)
                 for observer in self._observers:
                     observer(access)
-        value = int.from_bytes(region.read(addr, size), "little")
+        if ram:
+            off = addr - region.base
+            value = int.from_bytes(region.data[off:off + size], "little")
+        else:
+            value = int.from_bytes(region.read(addr, size), "little")
         # fault injection applies to guest traffic only; untraced host
         # reads (report generators, the Prober) see pristine memory
         if self.fault_plan is not None and not self._silent_depth:
@@ -347,24 +378,21 @@ class MemoryBus:
         atomic: bool = False,
     ) -> None:
         """Perform a scalar little-endian store."""
-        if size not in _SCALAR_SIZES:
-            raise BusError(f"invalid scalar store size {size}", addr=addr)
-        region = self._resolve(addr, size, _W)
+        region = self._ram_w
+        if not (region.base <= addr < region.end
+                and addr + size <= region.end and size in _SCALAR_SIZES):
+            if size not in _SCALAR_SIZES:
+                raise BusError(f"invalid scalar store size {size}", addr=addr)
+            region = self._scalar_region(addr, size, _W)
         if self._observers and not self._silent_depth:
             clean = self._clean
             if clean is None or not clean(addr, size):
                 access = Access(addr, size, True, pc, task, atomic=atomic)
                 for observer in self._observers:
                     observer(access)
-        if region.kind != "device":
-            if self._journal is not None:
-                off = addr - region.base
-                self._journal.append(
-                    (region, off, bytes(region.data[off : off + size]))
-                )
-            if self._dirty is not None:
-                self._dirty.mark(region.name, addr - region.base, size)
-        region.write(addr, int(value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+        self._write_scalar(
+            region, addr, size,
+            int(value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
 
     def load_silent(self, addr: int, size: int) -> int:
         """Scalar load with no observer notification.
@@ -374,8 +402,13 @@ class MemoryBus:
         channel; skips the context-manager round trip and the scalar-size
         guard (instruction decoding fixes the size to 1/2/4).
         """
-        region = self._resolve(addr, size, _R)
-        value = int.from_bytes(region.read(addr, size), "little")
+        region = self._ram_r
+        if region.base <= addr < region.end and addr + size <= region.end:
+            off = addr - region.base
+            value = int.from_bytes(region.data[off:off + size], "little")
+        else:
+            region = self._scalar_region(addr, size, _R)
+            value = int.from_bytes(region.read(addr, size), "little")
         if self.fault_plan is not None:
             # this path carries only guest (EVM32 template) loads
             value = self.fault_plan.mutate_load(addr, size, value)
@@ -384,21 +417,43 @@ class MemoryBus:
     def load_untraced(self, addr: int, size: int) -> int:
         """Scalar load exactly as inside :meth:`untraced`: no observer,
         no fault plan (host-side reads such as allocator metadata)."""
-        region = self._resolve(addr, size, _R)
+        region = self._ram_r
+        if region.base <= addr < region.end and addr + size <= region.end:
+            off = addr - region.base
+            return int.from_bytes(region.data[off:off + size], "little")
+        region = self._scalar_region(addr, size, _R)
         return int.from_bytes(region.read(addr, size), "little")
 
     def store_silent(self, addr: int, size: int, value: int) -> None:
         """Scalar store with no observer notification (see load_silent)."""
-        region = self._resolve(addr, size, _W)
-        if region.kind != "device":
-            if self._journal is not None:
-                off = addr - region.base
-                self._journal.append(
-                    (region, off, bytes(region.data[off : off + size]))
-                )
-            if self._dirty is not None:
-                self._dirty.mark(region.name, addr - region.base, size)
-        region.write(addr, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+        region = self._ram_w
+        if not (region.base <= addr < region.end
+                and addr + size <= region.end):
+            region = self._scalar_region(addr, size, _W)
+        self._write_scalar(
+            region, addr, size,
+            (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+
+    def _write_scalar(self, region: MemoryRegion, addr: int, size: int,
+                      payload: bytes) -> None:
+        """The tail of every scalar store: journal the pre-image, mark
+        the page dirty if it is not yet, and write the bytes (a device
+        region's own ``write`` instead, with neither)."""
+        if region.kind == "device":
+            region.write(addr, payload)
+            return
+        off = addr - region.base
+        if self._journal is not None:
+            self._journal.append(
+                (region, off, bytes(region.data[off : off + size]))
+            )
+        dirty = self._dirty
+        if dirty is not None:
+            pages = dirty.marked.get(region.name)
+            if (pages is None or off >> PAGE_SHIFT not in pages
+                    or (off + size - 1) >> PAGE_SHIFT not in pages):
+                dirty.mark(region.name, off, size)
+        region.data[off : off + size] = payload
 
     # ------------------------------------------------------------------
     # bulk access (guest memcpy / memset family)

@@ -48,10 +48,13 @@ class DirtySet:
     dirty this session costs one set lookup.
     """
 
-    __slots__ = ("_pages", "_buffers", "_golden")
+    __slots__ = ("marked", "_buffers", "_golden")
 
     def __init__(self, buffers: Optional[Mapping[str, object]] = None) -> None:
-        self._pages: Dict[str, Set[int]] = {}
+        #: region name -> dirty page indices; change only through
+        #: :meth:`mark` and :meth:`clear` (the bus reads it to skip
+        #: marking a page that is already dirty)
+        self.marked: Dict[str, Set[int]] = {}
         self._buffers = dict(buffers or {})
         #: captured region name -> page index -> golden page bytes
         self._golden: Dict[str, Dict[int, bytes]] = {
@@ -68,9 +71,9 @@ class DirtySet:
         keeps its current bytes as the golden pre-image.
         """
         first = off >> PAGE_SHIFT
-        pages = self._pages.get(region_name)
+        pages = self.marked.get(region_name)
         if pages is None:
-            pages = self._pages[region_name] = set()
+            pages = self.marked[region_name] = set()
         last = (off + size - 1) >> PAGE_SHIFT
         if first == last:
             if first not in pages:
@@ -96,7 +99,7 @@ class DirtySet:
     # ------------------------------------------------------------------
     def pages(self, region_name: str) -> Set[int]:
         """The dirty page indices of one region (empty set when clean)."""
-        return self._pages.get(region_name, set())
+        return self.marked.get(region_name, set())
 
     def spans(self, region_name: str) -> List[Tuple[int, int]]:
         """Merged ``(lo, hi)`` byte ranges covering the dirty pages.
@@ -104,7 +107,7 @@ class DirtySet:
         Contiguous dirty pages coalesce into one span, so a restore
         invalidates translations once per run of pages, not per page.
         """
-        pages = self._pages.get(region_name)
+        pages = self.marked.get(region_name)
         if not pages:
             return []
         spans: List[Tuple[int, int]] = []
@@ -133,13 +136,13 @@ class DirtySet:
 
     def page_count(self) -> int:
         """Total dirty pages across all regions."""
-        return sum(len(pages) for pages in self._pages.values())
+        return sum(len(pages) for pages in self.marked.values())
 
     def region_names(self) -> Iterator[str]:
         """Regions with at least one dirty page."""
-        return (name for name, pages in self._pages.items() if pages)
+        return (name for name, pages in self.marked.items() if pages)
 
     def clear(self) -> None:
         """Forget all dirty pages (after a restore or golden capture)."""
-        for pages in self._pages.values():
+        for pages in self.marked.values():
             pages.clear()

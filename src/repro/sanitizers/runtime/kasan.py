@@ -177,7 +177,16 @@ class KasanEngine:
     # access validation
     # ------------------------------------------------------------------
     def check(self, access: Access) -> Optional[SanitizerReport]:
-        """Validate one access against the shadow map."""
+        """Validate one access against the shadow map.
+
+        Returns the report the access raised, or None.  A poisoned
+        access whose dedup key (tool, bug type, symbolized pc) already
+        has a report in the sink's current exec scope is counted
+        through :meth:`ReportSink.repeat` and returns that first
+        report: the owner lookup, quarantine lookup, shadow window and
+        report object are built once per key per exec (unless the sink
+        panics on reports, when every hit is built).
+        """
         if self.suppress_depth:
             return None
         if access.kind is AccessKind.FETCH:
@@ -188,6 +197,9 @@ class KasanEngine:
             return None
         bad_addr, code = verdict
         bug = _CODE_TO_BUG.get(code, BugType.WILD_ACCESS)
+        first = self.sink.repeat(self.tool, bug, access.pc)
+        if first is not None:
+            return first
         alloc_pc = free_pc = 0
         if bug is BugType.UAF:
             prior = self.freed.find(bad_addr)

@@ -105,9 +105,11 @@ class SanitizerReport:
         vs kthread) is one bug, while two distinct races through the
         same function (neighbouring counters) stay distinct.
         """
+        # ``_value_`` is ``value`` without the enum property's two
+        # Python-level calls (the fuzzer keys every report it sees)
         if self.bug_type is BugType.DATA_RACE:
-            return (self.tool, self.bug_type.value, self.addr & ~0x3)
-        return (self.tool, self.bug_type.value, self.location)
+            return (self.tool, self.bug_type._value_, self.addr & ~0x3)
+        return (self.tool, self.bug_type._value_, self.location)
 
     def __str__(self) -> str:
         rw = "write" if self.is_write else "read"
@@ -135,7 +137,19 @@ class SanitizerReport:
 
 
 class ReportSink:
-    """Collects reports, deduplicates, optionally panics on first report."""
+    """Collects reports, deduplicates, optionally panics on first report.
+
+    ``reports`` holds one entry per hit and ``unique`` the first report
+    of each dedup key.  Within one *exec scope* a report is built once
+    per key: a later hit with the same key is counted through
+    :meth:`repeat`, which appends the scope's first report object for
+    that key to ``reports`` and hands that object to the listeners
+    again, so hit counts and the keys listeners see are exactly those of
+    building every report, but a repeat keeps no address or shadow
+    window of its own.  The fuzz engine opens a scope per exec (and per
+    reproduction replay) with :meth:`begin_exec`; elsewhere a scope
+    lasts as long as the sink.
+    """
 
     def __init__(
         self,
@@ -148,18 +162,55 @@ class ReportSink:
         self.symbolizer = symbolizer
         #: observers notified on every (pre-dedup) report
         self.listeners: List[Callable[[SanitizerReport], None]] = []
+        #: dedup key -> first report emitted with it in the current scope
+        self._scope: Dict[tuple, SanitizerReport] = {}
+        #: pc -> symbolized location, memoized for the current scope
+        self._locations: Dict[int, str] = {}
+
+    def begin_exec(self) -> None:
+        """Open a new exec scope: the next hit of every key is built."""
+        self._scope.clear()
+        self._locations.clear()
 
     def emit(self, report: SanitizerReport) -> SanitizerReport:
         """Record a report; returns it (possibly after symbolization)."""
         if not report.location and self.symbolizer is not None:
             report.location = self.symbolizer(report.pc)
         self.reports.append(report)
-        self.unique.setdefault(report.dedup_key(), report)
+        key = report.dedup_key()
+        self.unique.setdefault(key, report)
+        self._scope.setdefault(key, report)
         for listener in self.listeners:
             listener(report)
         if self.panic_on_report:
             raise SanitizerViolation(report)
         return report
+
+    def repeat(self, tool: str, bug_type: BugType,
+               pc: int) -> Optional[SanitizerReport]:
+        """Count a hit whose report this scope has already built.
+
+        The key is the one a ``tool`` report of ``bug_type`` at ``pc``
+        would get (location-keyed: not for data races).  When a report
+        with that key was emitted in the current scope, record the hit
+        as :meth:`emit` would (one more ``reports`` entry, the
+        listeners called) with that first report, and return it.
+        Otherwise, or when reports panic, do nothing and return None:
+        the caller builds and emits the report.
+        """
+        if self.panic_on_report:
+            return None
+        location = self._locations.get(pc)
+        if location is None:
+            symbolizer = self.symbolizer
+            location = self._locations[pc] = (
+                symbolizer(pc) if symbolizer is not None else "")
+        first = self._scope.get((tool, bug_type._value_, location))
+        if first is not None:
+            self.reports.append(first)
+            for listener in self.listeners:
+                listener(first)
+        return first
 
     # ------------------------------------------------------------------
     def count(self) -> int:
@@ -183,6 +234,7 @@ class ReportSink:
         )
 
     def clear(self) -> None:
-        """Drop all collected reports."""
+        """Drop all collected reports (and open a new exec scope)."""
         self.reports.clear()
         self.unique.clear()
+        self.begin_exec()

@@ -240,7 +240,8 @@ class CommonSanitizerRuntime:
         kasan = self.kasan
         kcsan = self.kcsan
         data = AccessKind.DATA
-        clear_for = self.shadow.clear_for
+        shadow = self.shadow
+        clear_for = shadow.clear_for
         counts = self._counts
         kasan_slot = self._kasan_slot
         if kcsan is not None:
@@ -273,7 +274,19 @@ class CommonSanitizerRuntime:
             if not self.enabled or self._suppress:
                 return True
             if not kasan.suppress_depth:
-                if not clear_for(addr, size):
+                # ShadowMemory.clear_for, inlined for the region it
+                # resolved last
+                region = shadow._last
+                if region.base <= addr < region.end:
+                    table = region.bytes
+                    first = (addr - region.base) >> 3
+                    last = (addr + size - 1 - region.base) >> 3
+                    if (table[first] if first == last
+                            else any(table[first:last + 1])):
+                        return False
+                    shadow.check_ops += 1
+                    shadow.fastpath_hits += 1
+                elif not clear_for(addr, size):
                     return False
                 kasan.checks += 1
             self.events_handled += 1
@@ -449,6 +462,7 @@ class CommonSanitizerRuntime:
         self.sink.unique.clear()
         self.sink.unique.update(telemetry["unique"])
         self.sink.listeners[:] = telemetry["listeners"]
+        self.sink.begin_exec()
         if self.kasan is not None and "kasan" in telemetry:
             (
                 self.kasan.checks,

@@ -144,6 +144,73 @@ class TestSuppression:
 
 
 # ----------------------------------------------------------------------
+# repeated reports: built once per dedup key per exec scope
+# ----------------------------------------------------------------------
+def symbolized_engine(panic=False) -> KasanEngine:
+    """An engine whose sink symbolizes pcs to 256-byte 'functions'."""
+    bus = MemoryBus()
+    bus.map(MemoryRegion("ram", BASE, 0x10000, Perm.RW, "ram"))
+    sink = ReportSink(panic_on_report=panic,
+                      symbolizer=lambda pc: f"fn_{pc >> 8:x}")
+    return KasanEngine(ShadowMemory(bus), sink)
+
+
+class TestRepeatedReports:
+    def test_repeat_counts_against_first_report(self):
+        engine = symbolized_engine()
+        heard = []
+        engine.sink.listeners.append(heard.append)
+        engine.on_alloc(BASE, 64, cache=1)
+        first = engine.check(read(BASE + 64, pc=0x100))
+        # another address and another pc of the same function: same key
+        again = engine.check(write(BASE + 72, pc=0x1F0))
+        assert again is first
+        assert (first.addr, first.is_write, first.pc) == (BASE + 64, False,
+                                                          0x100)
+        assert engine.sink.reports == [first, first]
+        assert heard == [first, first]
+        assert engine.sink.count() == 2 and engine.sink.unique_count() == 1
+        assert engine.checks == 2
+        assert engine.shadow.check_ops == 2
+
+    def test_other_key_is_built(self):
+        engine = symbolized_engine()
+        engine.on_alloc(BASE, 64, cache=1, pc=0x11)
+        oob = engine.check(read(BASE + 64, pc=0x100))
+        other_fn = engine.check(read(BASE + 64, pc=0x200))
+        engine.on_free(BASE, pc=0x22)
+        uaf = engine.check(read(BASE + 8, pc=0x100))
+        assert len({id(oob), id(other_fn), id(uaf)}) == 3
+        assert [r.dedup_key()[1:] for r in engine.sink.reports] == [
+            ("slab-out-of-bounds", "fn_1"), ("slab-out-of-bounds", "fn_2"),
+            ("use-after-free", "fn_1")]
+        assert (uaf.alloc_pc, uaf.free_pc) == (0x11, 0x22)
+
+    def test_new_exec_scope_builds_again(self):
+        engine = symbolized_engine()
+        engine.on_alloc(BASE, 64, cache=1)
+        first = engine.check(read(BASE + 64))
+        engine.sink.begin_exec()
+        second = engine.check(read(BASE + 68))
+        assert second is not first and second.addr == BASE + 68
+        assert engine.sink.unique_count() == 1
+        assert engine.sink.unique[first.dedup_key()] is first
+
+    def test_panic_builds_every_hit(self):
+        from repro.errors import SanitizerViolation
+
+        engine = symbolized_engine(panic=True)
+        engine.on_alloc(BASE, 64, cache=1)
+        raised = []
+        for addr in (BASE + 64, BASE + 68):
+            with pytest.raises(SanitizerViolation) as info:
+                engine.check(read(addr))
+            raised.append(info.value.report)
+        assert raised[0] is not raised[1]
+        assert [r.addr for r in engine.sink.reports] == [BASE + 64, BASE + 68]
+
+
+# ----------------------------------------------------------------------
 # lazy shadow dump: rendered on read, frozen at report time
 # ----------------------------------------------------------------------
 def eager_dump(shadow: ShadowMemory, addr: int, rows: int = 2) -> str:
